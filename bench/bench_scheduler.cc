@@ -129,6 +129,35 @@ BENCHMARK(BM_Scheduler_Throughput)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
+// Submit -> Wait on a long-lived scheduler that has already served
+// range(0) queries (untimed warm-up, each collected). Per-query cost must
+// not depend on that history: the 1k and 32k rows should read the same.
+// A scheduler that kept terminal entries and scanned them per Submit and
+// per dispatch would grow linearly with the argument.
+void BM_Scheduler_SustainedLoad(benchmark::State& state) {
+  std::string source = TcSource(8, 16, 11);
+  SchedulerOptions options;
+  options.workers = 1;
+  Scheduler scheduler(options);
+  uint64_t served = 0;
+  auto serve_one = [&] {
+    QueryRequest request;
+    request.id = "q" + std::to_string(served++);
+    request.source = source;
+    auto ticket = scheduler.Submit(std::move(request));
+    IQL_CHECK(ticket.ok()) << ticket.status();
+    auto result = scheduler.Wait(*ticket);
+    IQL_CHECK(result.outcome == QueryOutcome::kCompleted) << result.status;
+  };
+  for (int64_t i = 0; i < state.range(0); ++i) serve_one();
+  for (auto _ : state) serve_one();
+  state.counters["live"] = static_cast<double>(scheduler.counters().live);
+}
+BENCHMARK(BM_Scheduler_SustainedLoad)
+    ->Arg(1000)
+    ->Arg(32000)
+    ->Unit(benchmark::kMicrosecond);
+
 // Admission-path cost under rejection pressure: a full queue turns every
 // Submit into a structured QUEUE_FULL rejection; this is the hot shed path
 // during overload, so it must stay trivially cheap.

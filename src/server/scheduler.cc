@@ -87,7 +87,7 @@ Scheduler::~Scheduler() {
   }
   {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return waiting_ == 0 && running_ == 0; });
+    cv_.wait(lock, [&] { return IdleLocked(); });
     shutdown_ = true;
   }
   retry_cv_.notify_all();
@@ -108,7 +108,63 @@ void Scheduler::TraceLocked(const std::string& line) {
   *options_.trace << "T" << NowTicksLocked() << " " << line << "\n";
 }
 
-Result<uint64_t> Scheduler::Submit(QueryRequest request) {
+bool Scheduler::IdleLocked() const {
+  return ready_.empty() && backoff_.empty() && running_.empty();
+}
+
+Scheduler::ReadyKey Scheduler::ReadyKeyOf(const Entry& entry) {
+  return {-entry.request.priority,
+          entry.request.cls == QueryClass::kInteractive ? 0 : 1, entry.ticket};
+}
+
+void Scheduler::EnqueueLocked(Entry* entry) {
+  entry->state = State::kQueued;
+  queued_reserve_ += entry->reserve_bytes;
+  if (entry->eligible_tick <= NowTicksLocked()) {
+    ready_.emplace(ReadyKeyOf(*entry), entry);
+  } else {
+    backoff_.emplace(std::make_pair(entry->eligible_tick, entry->ticket),
+                     entry);
+  }
+}
+
+void Scheduler::DequeueLocked(Entry* entry) {
+  queued_reserve_ -= entry->reserve_bytes;
+  if (ready_.erase(ReadyKeyOf(*entry)) == 0) {
+    backoff_.erase(std::make_pair(entry->eligible_tick, entry->ticket));
+  }
+}
+
+void Scheduler::PromoteExpiredLocked() {
+  uint64_t now = NowTicksLocked();
+  while (!backoff_.empty() && backoff_.begin()->first.first <= now) {
+    Entry* entry = backoff_.begin()->second;
+    backoff_.erase(backoff_.begin());
+    ready_.emplace(ReadyKeyOf(*entry), entry);
+  }
+}
+
+void Scheduler::OnTerminalLocked(Entry* entry) {
+  if (entry->abandoned) {
+    RetireLocked(entry);
+  } else if (entry->on_terminal) {
+    entry->on_terminal(entry->ticket);
+  }
+}
+
+void Scheduler::RetireLocked(Entry* entry) {
+  live_ids_.erase(entry->request.id);
+  entries_.erase(entry->ticket);
+}
+
+QueryResult Scheduler::CollectLocked(Entry* entry) {
+  QueryResult result = std::move(entry->result);
+  RetireLocked(entry);
+  return result;
+}
+
+Result<uint64_t> Scheduler::Submit(QueryRequest request,
+                                   TerminalCallback on_terminal) {
   std::unique_lock<std::mutex> lock(mu_);
   ++counters_.submitted;
   if (draining_) {
@@ -117,10 +173,10 @@ Result<uint64_t> Scheduler::Submit(QueryRequest request) {
     return UnavailableError(
         "scheduler is draining; not accepting new queries");
   }
-  for (const auto& [ticket, entry] : entries_) {
-    if (entry->request.id == request.id) {
-      return InvalidArgumentError("duplicate query id '" + request.id + "'");
-    }
+  if (live_ids_.count(request.id) != 0) {
+    ++counters_.rejected_duplicate;
+    TraceLocked("REJECT id=" + request.id + " reason=DUPLICATE");
+    return InvalidArgumentError("duplicate query id '" + request.id + "'");
   }
   int cls = static_cast<int>(request.cls);
   uint64_t reserve = request.reserve_bytes != 0
@@ -142,7 +198,7 @@ Result<uint64_t> Scheduler::Submit(QueryRequest request) {
         std::to_string(options_.class_quota[cls]) +
         " queries exceeded; retry when the backlog drains");
   }
-  if (waiting_ >= options_.queue_capacity) {
+  if (ready_.size() + backoff_.size() >= options_.queue_capacity) {
     ++counters_.rejected_queue_full;
     TraceLocked("REJECT id=" + request.id + " reason=QUEUE_FULL");
     return QueueFullError("admission queue at capacity " +
@@ -159,65 +215,40 @@ Result<uint64_t> Scheduler::Submit(QueryRequest request) {
         std::to_string(options_.global_memory_budget) + " bytes");
   }
   uint64_t ticket = next_ticket_++;
-  auto entry = std::make_unique<Entry>();
+  auto owned = std::make_unique<Entry>();
+  Entry* entry = owned.get();
   entry->ticket = ticket;
   entry->request = std::move(request);
   entry->reserve_bytes = reserve;
-  entry->state = State::kQueued;
+  entry->on_terminal = std::move(on_terminal);
   entry->submit_tick = NowTicksLocked();
   entry->eligible_tick = entry->submit_tick;
-  ++waiting_;
+  entries_.emplace(ticket, std::move(owned));
+  live_ids_.insert(entry->request.id);
+  EnqueueLocked(entry);
   ++class_load_[cls];
   ++counters_.admitted;
   TraceLocked("ADMIT id=" + entry->request.id + " class=" +
               QueryClassName(entry->request.cls) +
               " priority=" + std::to_string(entry->request.priority) +
               " reserve=" + std::to_string(reserve));
-  Entry* raw = entry.get();
-  entries_.emplace(ticket, std::move(entry));
-  (void)raw;
-  if (!options_.deterministic) {
-    DispatchLocked(lock);
-    retry_cv_.notify_all();
-  }
+  if (!options_.deterministic) DispatchLocked(lock);
   return ticket;
 }
 
 Scheduler::Entry* Scheduler::NextRunnableLocked() {
-  uint64_t now = NowTicksLocked();
-  Entry* best = nullptr;
-  for (auto& [ticket, entry] : entries_) {
-    if (entry->state != State::kQueued || entry->eligible_tick > now) continue;
-    if (best == nullptr) {
-      best = entry.get();
-      continue;
-    }
-    // Priority desc, interactive before batch, then submission order.
-    // (Ticket order makes the pick total, so the trace is deterministic.)
-    int lhs_cls = entry->request.cls == QueryClass::kInteractive ? 0 : 1;
-    int rhs_cls = best->request.cls == QueryClass::kInteractive ? 0 : 1;
-    auto lhs = std::make_tuple(-entry->request.priority, lhs_cls,
-                               entry->ticket);
-    auto rhs = std::make_tuple(-best->request.priority, rhs_cls,
-                               best->ticket);
-    if (lhs < rhs) best = entry.get();
-  }
-  return best;
+  PromoteExpiredLocked();
+  return ready_.empty() ? nullptr : ready_.begin()->second;
 }
 
 uint64_t Scheduler::EarliestEligibleLocked() const {
-  uint64_t earliest = kNoTick;
-  for (const auto& [ticket, entry] : entries_) {
-    if (entry->state != State::kQueued) continue;
-    earliest = std::min(earliest, entry->eligible_tick);
-  }
-  return earliest;
+  return backoff_.empty() ? kNoTick : backoff_.begin()->first.first;
 }
 
 void Scheduler::StartAttemptLocked(Entry* entry) {
+  DequeueLocked(entry);
   entry->state = State::kRunning;
-  --waiting_;
-  ++running_;
+  running_.emplace(entry->ticket, entry);
   ++entry->attempts;
   entry->degraded = false;
   entry->preempted = false;
@@ -234,7 +265,7 @@ void Scheduler::StartAttemptLocked(Entry* entry) {
 
 void Scheduler::DispatchLocked(std::unique_lock<std::mutex>& lock) {
   (void)lock;  // held by contract; Post itself never re-enters mu_
-  while (running_ < options_.workers) {
+  while (running_.size() < options_.workers) {
     Entry* entry = NextRunnableLocked();
     if (entry == nullptr) break;
     StartAttemptLocked(entry);
@@ -388,7 +419,7 @@ Scheduler::AttemptEnd Scheduler::ExecuteAttempt(Entry* entry) {
 
 void Scheduler::FinishAttempt(Entry* entry, AttemptEnd end) {
   std::unique_lock<std::mutex> lock(mu_);
-  --running_;
+  running_.erase(entry->ticket);
   TripReason trip = end.stats.trip;
   Governor* governor = entry->governor.get();
   bool injected_alloc =
@@ -449,11 +480,12 @@ void Scheduler::FinishAttempt(Entry* entry, AttemptEnd end) {
     uint64_t delay =
         std::max<uint64_t>(1, static_cast<uint64_t>(backoff * 1000.0));
     entry->eligible_tick = NowTicksLocked() + delay;
-    entry->state = State::kQueued;
-    ++waiting_;
+    EnqueueLocked(entry);
     TraceLocked("RETRY id=" + entry->request.id +
                 " attempt=" + std::to_string(entry->attempts + 1) +
                 " eligible=T" + std::to_string(entry->eligible_tick));
+    // A new backoff may be earlier than the one the timekeeper sleeps on.
+    retry_cv_.notify_all();
   } else {
     entry->state = State::kDone;
     --class_load_[static_cast<int>(entry->request.cls)];
@@ -496,11 +528,9 @@ void Scheduler::FinishAttempt(Entry* entry, AttemptEnd end) {
       TraceLocked("FAIL id=" + entry->request.id + " status=" +
                   std::string(StatusCodeName(end.status.code())));
     }
+    OnTerminalLocked(entry);  // may retire `entry`
   }
-  if (!options_.deterministic) {
-    DispatchLocked(lock);
-    retry_cv_.notify_all();
-  }
+  if (!options_.deterministic) DispatchLocked(lock);
   cv_.notify_all();
 }
 
@@ -508,15 +538,12 @@ void Scheduler::PressureCheck() {
   std::unique_lock<std::mutex> lock(mu_);
   if (options_.global_memory_budget == 0) return;
   uint64_t used = 0;
-  uint64_t reserved = 0;
-  for (const auto& [ticket, entry] : entries_) {
-    if (entry->state == State::kRunning && entry->governor != nullptr) {
+  for (const auto& [ticket, entry] : running_) {
+    if (entry->governor != nullptr) {
       used += entry->governor->accountant()->bytes();
-    } else if (entry->state == State::kQueued) {
-      reserved += entry->reserve_bytes;
     }
   }
-  if (used + reserved <= options_.global_memory_budget) return;
+  if (used + queued_reserve_ <= options_.global_memory_budget) return;
   // One intervention per check: the hook fires every full poll, so the
   // loop converges a victim at a time without thrashing. First choice is
   // the runner furthest above its reservation (degrade it back to what it
@@ -525,24 +552,22 @@ void Scheduler::PressureCheck() {
   Entry* degrade_victim = nullptr;
   uint64_t worst_overage = 0;
   Entry* shed_victim = nullptr;
-  for (auto& [ticket, entry] : entries_) {
-    if (entry->state != State::kRunning || entry->governor == nullptr ||
-        entry->degraded || entry->preempted) {
+  for (auto& [ticket, entry] : running_) {
+    if (entry->governor == nullptr || entry->degraded || entry->preempted) {
       continue;
     }
     uint64_t bytes = entry->governor->accountant()->bytes();
+    // Largest overage wins. running_ is walked in ticket order and only a
+    // strictly larger overage displaces the victim, so the oldest ticket
+    // wins a tie.
     if (bytes > entry->reserve_bytes &&
-        bytes - entry->reserve_bytes >= worst_overage) {
-      // >= so later tickets win ties deterministically... prefer the
-      // largest overage, oldest ticket on a tie.
-      if (degrade_victim == nullptr ||
-          bytes - entry->reserve_bytes > worst_overage) {
-        degrade_victim = entry.get();
-        worst_overage = bytes - entry->reserve_bytes;
-      }
+        (degrade_victim == nullptr ||
+         bytes - entry->reserve_bytes > worst_overage)) {
+      degrade_victim = entry;
+      worst_overage = bytes - entry->reserve_bytes;
     }
     if (shed_victim == nullptr) {
-      shed_victim = entry.get();
+      shed_victim = entry;
     } else {
       // Batch before interactive, low priority first, biggest user first,
       // youngest ticket first: shed the least valuable work.
@@ -553,8 +578,8 @@ void Scheduler::PressureCheck() {
             -static_cast<int64_t>(e->ticket));
       };
       uint64_t shed_bytes = shed_victim->governor->accountant()->bytes();
-      if (key(entry.get(), bytes) < key(shed_victim, shed_bytes)) {
-        shed_victim = entry.get();
+      if (key(entry, bytes) < key(shed_victim, shed_bytes)) {
+        shed_victim = entry;
       }
     }
   }
@@ -576,7 +601,7 @@ void Scheduler::PressureCheck() {
 void Scheduler::RunUntilIdle() {
   if (!options_.deterministic) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return waiting_ == 0 && running_ == 0; });
+    cv_.wait(lock, [&] { return IdleLocked(); });
     return;
   }
   // Deterministic driver: serial execution on this thread, virtual time.
@@ -603,16 +628,20 @@ void Scheduler::RunUntilIdle() {
 QueryResult Scheduler::Wait(uint64_t ticket) {
   if (options_.deterministic) RunUntilIdle();
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = entries_.find(ticket);
-  if (it == entries_.end()) {
+  // Re-looked-up on every wake: the ticket is only valid while live.
+  Entry* entry = nullptr;
+  cv_.wait(lock, [&] {
+    auto it = entries_.find(ticket);
+    entry = it == entries_.end() ? nullptr : it->second.get();
+    return entry == nullptr || entry->state == State::kDone;
+  });
+  if (entry == nullptr) {
     QueryResult missing;
     missing.outcome = QueryOutcome::kFailed;
     missing.status = NotFoundError("unknown ticket " + std::to_string(ticket));
     return missing;
   }
-  Entry* entry = it->second.get();
-  cv_.wait(lock, [&] { return entry->state == State::kDone; });
-  return entry->result;
+  return CollectLocked(entry);
 }
 
 std::optional<QueryResult> Scheduler::TryWait(uint64_t ticket) {
@@ -621,12 +650,12 @@ std::optional<QueryResult> Scheduler::TryWait(uint64_t ticket) {
   if (it == entries_.end() || it->second->state != State::kDone) {
     return std::nullopt;
   }
-  return it->second->result;
+  return CollectLocked(it->second.get());
 }
 
 void Scheduler::CancelQueuedLocked(Entry* entry, const std::string& reason) {
+  DequeueLocked(entry);
   entry->state = State::kDone;
-  --waiting_;
   --class_load_[static_cast<int>(entry->request.cls)];
   QueryResult& result = entry->result;
   result.outcome = QueryOutcome::kCancelled;
@@ -636,13 +665,10 @@ void Scheduler::CancelQueuedLocked(Entry* entry, const std::string& reason) {
   result.finish_tick = NowTicksLocked();
   ++counters_.cancelled;
   TraceLocked("CANCELLED id=" + entry->request.id + " queued");
+  OnTerminalLocked(entry);  // may retire `entry`
 }
 
-bool Scheduler::Cancel(uint64_t ticket, const std::string& reason) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = entries_.find(ticket);
-  if (it == entries_.end()) return false;
-  Entry* entry = it->second.get();
+bool Scheduler::CancelLocked(Entry* entry, const std::string& reason) {
   switch (entry->state) {
     case State::kDone:
       return false;
@@ -663,6 +689,27 @@ bool Scheduler::Cancel(uint64_t ticket, const std::string& reason) {
   return false;
 }
 
+bool Scheduler::Cancel(uint64_t ticket, const std::string& reason) {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = entries_.find(ticket);
+  if (it == entries_.end()) return false;
+  return CancelLocked(it->second.get(), reason);
+}
+
+void Scheduler::Abandon(uint64_t ticket, const std::string& reason) {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = entries_.find(ticket);
+  if (it == entries_.end()) return;
+  Entry* entry = it->second.get();
+  entry->abandoned = true;
+  entry->on_terminal = nullptr;
+  if (entry->state == State::kDone) {
+    RetireLocked(entry);
+    return;
+  }
+  CancelLocked(entry, reason);  // a queued entry retires right here
+}
+
 void Scheduler::BeginDrain() {
   std::unique_lock<std::mutex> lock(mu_);
   if (draining_) return;
@@ -672,9 +719,10 @@ void Scheduler::BeginDrain() {
 
 void Scheduler::PreemptAll(const std::string& reason) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (auto& [ticket, entry] : entries_) {
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    Entry* entry = (it++)->second.get();  // cancelling may retire it
     if (entry->state == State::kQueued) {
-      CancelQueuedLocked(entry.get(), reason);
+      CancelQueuedLocked(entry, reason);
     } else if (entry->state == State::kRunning) {
       entry->cancel_requested = true;
       entry->cancel_reason = reason;
@@ -692,7 +740,9 @@ bool Scheduler::draining() const {
 
 Scheduler::Counters Scheduler::counters() const {
   std::unique_lock<std::mutex> lock(mu_);
-  return counters_;
+  Counters counters = counters_;
+  counters.live = entries_.size();
+  return counters;
 }
 
 uint64_t Scheduler::now_ticks() const {
@@ -701,20 +751,16 @@ uint64_t Scheduler::now_ticks() const {
 }
 
 void Scheduler::TimekeeperLoop() {
+  // Only backoffs need a clock: fresh admissions dispatch from Submit, and
+  // a ready entry waiting for a worker dispatches from FinishAttempt.
   std::unique_lock<std::mutex> lock(mu_);
   while (!shutdown_) {
+    DispatchLocked(lock);  // promotes expired backoffs first
     uint64_t next = EarliestEligibleLocked();
-    uint64_t now = NowTicksLocked();
-    if (next != kNoTick && next <= now) {
-      // A backoff expired: hand the query to the pool if there is room
-      // (otherwise FinishAttempt will dispatch it when a worker frees).
-      DispatchLocked(lock);
-      next = EarliestEligibleLocked();
-      now = NowTicksLocked();
-    }
     if (next == kNoTick) {
       retry_cv_.wait(lock);
     } else {
+      uint64_t now = NowTicksLocked();
       uint64_t wait_ms = next > now ? next - now : 1;
       retry_cv_.wait_for(lock, std::chrono::milliseconds(wait_ms));
     }

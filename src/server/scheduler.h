@@ -3,7 +3,7 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,7 +11,9 @@
 #include <ostream>
 #include <string>
 #include <thread>
-#include <vector>
+#include <tuple>
+#include <unordered_set>
+#include <utility>
 
 #include "base/governor.h"
 #include "base/result.h"
@@ -37,7 +39,12 @@ Result<QueryClass> ParseQueryClass(std::string_view text);
 // One query as submitted to the scheduler: a full IQL source unit plus the
 // admission metadata the scheduler plans with.
 struct QueryRequest {
-  std::string id;      // trace label; must be unique within a scheduler
+  // Trace label and durable directory name. Unique among live tickets: an
+  // id may be reused once its previous ticket has been collected (Wait or
+  // TryWait returned its result) or abandoned and retired. Re-submitting a
+  // durable query's id after a restart relies on this -- the new ticket is
+  // served from the finished run's final snapshot.
+  std::string id;
   std::string source;  // IQL source unit (schema/instance/program blocks)
   QueryClass cls = QueryClass::kBatch;
   int priority = 0;  // higher dispatches first within the backlog
@@ -149,11 +156,26 @@ struct SchedulerOptions {
 //     |           |          |  \---> trip ----> retry (transient) --> queue
 //     \--> REJECT (QUEUE_FULL / OVERLOAD)    \--> partial (organic)
 //
+// The scheduler holds only live tickets -- queued, running, or terminal
+// but not yet collected -- so per-query work never grows with the number
+// of queries already served. Each ticket is collected exactly once (Wait
+// or TryWait moves its result out and retires it) or abandoned (retired
+// as soon as it is terminal).
+//
 // Thread-safe in real mode: Submit/Wait/counters may be called from any
 // thread. In deterministic mode the scheduler is single-threaded by
 // construction -- submit everything, then drive with RunUntilIdle().
 class Scheduler {
  public:
+  // Called once when the ticket reaches a terminal state (from a worker
+  // thread in real mode, from the driving thread in deterministic mode).
+  // It runs under the scheduler lock, atomically with the transition, so
+  // once Abandon() returns no callback for that ticket can still fire;
+  // it must therefore be cheap and must not call back into the scheduler.
+  // It exists so a session learns which of its tickets to collect without
+  // polling all of them.
+  using TerminalCallback = std::function<void(uint64_t ticket)>;
+
   explicit Scheduler(const SchedulerOptions& options);
   // Drains: blocks until every admitted query is terminal.
   ~Scheduler();
@@ -165,18 +187,23 @@ class Scheduler {
   // Returns a ticket for Wait(), or a structured rejection:
   //   QUEUE_FULL -- the waiting queue is at capacity
   //   OVERLOAD   -- class quota exceeded, or the reservation can never fit
+  //   INVALID_ARGUMENT -- another live ticket carries the same id
   // Rejections are immediate and never block; callers are expected to
-  // back off and resubmit.
-  Result<uint64_t> Submit(QueryRequest request);
+  // back off and resubmit. `on_terminal`, when set, fires once when the
+  // ticket goes terminal (never for an abandoned ticket).
+  Result<uint64_t> Submit(QueryRequest request,
+                          TerminalCallback on_terminal = nullptr);
 
-  // Blocks until the query is terminal and returns its result. In
-  // deterministic mode this drives RunUntilIdle() first.
+  // Blocks until the query is terminal, then moves its result out and
+  // retires the ticket: a second Wait on it returns NOT_FOUND, like an
+  // unknown ticket. In deterministic mode this drives RunUntilIdle() first.
   QueryResult Wait(uint64_t ticket);
 
-  // Non-blocking peek: the result once the query is terminal, nullopt
-  // while it is still queued or running (or the ticket is unknown). Never
-  // drives execution -- deterministic-mode callers run the scheduler via
-  // RunUntilIdle() between polls.
+  // Non-blocking collect: once the query is terminal, moves its result
+  // out and retires the ticket; nullopt while it is still queued or
+  // running (or the ticket is unknown). Never drives execution --
+  // deterministic-mode callers run the scheduler via RunUntilIdle()
+  // between polls.
   std::optional<QueryResult> TryWait(uint64_t ticket);
 
   // Cancels a submitted query: a queued entry goes terminal immediately
@@ -184,7 +211,14 @@ class Scheduler {
   // and lands terminal without retry, its rollback partial checkpointed
   // when durable storage is attached. Returns false when the ticket is
   // unknown or already terminal. `reason` is carried in the final Status.
+  // The ticket must still be collected.
   bool Cancel(uint64_t ticket, const std::string& reason);
+
+  // Cancel for a caller that will never collect the ticket (a session
+  // that closed with the query in flight): drops its terminal callback
+  // and retires the entry once it is terminal -- immediately when it
+  // already is. Unknown (already collected) tickets are ignored.
+  void Abandon(uint64_t ticket, const std::string& reason);
 
   // Graceful-shutdown entry points (see serve_loop.h for the state
   // machine that drives them):
@@ -203,6 +237,9 @@ class Scheduler {
   // is the execution driver; in real mode it just blocks for quiescence.
   void RunUntilIdle();
 
+  // submitted == admitted + rejected_queue_full + rejected_overload +
+  // rejected_draining + rejected_duplicate, and once every ticket is
+  // terminal, admitted == completed + tripped_partial + failed + cancelled.
   struct Counters {
     uint64_t submitted = 0;
     uint64_t admitted = 0;
@@ -212,10 +249,14 @@ class Scheduler {
     uint64_t tripped_partial = 0;
     uint64_t failed = 0;
     uint64_t cancelled = 0;
-    uint64_t rejected_draining = 0;  // Submit() while draining
+    uint64_t rejected_draining = 0;   // Submit() while draining
+    uint64_t rejected_duplicate = 0;  // id of a live ticket
     uint64_t retries = 0;
     uint64_t degradations = 0;  // TightenMemory interventions
     uint64_t preemptions = 0;   // Preempt() interventions
+    // Gauge, not a counter: tickets held right now (queued, running, or
+    // terminal awaiting collection). 0 once everything is collected.
+    uint64_t live = 0;
   };
   Counters counters() const;
 
@@ -237,11 +278,19 @@ class Scheduler {
     bool preempted = false;  // this attempt was preempted
     bool ever_intervened = false;
     bool cancel_requested = false;  // Cancel()/drain: next end is terminal
+    bool abandoned = false;         // never collected: retire when terminal
     std::string cancel_reason;
     std::shared_ptr<Governor> governor;  // live while running
+    TerminalCallback on_terminal;
     QueryResult result;
     uint64_t submit_tick = 0;
   };
+
+  // Dispatch order: priority desc, interactive before batch, then
+  // submission order. The ticket makes the order total, so the trace is
+  // deterministic.
+  using ReadyKey = std::tuple<int, int, uint64_t>;
+  static ReadyKey ReadyKeyOf(const Entry& entry);
 
   // What one evaluation attempt produced (built outside the lock).
   struct AttemptEnd {
@@ -257,11 +306,26 @@ class Scheduler {
 
   uint64_t NowTicksLocked() const;
   void TraceLocked(const std::string& line);
+  bool IdleLocked() const;  // nothing queued or running
+  // Queued entries live in ready_ (eligible now) or backoff_ (a retry
+  // waiting out its delay); these keep both sets and the queued
+  // reservation sum in step.
+  void EnqueueLocked(Entry* entry);
+  void DequeueLocked(Entry* entry);
+  // Moves every backoff entry whose eligible tick has passed into ready_.
+  void PromoteExpiredLocked();
+  // Terminal transition bookkeeping: fires the callback, or retires an
+  // abandoned entry (which invalidates `entry`).
+  void OnTerminalLocked(Entry* entry);
+  void RetireLocked(Entry* entry);
+  // Moves the result out of a terminal entry and retires it.
+  QueryResult CollectLocked(Entry* entry);
+  bool CancelLocked(Entry* entry, const std::string& reason);
   void CancelQueuedLocked(Entry* entry, const std::string& reason);
-  // Picks the best dispatchable entry (priority desc, interactive first,
-  // ticket asc, eligible_tick <= now); null when none.
+  // Picks the best dispatchable entry after promoting expired backoffs;
+  // null when none.
   Entry* NextRunnableLocked();
-  uint64_t EarliestEligibleLocked() const;  // UINT64_MAX when none waiting
+  uint64_t EarliestEligibleLocked() const;  // UINT64_MAX when no backoff
   void DispatchLocked(std::unique_lock<std::mutex>& lock);
   void StartAttemptLocked(Entry* entry);
   AttemptEnd ExecuteAttempt(Entry* entry);  // runs WITHOUT the lock
@@ -277,11 +341,15 @@ class Scheduler {
   mutable std::mutex mu_;
   std::condition_variable cv_;        // terminal transitions + quiescence
   std::condition_variable retry_cv_;  // wakes the timekeeper
+  // Live tickets only (see the class comment), in ticket order.
   std::map<uint64_t, std::unique_ptr<Entry>> entries_;
+  std::unordered_set<std::string> live_ids_;  // duplicate-id check
+  std::map<ReadyKey, Entry*> ready_;
+  std::map<std::pair<uint64_t, uint64_t>, Entry*> backoff_;  // (tick, ticket)
+  std::map<uint64_t, Entry*> running_;                       // by ticket
+  uint64_t queued_reserve_ = 0;  // reservations of ready_ + backoff_
   uint64_t next_ticket_ = 1;
   uint64_t virtual_now_ = 0;  // deterministic mode only
-  size_t waiting_ = 0;        // entries in State::kQueued
-  size_t running_ = 0;        // entries in State::kRunning
   size_t class_load_[kNumQueryClasses] = {0, 0};  // waiting + running
   Counters counters_;
   bool shutdown_ = false;

@@ -5,11 +5,14 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <utility>
 
@@ -169,28 +172,48 @@ Result<uint16_t> TcpServer::Listen(uint16_t port) {
   return port_;
 }
 
-void TcpServer::ConnectionLoop(int fd, uint64_t session_id) {
+void TcpServer::ConnectionLoop(int fd, uint64_t session_id,
+                               std::shared_ptr<SessionWaker> waker) {
   SetNonBlocking(fd);
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   FdStream raw(fd);
   FaultyStream stream(&raw);
-  Session session(session_id, &stream, scheduler_, options_.session, &trace_);
+  Session session(session_id, &stream, scheduler_, options_.session, &trace_,
+                  waker);
   for (;;) {
     uint64_t now = NowMs();
     if (force_close_.load()) session.ForceClose(now);
     if (drain_requested_.load()) session.RequestDrain();
     if (!session.Pump(now)) break;
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    poll(&pfd, 1, 2);  // wake on inbound bytes, peer close, or 2ms tick
+    // Sleep until inbound bytes, writability (while output is stalled), a
+    // wake-up (a query went terminal, drain, force-close), or the
+    // session's next timeout -- whichever comes first.
+    pollfd pfds[2] = {};
+    pfds[0].fd = fd;
+    pfds[0].events = POLLIN;
+    if (session.wants_write() || raw.has_pending()) pfds[0].events |= POLLOUT;
+    pfds[1].fd = waker->fd();
+    pfds[1].events = POLLIN;
+    uint64_t deadline = session.NextDeadlineMs();
+    now = NowMs();
+    int timeout = deadline <= now ? 0
+                                  : static_cast<int>(std::min<uint64_t>(
+                                        deadline - now, INT_MAX));
+    poll(pfds, 2, timeout);
+    if (pfds[1].revents & POLLIN) waker->ClearFd();
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     RecordClose(&stats_, session);
+    wakers_.erase(session_id);
   }
   live_sessions_.fetch_sub(1);
+}
+
+void TcpServer::WakeAllSessions() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [id, waker] : wakers_) waker->Wake();
 }
 
 ServeStats TcpServer::Serve() {
@@ -211,6 +234,14 @@ ServeStats TcpServer::Serve() {
     if (!refused && live_sessions_.load() >= options_.max_sessions) {
       refused = true;
     }
+    int wake_fd = -1;
+    if (!refused) {
+      wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      if (wake_fd < 0) {
+        refused = true;  // a session nothing can wake would hang
+        why = "no-wake-fd";
+      }
+    }
     if (refused) {
       ::close(fd);
       std::lock_guard<std::mutex> lock(mu_);
@@ -219,10 +250,13 @@ ServeStats TcpServer::Serve() {
       continue;
     }
     uint64_t id = next_session_id++;
+    auto waker = std::make_shared<SessionWaker>(wake_fd);
     live_sessions_.fetch_add(1);
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.sessions_accepted;
-    threads_.emplace_back([this, fd, id] { ConnectionLoop(fd, id); });
+    wakers_.emplace(id, waker);
+    threads_.emplace_back(
+        [this, fd, id, waker] { ConnectionLoop(fd, id, waker); });
   }
 
   // Drain: stop accepting, stop admitting, let the grace window run, then
@@ -231,6 +265,7 @@ ServeStats TcpServer::Serve() {
   ::close(listen_fd_);
   listen_fd_ = -1;
   trace_.Line(NowMs(), "DRAIN begin");
+  WakeAllSessions();  // each announces DRAIN at its next pump
   scheduler_->BeginDrain();
   uint64_t deadline = NowMs() + options_.drain_grace_ms;
   while (live_sessions_.load() > 0 && NowMs() < deadline) {
@@ -247,6 +282,7 @@ ServeStats TcpServer::Serve() {
   if (live_sessions_.load() > 0) {
     trace_.Line(NowMs(), "DRAIN force-close");
     force_close_.store(true);
+    WakeAllSessions();
   }
   std::vector<std::thread> threads;
   {

@@ -59,6 +59,8 @@ class FdStream : public ByteStream {
   Status Flush() override;
   void Close() override;
   bool closed() const override { return closed_; }
+  // A frame tail is stashed: the poller should wake on writability.
+  bool has_pending() const { return !pending_.empty(); }
 
  private:
   int fd_;
@@ -67,7 +69,10 @@ class FdStream : public ByteStream {
 };
 
 // The TCP serve loop: accept connections, run one Session per connection
-// on its own thread, drain gracefully on request.
+// on its own thread, drain gracefully on request. A connection thread
+// sleeps in poll() on its socket and its session's wake descriptor
+// (written when one of the session's queries goes terminal, and on drain
+// and force-close), with the session's nearest timeout as the only timer.
 //
 //   Listen(port)  -- bind + listen; port 0 binds an ephemeral port and
 //                    the bound port is returned (and printed by iqlserve)
@@ -98,7 +103,9 @@ class TcpServer {
   uint16_t port() const { return port_; }
 
  private:
-  void ConnectionLoop(int fd, uint64_t session_id);
+  void ConnectionLoop(int fd, uint64_t session_id,
+                      std::shared_ptr<SessionWaker> waker);
+  void WakeAllSessions();
   uint64_t NowMs() const;
 
   Scheduler* scheduler_;
@@ -112,8 +119,9 @@ class TcpServer {
   std::atomic<bool> force_close_{false};
   std::atomic<size_t> live_sessions_{0};
 
-  std::mutex mu_;  // guards threads_ and stats_
+  std::mutex mu_;  // guards threads_, wakers_ and stats_
   std::vector<std::thread> threads_;
+  std::map<uint64_t, std::shared_ptr<SessionWaker>> wakers_;  // live sessions
   ServeStats stats_;
 };
 

@@ -1,5 +1,9 @@
 #include "server/session.h"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -34,13 +38,47 @@ void TraceSink::Line(uint64_t tick, const std::string& text) {
   (*out_) << "[" << tick << "] " << text << "\n";
 }
 
+SessionWaker::~SessionWaker() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void SessionWaker::Signal(uint64_t ticket) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // A non-empty list means the descriptor is already armed, or the owner
+  // cleared it and has yet to Take -- either way this ticket is seen.
+  if (tickets_.empty()) Wake();
+  tickets_.push_back(ticket);
+}
+
+std::vector<uint64_t> SessionWaker::Take() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::exchange(tickets_, {});
+}
+
+void SessionWaker::Wake() {
+  if (fd_ < 0) return;
+  uint64_t one = 1;  // eventfd semantics: adds to the counter
+  ssize_t n = ::write(fd_, &one, sizeof(one));
+  (void)n;  // EAGAIN means the counter is already nonzero: still armed
+}
+
+void SessionWaker::ClearFd() {
+  if (fd_ < 0) return;
+  uint64_t count = 0;
+  ssize_t n = ::read(fd_, &count, sizeof(count));
+  (void)n;  // nonblocking: EAGAIN when nothing was pending
+}
+
 Session::Session(uint64_t id, ByteStream* stream, Scheduler* scheduler,
-                 const SessionOptions& options, TraceSink* trace)
+                 const SessionOptions& options, TraceSink* trace,
+                 std::shared_ptr<SessionWaker> waker)
     : id_(id),
       stream_(stream),
       scheduler_(scheduler),
       options_(options),
-      trace_(trace) {}
+      trace_(trace),
+      waker_(waker != nullptr ? std::move(waker)
+                              : std::make_shared<SessionWaker>()) {}
 
 void Session::Trace(uint64_t now_ms, const std::string& text) {
   if (trace_ != nullptr && trace_->enabled()) {
@@ -279,7 +317,9 @@ void Session::HandleQuery(uint64_t now_ms, const Frame& frame) {
   int64_t reserve = frame.body.IntOr("reserve", 0);
   if (reserve > 0) request.reserve_bytes = static_cast<uint64_t>(reserve);
 
-  auto ticket = scheduler_->Submit(std::move(request));
+  auto ticket = scheduler_->Submit(
+      std::move(request),
+      [waker = waker_](uint64_t done) { waker->Signal(done); });
   if (!ticket.ok()) {
     ++counters_.queries_rejected;
     SendError(now_ms, ticket.status(), *wire_id);
@@ -331,8 +371,16 @@ void Session::HandleCancel(uint64_t now_ms, const Frame& frame) {
 }
 
 void Session::PollQueries(uint64_t now_ms) {
+  std::vector<uint64_t> signalled = waker_->Take();
+  if (signalled.empty()) return;
+  std::sort(signalled.begin(), signalled.end());
+  // Walk the (quota-bounded) live map rather than the signal order, so
+  // results are materialized in wire-id order however completions raced.
   for (auto& [wire_id, live] : queries_) {
-    if (live.result_ready) continue;
+    if (live.result_ready ||
+        !std::binary_search(signalled.begin(), signalled.end(), live.ticket)) {
+      continue;
+    }
     auto result = scheduler_->TryWait(live.ticket);
     if (!result.has_value()) continue;
     live.result = std::move(*result);
@@ -486,11 +534,29 @@ void Session::ForceClose(uint64_t now_ms) {
   Close(now_ms, SessionClose::kForced);
 }
 
+uint64_t Session::NextDeadlineMs() const {
+  auto after = [](uint64_t since, uint64_t budget) {
+    return budget > std::numeric_limits<uint64_t>::max() - since
+               ? std::numeric_limits<uint64_t>::max()
+               : since + budget;
+  };
+  uint64_t deadline = after(last_inbound_ms_, options_.idle_timeout_ms);
+  if (partial_pending_) {
+    deadline = std::min(deadline,
+                        after(partial_since_ms_, options_.read_timeout_ms));
+  }
+  if (stalled_) {
+    deadline = std::min(deadline,
+                        after(stall_since_ms_, options_.write_timeout_ms));
+  }
+  return deadline;
+}
+
 void Session::AbandonLiveQueries() {
   for (auto& [wire_id, live] : queries_) {
-    // The scheduler still drives the query to a terminal state; the
-    // session just will not be there to deliver it.
-    scheduler_->Cancel(live.ticket, "session closed");
+    // The scheduler still drives the query to a terminal state and then
+    // retires it; the session just will not be there to deliver it.
+    scheduler_->Abandon(live.ticket, "session closed");
     ++counters_.abandoned;
   }
   queries_.clear();

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "server/scheduler.h"
 #include "server/wire.h"
@@ -87,6 +89,37 @@ class TraceSink {
   std::ostream* out_;
 };
 
+// The scheduler-to-session wake-up channel. The scheduler's terminal
+// callback records the finished ticket here and, when the waker has a
+// descriptor (an eventfd in the TCP server), makes it readable so the
+// connection thread leaves poll(). The serve loop also pokes it on drain
+// and force-close. Shared between the session and the callbacks of its
+// in-flight tickets, so it outlives a session destroyed mid-query.
+class SessionWaker {
+ public:
+  // Takes ownership of `fd` (closed on destruction); -1 for none.
+  explicit SessionWaker(int fd = -1) : fd_(fd) {}
+  ~SessionWaker();
+  SessionWaker(const SessionWaker&) = delete;
+  SessionWaker& operator=(const SessionWaker&) = delete;
+
+  // Any thread: `ticket` went terminal.
+  void Signal(uint64_t ticket);
+  // Any thread: wake the poller without a ticket (drain, force-close).
+  void Wake();
+  // The owning session: every ticket signalled since the last Take.
+  std::vector<uint64_t> Take();
+  // The poller: consume the descriptor's readiness. Call before Pump, so a
+  // Signal that lands after Take re-arms the descriptor.
+  void ClearFd();
+  int fd() const { return fd_; }
+
+ private:
+  const int fd_;
+  std::mutex mu_;
+  std::vector<uint64_t> tickets_;
+};
+
 // One client connection: HELLO handshake, QUERY admission against the
 // shared scheduler, client-paced PAGE streaming, CANCEL, heartbeats,
 // timeouts, and drain. The session owns no thread; the caller pumps it
@@ -101,8 +134,11 @@ class TraceSink {
 // in the scheduler (a terminal state there) and counted `abandoned`.
 class Session {
  public:
+  // `waker` defaults to one without a descriptor: the caller pumps on its
+  // own schedule (the deterministic simulation, tests).
   Session(uint64_t id, ByteStream* stream, Scheduler* scheduler,
-          const SessionOptions& options, TraceSink* trace);
+          const SessionOptions& options, TraceSink* trace,
+          std::shared_ptr<SessionWaker> waker = nullptr);
 
   // Advances the protocol as far as it can without blocking: consumes
   // available inbound bytes, handles complete frames, polls finished
@@ -118,6 +154,15 @@ class Session {
   // Hard stop (server shutdown past the grace window): cancels and
   // abandons in-flight queries and closes the stream.
   void ForceClose(uint64_t now_ms);
+
+  // The earliest clock value at which a Pump would close the session on
+  // a timeout: the idle deadline, and the read or write deadline while a
+  // torn inbound frame or a stalled outbound one is pending. A poller
+  // needs no timer beyond it.
+  uint64_t NextDeadlineMs() const;
+  // Outbound frames are queued behind a stalled write; the poller should
+  // wake when the socket drains.
+  bool wants_write() const { return !outbox_.empty(); }
 
   bool open() const { return close_reason_ == SessionClose::kOpen; }
   SessionClose close_reason() const { return close_reason_; }
@@ -172,6 +217,7 @@ class Session {
   Scheduler* scheduler_;
   SessionOptions options_;
   TraceSink* trace_;
+  std::shared_ptr<SessionWaker> waker_;
 
   State state_ = State::kAwaitHello;
   SessionClose close_reason_ = SessionClose::kOpen;

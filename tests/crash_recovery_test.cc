@@ -271,6 +271,14 @@ TEST_F(SchedulerDurabilityTest, FinishedQueryIsServedFromSnapshotAfterRestart) {
     EXPECT_EQ(result.outcome, QueryOutcome::kCompleted);
     EXPECT_FALSE(result.resumed);
     EXPECT_EQ(result.facts, reference);
+    // Collecting the ticket freed its id, so the same scheduler serves a
+    // re-submission from the final snapshot, as a restarted one would.
+    auto again = scheduler.Submit(MakeRequest("tc", kChain));
+    ASSERT_TRUE(again.ok()) << again.status();
+    QueryResult served = scheduler.Wait(*again);
+    EXPECT_TRUE(served.resumed);
+    EXPECT_EQ(served.stats.steps, 0u);
+    EXPECT_EQ(served.facts, reference);
   }
   {
     // Same data dir, fresh scheduler: the final snapshot answers without a

@@ -199,6 +199,7 @@ void RunSoak(uint64_t seed, size_t workers, bool deterministic) {
     EXPECT_EQ(counters.failed, failed);
     EXPECT_EQ(counters.rejected_queue_full + counters.rejected_overload,
               rejected);
+    EXPECT_EQ(counters.live, 0u);  // every admitted ticket was collected
   }
   EXPECT_EQ(completed + tripped + failed + rejected,
             static_cast<uint64_t>(kQueries));

@@ -158,14 +158,94 @@ TEST_F(SchedulerTest, ImpossibleReservationRejectsWithOverload) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kOverloaded);
 }
 
+// Every submission lands in exactly one admission bucket.
+void ExpectSubmitAccounting(const Scheduler::Counters& c) {
+  EXPECT_EQ(c.submitted, c.admitted + c.rejected_queue_full +
+                             c.rejected_overload + c.rejected_draining +
+                             c.rejected_duplicate);
+}
+
 TEST_F(SchedulerTest, DuplicateIdRejected) {
   SchedulerOptions options;
   options.deterministic = true;
   Scheduler scheduler(options);
-  ASSERT_TRUE(scheduler.Submit(MakeRequest("q", kTransitiveClosure)).ok());
+  auto first = scheduler.Submit(MakeRequest("q", kTransitiveClosure));
+  ASSERT_TRUE(first.ok());
   auto dup = scheduler.Submit(MakeRequest("q", kTransitiveClosure));
   ASSERT_FALSE(dup.ok());
   EXPECT_EQ(dup.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(scheduler.counters().rejected_duplicate, 1u);
+  ExpectSubmitAccounting(scheduler.counters());
+  // Once the first ticket is collected its id is free again.
+  EXPECT_EQ(scheduler.Wait(*first).outcome, QueryOutcome::kCompleted);
+  auto reused = scheduler.Submit(MakeRequest("q", kTransitiveClosure));
+  ASSERT_TRUE(reused.ok()) << reused.status();
+  EXPECT_EQ(scheduler.Wait(*reused).outcome, QueryOutcome::kCompleted);
+  ExpectSubmitAccounting(scheduler.counters());
+}
+
+TEST_F(SchedulerTest, CollectedTicketsAreRetired) {
+  SchedulerOptions options;
+  options.deterministic = true;
+  Scheduler scheduler(options);
+  constexpr int kQueries = 20000;
+  constexpr int kBatch = 64;
+  uint64_t last = 0;
+  for (int base = 0; base < kQueries; base += kBatch) {
+    std::vector<uint64_t> tickets;
+    for (int i = base; i < base + kBatch && i < kQueries; ++i) {
+      auto ticket = scheduler.Submit(
+          MakeRequest("q" + std::to_string(i), kTransitiveClosure));
+      ASSERT_TRUE(ticket.ok()) << ticket.status();
+      tickets.push_back(*ticket);
+    }
+    scheduler.RunUntilIdle();
+    EXPECT_EQ(scheduler.counters().live, tickets.size());
+    for (uint64_t ticket : tickets) {
+      ASSERT_EQ(scheduler.Wait(ticket).outcome, QueryOutcome::kCompleted);
+    }
+    ASSERT_EQ(scheduler.counters().live, 0u) << "after query " << base;
+    last = tickets.back();
+  }
+  auto counters = scheduler.counters();
+  EXPECT_EQ(counters.completed, static_cast<uint64_t>(kQueries));
+  ExpectSubmitAccounting(counters);
+  // Collect-once: the result moved out with the first Wait.
+  QueryResult again = scheduler.Wait(last);
+  EXPECT_EQ(again.outcome, QueryOutcome::kFailed);
+  EXPECT_EQ(again.status.code(), StatusCode::kNotFound);
+  EXPECT_FALSE(scheduler.TryWait(last).has_value());
+}
+
+TEST_F(SchedulerTest, TerminalCallbackFiresOnceAndAbandonRetires) {
+  SchedulerOptions options;
+  options.deterministic = true;
+  Scheduler scheduler(options);
+  std::vector<uint64_t> signalled;
+  auto record = [&](uint64_t ticket) { signalled.push_back(ticket); };
+  auto kept = scheduler.Submit(MakeRequest("kept", kTransitiveClosure), record);
+  auto queued = scheduler.Submit(MakeRequest("queued", kTransitiveClosure),
+                                 record);
+  auto finished = scheduler.Submit(MakeRequest("finished", kTransitiveClosure),
+                                   record);
+  ASSERT_TRUE(kept.ok() && queued.ok() && finished.ok());
+  // Abandoning a queued ticket cancels it and retires it on the spot,
+  // without a callback: nobody is left to collect it.
+  scheduler.Abandon(*queued, "owner gone");
+  EXPECT_EQ(scheduler.counters().live, 2u);
+  scheduler.RunUntilIdle();
+  EXPECT_EQ(signalled, (std::vector<uint64_t>{*kept, *finished}));
+  // Abandoning a terminal, uncollected ticket retires it immediately.
+  scheduler.Abandon(*finished, "owner gone");
+  EXPECT_EQ(scheduler.counters().live, 1u);
+  auto result = scheduler.TryWait(*kept);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->outcome, QueryOutcome::kCompleted);
+  auto counters = scheduler.counters();
+  EXPECT_EQ(counters.live, 0u);
+  EXPECT_EQ(counters.cancelled, 1u);
+  EXPECT_EQ(counters.completed, 2u);
+  EXPECT_EQ(signalled.size(), 2u);
 }
 
 TEST_F(SchedulerTest, DispatchOrderIsPriorityThenClassThenTicket) {
@@ -356,6 +436,150 @@ TEST_F(SchedulerTest, DeterministicTraceIsReproducible) {
   std::string second = run(11);
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second) << "same seed must replay the same trace";
+}
+
+// Pins the dispatch order against a literal trace: priorities and both
+// classes mixed, injected dispatch faults forcing RETRY lines whose
+// backoffs expire while fresh work is still queued, and a global budget
+// tight enough to DEGRADE and PREEMPT the divergent runners. Any change in
+// how the scheduler picks the next entry -- or promotes an expired backoff
+// -- shows up as a diff here.
+TEST_F(SchedulerTest, DispatchTraceMatchesGolden) {
+  FaultInjector::Config faults;
+  faults.seed = 5;
+  faults.p_sched = 0.3;
+  FaultInjector::Global().Configure(faults);
+  std::ostringstream trace;
+  SchedulerOptions options;
+  options.deterministic = true;
+  options.seed = 5;
+  options.max_retries = 2;
+  options.retry_base_seconds = 0.004;
+  options.global_memory_budget = 48 * 1024;
+  options.default_reserve_bytes = 8 * 1024;
+  options.trace = &trace;
+  Scheduler scheduler(options);
+  struct Spec {
+    const char* id;
+    const char* source;
+    QueryClass cls;
+    int priority;
+  };
+  const Spec specs[] = {
+      {"tc-a", kTransitiveClosure, QueryClass::kInteractive, 0},
+      {"div-b", kDivergent, QueryClass::kBatch, 0},
+      {"tc-c", kTransitiveClosure, QueryClass::kBatch, 2},
+      {"tc-d", kTransitiveClosure, QueryClass::kInteractive, 2},
+      {"div-e", kDivergent, QueryClass::kInteractive, -1},
+      {"tc-f", kTransitiveClosure, QueryClass::kBatch, 1},
+      {"tc-g", kTransitiveClosure, QueryClass::kBatch, 0},
+      {"div-h", kDivergent, QueryClass::kBatch, 1},
+  };
+  for (const Spec& spec : specs) {
+    QueryRequest request = MakeRequest(spec.id, spec.source);
+    request.cls = spec.cls;
+    request.priority = spec.priority;
+    request.limits.max_steps_per_stage = 200;
+    ASSERT_TRUE(scheduler.Submit(std::move(request)).ok());
+  }
+  scheduler.RunUntilIdle();
+  const std::string golden = R"(T0 ADMIT id=tc-a class=interactive priority=0 reserve=8192
+T0 ADMIT id=div-b class=batch priority=0 reserve=8192
+T0 ADMIT id=tc-c class=batch priority=2 reserve=8192
+T0 ADMIT id=tc-d class=interactive priority=2 reserve=8192
+T0 ADMIT id=div-e class=interactive priority=-1 reserve=8192
+T0 ADMIT id=tc-f class=batch priority=1 reserve=8192
+T0 ADMIT id=tc-g class=batch priority=0 reserve=8192
+T0 ADMIT id=div-h class=batch priority=1 reserve=8192
+T0 START id=tc-d attempt=1
+T0 PREEMPT id=tc-d
+T1 TRIP id=tc-d reason=PREEMPTED attempt=1
+T1 RETRY id=tc-d attempt=2 eligible=T4
+T1 START id=tc-c attempt=1
+T1 PREEMPT id=tc-c
+T2 TRIP id=tc-c reason=PREEMPTED attempt=1
+T2 RETRY id=tc-c attempt=2 eligible=T5
+T2 START id=tc-f attempt=1
+T2 PREEMPT id=tc-f
+T3 TRIP id=tc-f reason=PREEMPTED attempt=1
+T3 RETRY id=tc-f attempt=2 eligible=T5
+T3 START id=div-h attempt=1
+T3 PREEMPT id=div-h
+T4 TRIP id=div-h reason=PREEMPTED attempt=1
+T4 RETRY id=div-h attempt=2 eligible=T6
+T4 START id=tc-d attempt=2
+T4 PREEMPT id=tc-d
+T5 TRIP id=tc-d reason=PREEMPTED attempt=2
+T5 RETRY id=tc-d attempt=3 eligible=T14
+T5 START id=tc-c attempt=2
+T5 PREEMPT id=tc-c
+T6 TRIP id=tc-c reason=PREEMPTED attempt=2
+T6 RETRY id=tc-c attempt=3 eligible=T13
+T6 START id=tc-f attempt=2
+T7 FAULT id=tc-f attempt=2
+T7 RETRY id=tc-f attempt=3 eligible=T14
+T7 START id=div-h attempt=2
+T7 PREEMPT id=div-h
+T8 TRIP id=div-h reason=PREEMPTED attempt=2
+T8 RETRY id=div-h attempt=3 eligible=T15
+T8 START id=tc-a attempt=1
+T8 PREEMPT id=tc-a
+T9 TRIP id=tc-a reason=PREEMPTED attempt=1
+T9 RETRY id=tc-a attempt=2 eligible=T12
+T9 START id=div-b attempt=1
+T9 PREEMPT id=div-b
+T10 TRIP id=div-b reason=PREEMPTED attempt=1
+T10 RETRY id=div-b attempt=2 eligible=T14
+T10 START id=tc-g attempt=1
+T11 FAULT id=tc-g attempt=1
+T11 RETRY id=tc-g attempt=2 eligible=T15
+T11 START id=div-e attempt=1
+T12 FAULT id=div-e attempt=1
+T12 RETRY id=div-e attempt=2 eligible=T15
+T12 START id=tc-a attempt=2
+T13 FAULT id=tc-a attempt=2
+T13 RETRY id=tc-a attempt=3 eligible=T20
+T13 START id=tc-c attempt=3
+T13 PREEMPT id=tc-c
+T14 TRIP id=tc-c reason=PREEMPTED attempt=3
+T14 PARTIAL id=tc-c reason=PREEMPTED attempts=3
+T14 START id=tc-d attempt=3
+T14 PREEMPT id=tc-d
+T15 TRIP id=tc-d reason=PREEMPTED attempt=3
+T15 PARTIAL id=tc-d reason=PREEMPTED attempts=3
+T15 START id=tc-f attempt=3
+T16 FAULT id=tc-f attempt=3
+T16 FAIL id=tc-f status=OVERLOAD
+T16 START id=div-h attempt=3
+T17 FAULT id=div-h attempt=3
+T17 FAIL id=div-h status=OVERLOAD
+T17 START id=div-b attempt=2
+T17 DEGRADE id=div-b memory=8192
+T18 TRIP id=div-b reason=MEMORY attempt=2
+T18 RETRY id=div-b attempt=3 eligible=T27
+T18 START id=tc-g attempt=2
+T19 FAULT id=tc-g attempt=2
+T19 RETRY id=tc-g attempt=3 eligible=T30
+T19 START id=div-e attempt=2
+T19 DEGRADE id=div-e memory=8192
+T20 TRIP id=div-e reason=MEMORY attempt=2
+T20 RETRY id=div-e attempt=3 eligible=T30
+T20 START id=tc-a attempt=3
+T21 COMPLETE id=tc-a attempts=3
+T27 START id=div-b attempt=3
+T27 DEGRADE id=div-b memory=8192
+T28 TRIP id=div-b reason=MEMORY attempt=3
+T28 PARTIAL id=div-b reason=MEMORY attempts=3
+T30 START id=tc-g attempt=3
+T31 COMPLETE id=tc-g attempts=3
+T31 START id=div-e attempt=3
+T32 FAULT id=div-e attempt=3
+T32 FAIL id=div-e status=OVERLOAD
+)";
+  EXPECT_EQ(trace.str(), golden);
+  for (const char* event : {" RETRY ", " DEGRADE ", " PREEMPT "}) {
+    EXPECT_NE(trace.str().find(event), std::string::npos) << event;
+  }
 }
 
 TEST_F(SchedulerTest, RealModeConcurrentOutputsAreByteIdentical) {

@@ -5,10 +5,19 @@
 
 #include "server/serve_loop.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <initializer_list>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/fault_injection.h"
@@ -39,6 +48,14 @@ program {
 )";
 
 constexpr char kBadSource[] = "schema { this is not IQL ";
+
+// Invents a fresh oid per step and never converges: stays running until
+// cancelled (or its step budget trips).
+constexpr char kDivergentSource[] = R"(
+schema { relation R3 : [P, P]; class P : D; }
+instance { P(@a); P(@b); R3([@a, @b]); }
+program { R3(y, z) :- R3(x, y). }
+)";
 
 SchedulerOptions DetScheduler(uint64_t seed = 0) {
   SchedulerOptions options;
@@ -367,6 +384,209 @@ TEST_F(SessionTest, PeerDisappearingAbandonsAndCancels) {
   auto c = scheduler.counters();
   EXPECT_EQ(c.admitted, c.completed + c.tripped_partial + c.failed +
                             c.cancelled);
+}
+
+TEST_F(SessionTest, ClosedSessionLeavesNoLiveEntries) {
+  Scheduler scheduler(DetScheduler());
+  MemoryDuplex duplex;
+  MemoryStream server_end(&duplex, /*server_side=*/true);
+  Session session(1, &server_end, &scheduler, SessionOptions{}, nullptr);
+  TestClient client(&duplex);
+  client.SendHello();
+  session.Pump(0);
+  // "collected": terminal and collected by the session, never paged.
+  client.SendQuery("collected", kTcSource);
+  session.Pump(1);
+  scheduler.RunUntilIdle();
+  session.Pump(2);
+  // "finished": terminal in the scheduler, not yet collected.
+  client.SendQuery("finished", kTcSource);
+  session.Pump(3);
+  scheduler.RunUntilIdle();
+  EXPECT_EQ(scheduler.counters().live, 1u);
+  // "queued": admitted by the same pump that reads the peer's EOF, so it
+  // is still queued when the session abandons it.
+  client.SendQuery("queued", kTcSource);
+  client.stream.Close();
+  EXPECT_FALSE(session.Pump(4));
+  EXPECT_EQ(session.counters().abandoned, 3u);
+  scheduler.RunUntilIdle();
+  auto c = scheduler.counters();
+  EXPECT_EQ(c.live, 0u);
+  EXPECT_EQ(c.completed, 2u);
+  EXPECT_EQ(c.cancelled, 1u);
+}
+
+TEST_F(SessionTest, ClosedSessionRetiresItsRunningQuery) {
+  SchedulerOptions sched;
+  sched.workers = 1;
+  Scheduler scheduler(sched);
+  MemoryDuplex duplex;
+  MemoryStream server_end(&duplex, /*server_side=*/true);
+  Session session(1, &server_end, &scheduler, SessionOptions{}, nullptr);
+  TestClient client(&duplex);
+  client.SendHello();
+  session.Pump(0);
+  Frame slow;
+  slow.type = FrameType::kQuery;
+  slow.body.SetString("id", "slow")
+      .SetString("source", kDivergentSource)
+      .SetInt("max_steps", 1000000);
+  client.Send(slow);
+  client.SendQuery("behind", kTcSource);  // queued behind the one worker
+  session.Pump(1);
+  client.stream.Close();
+  EXPECT_FALSE(session.Pump(2));
+  EXPECT_EQ(session.counters().abandoned, 2u);
+  scheduler.RunUntilIdle();
+  auto c = scheduler.counters();
+  EXPECT_EQ(c.live, 0u);
+  EXPECT_EQ(c.admitted,
+            c.completed + c.tripped_partial + c.failed + c.cancelled);
+}
+
+TEST_F(SessionTest, NextDeadlineTracksTheNearestTimeout) {
+  Scheduler scheduler(DetScheduler());
+  MemoryDuplex duplex;
+  MemoryStream server_end(&duplex, /*server_side=*/true);
+  SessionOptions options;
+  options.idle_timeout_ms = 100;
+  options.read_timeout_ms = 30;
+  Session session(1, &server_end, &scheduler, options, nullptr);
+  TestClient client(&duplex);
+  client.SendHello();
+  ASSERT_TRUE(session.Pump(10));
+  EXPECT_EQ(session.NextDeadlineMs(), 110u);  // idle
+  EXPECT_FALSE(session.wants_write());
+  std::string frame = EncodeFrame([] {
+    Frame ping;
+    ping.type = FrameType::kHello;
+    ping.body.SetBool("ping", true);
+    return ping;
+  }());
+  ASSERT_TRUE(client.stream.Write(frame.substr(0, 3)).ok());
+  ASSERT_TRUE(session.Pump(20));
+  EXPECT_EQ(session.NextDeadlineMs(), 50u);  // torn frame: read timeout
+  ASSERT_TRUE(client.stream.Write(frame.substr(3)).ok());
+  ASSERT_TRUE(session.Pump(25));
+  EXPECT_EQ(session.NextDeadlineMs(), 125u);  // idle again, reset by ping
+}
+
+// ---- real TCP server -------------------------------------------------------
+
+// A blocking loopback client for the TCP server.
+class TcpTestClient {
+ public:
+  explicit TcpTestClient(uint16_t port) {
+    fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ = fd_ >= 0 && connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                     sizeof(addr)) == 0;
+  }
+  ~TcpTestClient() {
+    if (fd_ >= 0) close(fd_);
+  }
+  bool connected() const { return connected_; }
+
+  // All frames in one write, so the server sees no later inbound bytes.
+  bool Send(std::initializer_list<Frame> frames) {
+    std::string bytes;
+    for (const Frame& frame : frames) bytes += EncodeFrame(frame);
+    return send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  // The next frame, or nullopt on EOF, a decode error, or `timeout_ms`
+  // without a byte.
+  std::optional<Frame> Read(int timeout_ms) {
+    for (;;) {
+      auto next = decoder_.Next();
+      if (!next.ok()) return std::nullopt;
+      if (next->has_value()) return std::move(**next);
+      pollfd pfd{fd_, POLLIN, 0};
+      if (poll(&pfd, 1, timeout_ms) <= 0) return std::nullopt;
+      char buf[4096];
+      ssize_t n = recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) return std::nullopt;
+      decoder_.Feed(std::string_view(buf, static_cast<size_t>(n)));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+  FrameDecoder decoder_;
+};
+
+// The connection thread has no polling tick: a finished query reaches the
+// client only because the scheduler's completion wakes the session, and
+// the drain only because the serve loop pokes it. Either path broken would
+// leave the client waiting for the 30 s idle timeout.
+TEST_F(SessionTest, TcpSessionIsWokenByCompletionAndDrain) {
+  SchedulerOptions sched;
+  sched.workers = 2;
+  Scheduler scheduler(sched);
+  TcpServer server(&scheduler, ServeOptions{});
+  auto port = server.Listen(0);
+  ASSERT_TRUE(port.ok()) << port.status();
+  ServeStats stats;
+  std::thread serving([&] { stats = server.Serve(); });
+  // A failed ASSERT returns early: drain and join so the test fails
+  // instead of terminating on a joinable thread.
+  struct JoinOnExit {
+    TcpServer* server;
+    std::thread* thread;
+    ~JoinOnExit() {
+      if (!thread->joinable()) return;
+      server->RequestDrain();
+      thread->join();
+    }
+  } join_on_exit{&server, &serving};
+  {
+    TcpTestClient client(*port);
+    ASSERT_TRUE(client.connected());
+    Frame hello;
+    hello.type = FrameType::kHello;
+    hello.body.SetInt("version", kWireVersion);
+    ASSERT_TRUE(client.Send({hello}));
+    auto ack = client.Read(5000);
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(ack->type, FrameType::kHello);
+
+    constexpr int kTimeoutMs = 5000;
+    for (int q = 0; q < 3; ++q) {
+      std::string id = "q" + std::to_string(q);
+      Frame query;
+      query.type = FrameType::kQuery;
+      query.body.SetString("id", id).SetString("source", kTcSource);
+      Frame want;
+      want.type = FrameType::kPage;
+      want.body.SetString("id", id).SetInt("want", 0);
+      ASSERT_TRUE(client.Send({query, want}));
+      auto start = std::chrono::steady_clock::now();
+      auto page = client.Read(kTimeoutMs);
+      ASSERT_TRUE(page.has_value()) << id;
+      EXPECT_LT(std::chrono::steady_clock::now() - start,
+                std::chrono::milliseconds(kTimeoutMs));
+      ASSERT_EQ(page->type, FrameType::kPage);
+      EXPECT_TRUE(page->body.BoolOr("done", false));
+      EXPECT_EQ(page->body.StringOr("outcome", ""), "completed");
+    }
+
+    server.RequestDrain();
+    auto drain = client.Read(kTimeoutMs);
+    ASSERT_TRUE(drain.has_value());
+    EXPECT_EQ(drain->type, FrameType::kDrain);
+    EXPECT_FALSE(client.Read(kTimeoutMs).has_value());  // closed after DRAIN
+  }
+  serving.join();
+  EXPECT_EQ(stats.sessions_accepted, 1u);
+  EXPECT_EQ(stats.totals.delivered_completed, 3u);
+  EXPECT_EQ(stats.close_reasons["drained"], 1u);
+  EXPECT_EQ(scheduler.counters().live, 0u);
 }
 
 // ---- simulated serve loop --------------------------------------------------

@@ -577,6 +577,7 @@ int main(int argc, char** argv) {
                 << " admitted=" << c.admitted
                 << " rejected_queue_full=" << c.rejected_queue_full
                 << " rejected_overload=" << c.rejected_overload
+                << " rejected_duplicate=" << c.rejected_duplicate
                 << " completed=" << c.completed
                 << " tripped_partial=" << c.tripped_partial
                 << " failed=" << c.failed << " cancelled=" << c.cancelled
