@@ -13,6 +13,7 @@
 #include <chrono>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "server/scheduler.h"
@@ -157,6 +158,52 @@ BENCHMARK(BM_Scheduler_SustainedLoad)
     ->Arg(1000)
     ->Arg(32000)
     ->Unit(benchmark::kMicrosecond);
+
+// A backlog of range(0) queries admitted at once behind one worker, then
+// collected in ticket order: every completion dispatches the next queued
+// entry while up to range(0) entries are live. `us_per_query` should read
+// the same at every depth; a dispatch that scanned the live entries would
+// grow with it.
+void BM_Scheduler_DeepBacklog(benchmark::State& state) {
+  std::string source = TcSource(8, 16, 11);
+  const int64_t backlog = state.range(0);
+  double total_seconds = 0;
+  for (auto _ : state) {
+    SchedulerOptions options;
+    options.workers = 1;
+    options.queue_capacity = static_cast<size_t>(backlog);
+    Scheduler scheduler(options);
+    auto start = std::chrono::steady_clock::now();
+    std::vector<uint64_t> tickets;
+    tickets.reserve(static_cast<size_t>(backlog));
+    for (int64_t i = 0; i < backlog; ++i) {
+      QueryRequest request;
+      request.id = "q" + std::to_string(i);
+      request.source = source;
+      auto ticket = scheduler.Submit(std::move(request));
+      IQL_CHECK(ticket.ok()) << ticket.status();
+      tickets.push_back(*ticket);
+    }
+    for (uint64_t ticket : tickets) {
+      auto result = scheduler.Wait(ticket);
+      IQL_CHECK(result.outcome == QueryOutcome::kCompleted) << result.status;
+    }
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    total_seconds += seconds;
+    state.SetIterationTime(seconds);
+  }
+  state.counters["us_per_query"] =
+      1e6 * total_seconds /
+      (static_cast<double>(backlog) * static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_Scheduler_DeepBacklog)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Admission-path cost under rejection pressure: a full queue turns every
 // Submit into a structured QUEUE_FULL rejection; this is the hot shed path

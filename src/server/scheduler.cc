@@ -9,6 +9,7 @@
 #include "iql/parser.h"
 #include "model/instance.h"
 #include "model/universe.h"
+#include "storage/snapshot.h"
 
 namespace iqlkit {
 namespace server {
@@ -295,13 +296,16 @@ Scheduler::AttemptEnd Scheduler::ExecuteAttempt(Entry* entry) {
   // a whole-process crash takes the identical path. Re-parsing into a fresh
   // universe deterministically reproduces the symbol numbering of the
   // original attempt, which is what makes a resumed run's WriteFacts output
-  // byte-identical to an uninterrupted one.
+  // byte-identical to an uninterrupted one. The directory is named by the
+  // id but keyed by the source: an id re-submitted with another program
+  // (a reused wire id, or a restart fed different queries) must not be
+  // answered from the old program's state.
   std::optional<storage::QueryDurability> durable;
   std::optional<storage::RecoveredRun> recovered;
   if (!options_.data_dir.empty()) {
     durable.emplace(storage::QueryDurability::Open(
         options_.data_dir + "/" + QueryDirName(entry->request.id),
-        options_.durability));
+        options_.durability, storage::SourceDigest(entry->request.source)));
     if (!durable->active()) {
       end.storage_warning = durable->warning().message();
       durable.reset();
@@ -330,7 +334,7 @@ Scheduler::AttemptEnd Scheduler::ExecuteAttempt(Entry* entry) {
       return end;
     } else {
       // Unusable persisted state (corrupt beyond the torn tail the WAL
-      // tolerates, or written under a different schema): start the run
+      // tolerates, or written by another schema or program): start the run
       // over -- BeginRun below rewrites the directory -- instead of
       // failing the query.
       end.storage_warning = rec.status().message();

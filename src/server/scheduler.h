@@ -43,7 +43,8 @@ struct QueryRequest {
   // id may be reused once its previous ticket has been collected (Wait or
   // TryWait returned its result) or abandoned and retired. Re-submitting a
   // durable query's id after a restart relies on this -- the new ticket is
-  // served from the finished run's final snapshot.
+  // served from the finished run's final snapshot, provided its source is
+  // the one that wrote it (see SchedulerOptions::data_dir).
   std::string id;
   std::string source;  // IQL source unit (schema/instance/program blocks)
   QueryClass cls = QueryClass::kBatch;
@@ -140,9 +141,12 @@ struct SchedulerOptions {
   // retried (preempted, degraded, crashed, storage-faulted) query resumes
   // from its last committed step instead of re-deriving, and a finished
   // query re-submitted after a restart is served from its final snapshot.
-  // Storage write failures surface as kUnavailable and are retried with
-  // backoff like any transient; an unwritable dir degrades that query to
-  // plain in-memory evaluation with QueryResult::storage_warning set.
+  // That state is keyed by the digest of the query's source: an id
+  // re-submitted with another program finds a fingerprint mismatch, gets a
+  // storage_warning, and is evaluated afresh. Storage write failures
+  // surface as kUnavailable and are retried with backoff like any
+  // transient; an unwritable dir degrades that query to plain in-memory
+  // evaluation with QueryResult::storage_warning set.
   std::string data_dir;
   // Policy knobs (fsync, degrade-on-write-error) for the directories above.
   storage::DurabilityConfig durability;

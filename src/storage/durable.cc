@@ -25,8 +25,9 @@ bool DirWritable(const std::string& dir) {
 }  // namespace
 
 QueryDurability QueryDurability::Open(std::string dir,
-                                      const DurabilityConfig& config) {
-  QueryDurability out(std::move(dir), config);
+                                      const DurabilityConfig& config,
+                                      uint64_t source_key) {
+  QueryDurability out(std::move(dir), config, source_key);
   Status s = EnsureDir(out.dir_);
   if (s.ok() && !DirWritable(out.dir_)) {
     s = UnavailableError("data dir '" + out.dir_ + "' is not writable");
@@ -55,7 +56,7 @@ Result<std::optional<RecoveredRun>> QueryDurability::Recover(
     std::shared_ptr<const Schema> schema,
     std::shared_ptr<const Schema> output_schema, Universe* universe) {
   if (degraded_) return std::optional<RecoveredRun>();
-  fingerprint_ = SchemaFingerprint(*schema);
+  fingerprint_ = SchemaFingerprint(*schema) ^ source_key_;
   Result<std::string> bytes = ReadFileBytes(SnapshotPath());
   if (!bytes.ok()) {
     if (bytes.status().code() == StatusCode::kNotFound) {
@@ -69,7 +70,8 @@ Result<std::optional<RecoveredRun>> QueryDurability::Recover(
   bool complete = bytes->size() > 5 && (static_cast<uint8_t>((*bytes)[5]) & 2);
   IQL_ASSIGN_OR_RETURN(
       LoadedSnapshot snap,
-      DecodeSnapshot(*bytes, complete ? output_schema : schema, universe));
+      DecodeSnapshot(*bytes, complete ? output_schema : schema, universe,
+                     source_key_));
   universe->AdvanceOidCounter(snap.next_oid_raw);
 
   RecoveredRun run{std::move(snap.instance), snap.complete,
@@ -120,9 +122,10 @@ Result<std::optional<RecoveredRun>> QueryDurability::Recover(
 
 Status QueryDurability::BeginRun(const Instance& input) {
   if (degraded_) return Status::Ok();
-  fingerprint_ = SchemaFingerprint(input.schema());
+  fingerprint_ = SchemaFingerprint(input.schema()) ^ source_key_;
   IQL_RETURN_IF_ERROR(RemoveFileIfExists(DonePath()));
   SnapshotOptions options;  // exact oids, resume at (0, 0)
+  options.source_key = source_key_;
   Status s =
       AtomicWriteFile(SnapshotPath(), EncodeSnapshot(input, options),
                       config_.fsync);
@@ -155,6 +158,7 @@ Status QueryDurability::OnStepCommit(const StepCommit& commit) {
 Status QueryDurability::Checkpoint(const Instance& instance) {
   if (degraded_) return Status::Ok();
   SnapshotOptions options;
+  options.source_key = source_key_;
   options.resume_stage = resume_stage_;
   options.resume_step = resume_step_;
   Status s = AtomicWriteFile(SnapshotPath(),
@@ -175,6 +179,7 @@ Status QueryDurability::Finalize(const Instance& output) {
   if (degraded_) return Status::Ok();
   wal_.Close();
   SnapshotOptions options;
+  options.source_key = source_key_;
   options.complete = true;
   Status s = AtomicWriteFile(SnapshotPath(),
                              EncodeSnapshot(output, options), config_.fsync);

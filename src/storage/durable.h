@@ -48,9 +48,15 @@ struct RecoveredRun {
 // the object comes back inactive (degraded to in-memory) with a structured
 // kUnavailable warning(), and every later call is a no-op — evaluation
 // proceeds exactly as without durability.
+//
+// A nonzero `source_key` (SourceDigest of the query's program) is folded
+// into the fingerprint every snapshot and WAL header carries, so Recover
+// treats state left by another program in the same directory like state
+// of another schema: FailedPrecondition, and the caller starts over.
 class QueryDurability : public StepCommitSink {
  public:
-  static QueryDurability Open(std::string dir, const DurabilityConfig& config);
+  static QueryDurability Open(std::string dir, const DurabilityConfig& config,
+                              uint64_t source_key = 0);
 
   QueryDurability(QueryDurability&&) = default;
   QueryDurability& operator=(QueryDurability&&) = default;
@@ -98,8 +104,9 @@ class QueryDurability : public StepCommitSink {
   std::string DonePath() const { return dir_ + "/DONE"; }
 
  private:
-  QueryDurability(std::string dir, const DurabilityConfig& config)
-      : dir_(std::move(dir)), config_(config) {}
+  QueryDurability(std::string dir, const DurabilityConfig& config,
+                  uint64_t source_key)
+      : dir_(std::move(dir)), config_(config), source_key_(source_key) {}
 
   // Applies the configured write-error policy: degrade (record warning,
   // return Ok) or propagate.
@@ -107,11 +114,12 @@ class QueryDurability : public StepCommitSink {
 
   std::string dir_;
   DurabilityConfig config_;
+  uint64_t source_key_ = 0;
   bool degraded_ = false;
   bool wal_broken_ = false;  // a frame append failed; stop appending
   Status warning_;
   AppendLog wal_;
-  uint64_t fingerprint_ = 0;
+  uint64_t fingerprint_ = 0;  // schema fingerprint ^ source_key_
   uint32_t resume_stage_ = 0;
   uint64_t resume_step_ = 0;
   uint64_t frames_appended_ = 0;

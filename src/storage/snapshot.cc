@@ -46,6 +46,10 @@ uint64_t SchemaFingerprint(const Schema& schema) {
   return h;
 }
 
+uint64_t SourceDigest(std::string_view source) {
+  return Fnv1a(source, 0xcbf29ce484222325ULL);
+}
+
 std::string EncodeSnapshot(const Instance& instance,
                            const SnapshotOptions& options) {
   Universe& u = *instance.universe();
@@ -121,7 +125,7 @@ std::string EncodeSnapshot(const Instance& instance,
   }
 
   ByteWriter payload;
-  payload.U64(SchemaFingerprint(instance.schema()));
+  payload.U64(SchemaFingerprint(instance.schema()) ^ options.source_key);
   payload.U64(next_oid);
   payload.U32(options.resume_stage);
   payload.U64(options.resume_step);
@@ -145,7 +149,8 @@ std::string EncodeSnapshot(const Instance& instance,
 
 Result<LoadedSnapshot> DecodeSnapshot(std::string_view bytes,
                                       std::shared_ptr<const Schema> schema,
-                                      Universe* universe) {
+                                      Universe* universe,
+                                      uint64_t source_key) {
   ByteReader header(bytes);
   char magic[4] = {};
   magic[0] = static_cast<char>(header.U8());
@@ -182,10 +187,10 @@ Result<LoadedSnapshot> DecodeSnapshot(std::string_view bytes,
   uint64_t next_oid = r.U64();
   uint32_t resume_stage = r.U32();
   uint64_t resume_step = r.U64();
-  if (fingerprint != SchemaFingerprint(*schema)) {
+  if (fingerprint != (SchemaFingerprint(*schema) ^ source_key)) {
     return FailedPreconditionError(
-        "snapshot was written under a different schema (fingerprint "
-        "mismatch)");
+        "snapshot was written under a different schema or program "
+        "(fingerprint mismatch)");
   }
 
   TableReader tables;

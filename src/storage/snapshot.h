@@ -48,6 +48,9 @@ struct SnapshotOptions {
   // Fresh-oid counter to record; 0 means the instance universe's live
   // counter (exact mode) or the dense renumbering's n+1 (canonical mode).
   uint64_t next_oid_raw = 0;
+  // SourceDigest of the program whose run this state belongs to, XORed into
+  // the stored fingerprint; 0 stores the bare schema fingerprint.
+  uint64_t source_key = 0;
 };
 
 struct LoadedSnapshot {
@@ -64,6 +67,11 @@ struct LoadedSnapshot {
 // recovery refuses to replay state onto a different schema.
 uint64_t SchemaFingerprint(const Schema& schema);
 
+// Stable 64-bit digest of a program's source text. Durable query state
+// keyed by it answers only the program that produced it: two programs over
+// one schema differ in rules or facts, and so in their snapshots.
+uint64_t SourceDigest(std::string_view source);
+
 // Serializes `instance` (which must cover every fact it holds under its
 // schema) into the format above.
 std::string EncodeSnapshot(const Instance& instance,
@@ -73,11 +81,13 @@ std::string EncodeSnapshot(const Instance& instance,
 // schema), interning symbols/values into `universe`. The caller is
 // responsible for advancing the universe's oid counter to
 // LoadedSnapshot::next_oid_raw. Unknown version bytes, checksum mismatches,
-// and truncations are InvalidArgument; a schema fingerprint mismatch is
+// and truncations are InvalidArgument; a fingerprint mismatch (another
+// schema, or another `source_key` than the one encoded) is
 // FailedPrecondition.
 Result<LoadedSnapshot> DecodeSnapshot(std::string_view bytes,
                                       std::shared_ptr<const Schema> schema,
-                                      Universe* universe);
+                                      Universe* universe,
+                                      uint64_t source_key = 0);
 
 }  // namespace storage
 }  // namespace iqlkit

@@ -110,7 +110,8 @@ Result<WalRecovery> ReplayWal(std::string_view bytes,
   uint64_t fingerprint = header.U64();
   if (fingerprint != expected_fingerprint) {
     return FailedPreconditionError(
-        "wal was written under a different schema (fingerprint mismatch)");
+        "wal was written under a different schema or program (fingerprint "
+        "mismatch)");
   }
 
   WalRecovery out;

@@ -366,6 +366,69 @@ TEST_F(SchedulerDurabilityTest, StorageFaultsRetryWithBackoffAndResume) {
   EXPECT_TRUE(saw_resumed_retry);
 }
 
+// kChain's schema and rules over a shorter chain: same fingerprint, other
+// answer.
+constexpr const char* kShortChain = R"(
+  schema {
+    relation E : [D, D];
+    relation TC : [D, D];
+    relation Node : D;
+    relation Box : [D, P];
+    class P : {D};
+  }
+  instance { E(["a", "b"]); E(["b", "c"]); }
+  program {
+    TC(x, y) :- E(x, y).
+    TC(x, z) :- TC(x, y), E(y, z).
+    Node(x) :- E(x, y).
+    Node(y) :- E(x, y).
+    ;
+    Box(x, p) :- Node(x).
+    p^(y) :- Box(x, p), TC(x, y).
+  }
+)";
+
+TEST_F(SchedulerDurabilityTest, ReusedIdWithAnotherSourceStartsOver) {
+  std::string reference = SerialFacts(kChain);
+  uint64_t short_steps = 0;
+  std::string short_reference = SerialFacts(kShortChain, &short_steps);
+  ASSERT_NE(reference, short_reference);
+  SchedulerOptions options;
+  options.deterministic = true;
+  options.data_dir = TestDir("sched_reuse");
+  Scheduler scheduler(options);
+  auto run = [&](const char* source, uint64_t max_steps = 0) {
+    QueryRequest request = MakeRequest("tc", source);
+    if (max_steps != 0) request.limits.max_steps_per_stage = max_steps;
+    auto ticket = scheduler.Submit(std::move(request));
+    EXPECT_TRUE(ticket.ok()) << ticket.status();
+    return ticket.ok() ? scheduler.Wait(*ticket) : QueryResult();
+  };
+
+  // Finished state of one program never answers another.
+  ASSERT_EQ(run(kChain).outcome, QueryOutcome::kCompleted);
+  QueryResult other = run(kShortChain);
+  EXPECT_EQ(other.outcome, QueryOutcome::kCompleted);
+  EXPECT_FALSE(other.resumed);
+  EXPECT_EQ(other.stats.steps, short_steps);
+  EXPECT_EQ(other.facts, short_reference);
+  EXPECT_NE(other.storage_warning.find("fingerprint mismatch"),
+            std::string::npos);
+
+  // Neither does a tripped partial's checkpoint.
+  ASSERT_EQ(run(kChain, 2).outcome, QueryOutcome::kTrippedPartial);
+  other = run(kShortChain);
+  EXPECT_EQ(other.outcome, QueryOutcome::kCompleted);
+  EXPECT_FALSE(other.resumed);
+  EXPECT_EQ(other.facts, short_reference);
+
+  // The program that wrote the state is still served from it.
+  QueryResult same = run(kShortChain);
+  EXPECT_TRUE(same.resumed);
+  EXPECT_EQ(same.stats.steps, 0u);
+  EXPECT_EQ(same.facts, short_reference);
+}
+
 TEST_F(SchedulerDurabilityTest, UnwritableDataDirDegradesWithWarning) {
   std::string reference = SerialFacts(kChain);
   SchedulerOptions options;

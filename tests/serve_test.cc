@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
 #include <initializer_list>
 #include <optional>
 #include <sstream>
@@ -443,6 +444,81 @@ TEST_F(SessionTest, ClosedSessionRetiresItsRunningQuery) {
   EXPECT_EQ(c.live, 0u);
   EXPECT_EQ(c.admitted,
             c.completed + c.tripped_partial + c.failed + c.cancelled);
+}
+
+// Sends one query and pages it to completion; returns the paged facts.
+std::string QueryAndPage(Session* session, TestClient* client,
+                         Scheduler* scheduler, uint64_t* now,
+                         const std::string& id, const std::string& source) {
+  client->SendQuery(id, source);
+  client->SendWant(id, 0);
+  session->Pump((*now)++);
+  scheduler->RunUntilIdle();
+  std::string data;
+  for (int round = 0; round < 64; ++round) {
+    session->Pump((*now)++);
+    for (const Frame& frame : client->Drain()) {
+      data += frame.body.StringOr("data", "");
+      if (frame.body.BoolOr("done", true)) return data;
+      client->SendWant(id, frame.body.GetInt("seq").value() + 1);
+    }
+  }
+  ADD_FAILURE() << "query " << id << " never delivered its last page";
+  return data;
+}
+
+TEST_F(SessionTest, ReusedWireIdWithOtherFactsIsEvaluatedAfresh) {
+  // Same schema and rules as kTcSource, a shorter chain.
+  constexpr char kShortTc[] = R"(
+schema {
+  relation E  : [D, D];
+  relation TC : [D, D];
+}
+input E;
+output TC;
+instance {
+  E(1, 2);
+}
+program {
+  TC(x, y) :- E(x, y).
+  TC(x, z) :- TC(x, y), E(y, z).
+}
+)";
+  std::string dir = ::testing::TempDir() + "/iqlkit_serve_reuse";
+  std::filesystem::remove_all(dir);
+  auto standalone = [](const char* source) {
+    Scheduler scheduler(DetScheduler());
+    QueryRequest request;
+    request.id = "ref";
+    request.source = source;
+    auto ticket = scheduler.Submit(std::move(request));
+    return ticket.ok() ? scheduler.Wait(*ticket).facts : std::string();
+  };
+  std::string long_facts = standalone(kTcSource);
+  std::string short_facts = standalone(kShortTc);
+  ASSERT_NE(long_facts, short_facts);
+
+  SchedulerOptions sched = DetScheduler();
+  sched.data_dir = dir;
+  Scheduler scheduler(sched);
+  MemoryDuplex duplex;
+  MemoryStream server_end(&duplex, /*server_side=*/true);
+  Session session(1, &server_end, &scheduler, SessionOptions{}, nullptr);
+  TestClient client(&duplex);
+  client.SendHello();
+  uint64_t now = 0;
+  session.Pump(now++);
+  client.Drain();
+  // The wire id is free again once its answer is delivered; the second
+  // program must not be answered from the first one's final snapshot.
+  EXPECT_EQ(QueryAndPage(&session, &client, &scheduler, &now, "q", kTcSource),
+            long_facts);
+  EXPECT_EQ(QueryAndPage(&session, &client, &scheduler, &now, "q", kShortTc),
+            short_facts);
+  EXPECT_EQ(QueryAndPage(&session, &client, &scheduler, &now, "q", kTcSource),
+            long_facts);
+  EXPECT_EQ(session.counters().delivered_completed, 3u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(SessionTest, NextDeadlineTracksTheNearestTimeout) {

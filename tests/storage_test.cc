@@ -657,5 +657,36 @@ TEST_F(StorageTest, RecoverRejectsCrcValidButMalformedWal) {
   EXPECT_EQ(rec.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(StorageTest, SourceKeyGatesRecoveryOfPartialAndFinishedRuns) {
+  std::string dir = TestDir("source_key");
+  uint64_t key = storage::SourceDigest(kChain);
+  uint64_t other = storage::SourceDigest(std::string(kChain) + " ");
+  ASSERT_NE(key, other);
+  auto recover = [&](uint64_t source_key) {
+    LoadedUnit l = Load(kChain);
+    QueryDurability d =
+        QueryDurability::Open(dir, DurabilityConfig(), source_key);
+    auto rec = d.Recover(l.schema(), l.schema(), l.u.get());
+    return rec.ok() ? StatusCode::kOk : rec.status().code();
+  };
+  LoadedUnit l = Load(kChain);
+  {
+    QueryDurability d = QueryDurability::Open(dir, DurabilityConfig(), key);
+    ASSERT_TRUE(d.BeginRun(*l.input).ok());
+  }
+  // A partial run (input snapshot + empty WAL) answers only its own key.
+  EXPECT_EQ(recover(key), StatusCode::kOk);
+  EXPECT_EQ(recover(other), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(recover(0), StatusCode::kFailedPrecondition);
+  {
+    QueryDurability d = QueryDurability::Open(dir, DurabilityConfig(), key);
+    ASSERT_TRUE(d.BeginRun(*l.input).ok());
+    ASSERT_TRUE(d.Finalize(*l.input).ok());
+  }
+  // So does a finished one.
+  EXPECT_EQ(recover(key), StatusCode::kOk);
+  EXPECT_EQ(recover(other), StatusCode::kFailedPrecondition);
+}
+
 }  // namespace
 }  // namespace iqlkit

@@ -96,6 +96,7 @@
 #include "model/dot.h"
 #include "model/universe.h"
 #include "storage/durable.h"
+#include "storage/snapshot.h"
 
 namespace {
 
@@ -332,8 +333,8 @@ int main(int argc, char** argv) {
   // Durable state (--data-dir): recover a previous run of this unit from
   // the directory before evaluating. A finished run is served straight
   // from its final snapshot; a partial resumes from its last committed
-  // step; anything unusable (corrupt, different schema) is discarded with
-  // a warning and the run starts over.
+  // step; anything unusable (corrupt, another schema or program) is
+  // discarded with a warning and the run starts over.
   std::shared_ptr<const Schema> full_schema(std::shared_ptr<const Schema>(),
                                             &unit->schema);
   std::optional<storage::QueryDurability> durable;
@@ -342,7 +343,8 @@ int main(int argc, char** argv) {
   if (!data_dir.empty()) {
     storage::DurabilityConfig dconfig;
     dconfig.fsync = !no_fsync;
-    durable.emplace(storage::QueryDurability::Open(data_dir, dconfig));
+    durable.emplace(storage::QueryDurability::Open(
+        data_dir, dconfig, storage::SourceDigest(source)));
     if (!durable->active()) {
       std::cerr << "iqlsh: " << durable->warning() << "\n";
       durable.reset();
