@@ -45,7 +45,7 @@ inline void ExportMetrics(benchmark::State& state,
   state.counters["derivations_per_sec"] = benchmark::Counter(
       static_cast<double>(derivations), benchmark::Counter::kIsRate);
   state.counters["extent_scans"] = static_cast<double>(scans);
-  // Zero under the tree-walker; under kVm, the dispatch count whose
+  // Zero for tree-walked rules; on the VM, the dispatch count whose
   // reduction is the IL optimizer's whole point (run_all.sh divides by
   // rule_derivations for instructions retired per emitted fact).
   state.counters["vm_instructions"] =

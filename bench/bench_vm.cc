@@ -1,15 +1,18 @@
-// Register-VM engine vs the tree-walking solver on matched workloads.
+// Register VM vs the tree-walking solver on matched workloads.
 //
-// Every series below runs the same program on the same input twice, once
-// per `EvalOptions::engine`, so the _TreeWalk/_Vm pairs differ only in
-// how rule bodies are executed: recursive Solver descent vs the flat IL
-// interpreted by vm::VmSolver. The outputs are byte-identical by the
-// differential suites; this file measures the cost of that equivalence.
-// `bench/run_all.sh` matches the pairs by name and records the mean
-// speedup under `.vm` in BENCH_RESULTS.json. The _VmOpt series rerun the
-// IQL graph workloads with `EvalOptions::il_opt` (the verified optimizer
-// of iql/ilopt.h); run_all.sh pairs them with _Vm under `.vm_opt`,
-// together with instructions retired per emitted fact from the
+// Every series below runs the same program on the same input twice: the
+// _Vm series with default options, where every VM-eligible rule runs on
+// the register VM (what every tool and the server run), and the _TreeWalk
+// series with `EvalOptions::tree_walk_oracle`, the test/bench-only switch
+// that keeps every rule on the tree-walker. The pairs therefore differ
+// only in how rule bodies are executed: recursive Solver descent vs the
+// flat IL interpreted by vm::VmSolver. The outputs are byte-identical by
+// the differential suites; this file measures the cost of that
+// equivalence. `bench/run_all.sh` matches the pairs by name and records
+// the mean speedup under `.vm` in BENCH_RESULTS.json. The _VmOpt series
+// rerun the IQL graph workloads with `EvalOptions::il_opt` (the verified
+// optimizer of iql/ilopt.h); run_all.sh pairs them with _Vm under
+// `.vm_opt`, together with instructions retired per emitted fact from the
 // vm_instructions counter. The _VmFused series add the full second
 // execution tier on top -- threaded dispatch plus superinstruction
 // fusion (EvalOptions::il_fuse) -- and run_all.sh pairs them with
@@ -67,14 +70,12 @@ constexpr std::string_view kPowerset = R"(
   }
 )";
 
-EvalOptions EngineOptions(EvalOptions::Engine engine) {
-  EvalOptions options;
-  options.engine = engine;
-  return options;
-}
+// Values of the `tree_walk_oracle` argument below.
+constexpr bool kTreeWalk = true;
+constexpr bool kVm = false;
 
 void RunGraphProgram(benchmark::State& state, std::string_view source,
-                     std::string_view out_rel, EvalOptions::Engine engine,
+                     std::string_view out_rel, bool tree_walk_oracle,
                      bool il_opt = false, bool il_fuse = false) {
   int n = static_cast<int>(state.range(0));
   auto edges = RandomGraph(n, 2 * n, 17);
@@ -84,7 +85,8 @@ void RunGraphProgram(benchmark::State& state, std::string_view source,
     metrics = EvalMetrics{};
     PreparedRun run(source);
     for (auto [a, b] : edges) run.AddEdge("E", a, b);
-    EvalOptions options = EngineOptions(engine);
+    EvalOptions options;
+    options.tree_walk_oracle = tree_walk_oracle;
     options.il_opt = il_opt;
     options.il_fuse = il_fuse;
     options.metrics = &metrics;
@@ -101,7 +103,7 @@ void RunGraphProgram(benchmark::State& state, std::string_view source,
 }
 
 void BM_Vm_Tc_TreeWalk(benchmark::State& state) {
-  RunGraphProgram(state, kTC, "TC", EvalOptions::Engine::kTreeWalk);
+  RunGraphProgram(state, kTC, "TC", kTreeWalk);
 }
 BENCHMARK(BM_Vm_Tc_TreeWalk)
     ->RangeMultiplier(2)
@@ -110,7 +112,7 @@ BENCHMARK(BM_Vm_Tc_TreeWalk)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Vm_Tc_Vm(benchmark::State& state) {
-  RunGraphProgram(state, kTC, "TC", EvalOptions::Engine::kVm);
+  RunGraphProgram(state, kTC, "TC", kVm);
 }
 BENCHMARK(BM_Vm_Tc_Vm)
     ->RangeMultiplier(2)
@@ -119,7 +121,7 @@ BENCHMARK(BM_Vm_Tc_Vm)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Vm_Tc_VmOpt(benchmark::State& state) {
-  RunGraphProgram(state, kTC, "TC", EvalOptions::Engine::kVm,
+  RunGraphProgram(state, kTC, "TC", kVm,
                   /*il_opt=*/true);
 }
 BENCHMARK(BM_Vm_Tc_VmOpt)
@@ -129,7 +131,7 @@ BENCHMARK(BM_Vm_Tc_VmOpt)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Vm_Tc_VmFused(benchmark::State& state) {
-  RunGraphProgram(state, kTC, "TC", EvalOptions::Engine::kVm,
+  RunGraphProgram(state, kTC, "TC", kVm,
                   /*il_opt=*/true, /*il_fuse=*/true);
 }
 BENCHMARK(BM_Vm_Tc_VmFused)
@@ -139,7 +141,7 @@ BENCHMARK(BM_Vm_Tc_VmFused)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Vm_Join_TreeWalk(benchmark::State& state) {
-  RunGraphProgram(state, kTriangles, "T", EvalOptions::Engine::kTreeWalk);
+  RunGraphProgram(state, kTriangles, "T", kTreeWalk);
 }
 BENCHMARK(BM_Vm_Join_TreeWalk)
     ->RangeMultiplier(2)
@@ -148,7 +150,7 @@ BENCHMARK(BM_Vm_Join_TreeWalk)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Vm_Join_Vm(benchmark::State& state) {
-  RunGraphProgram(state, kTriangles, "T", EvalOptions::Engine::kVm);
+  RunGraphProgram(state, kTriangles, "T", kVm);
 }
 BENCHMARK(BM_Vm_Join_Vm)
     ->RangeMultiplier(2)
@@ -157,7 +159,7 @@ BENCHMARK(BM_Vm_Join_Vm)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Vm_Join_VmOpt(benchmark::State& state) {
-  RunGraphProgram(state, kTriangles, "T", EvalOptions::Engine::kVm,
+  RunGraphProgram(state, kTriangles, "T", kVm,
                   /*il_opt=*/true);
 }
 BENCHMARK(BM_Vm_Join_VmOpt)
@@ -167,7 +169,7 @@ BENCHMARK(BM_Vm_Join_VmOpt)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Vm_Join_VmFused(benchmark::State& state) {
-  RunGraphProgram(state, kTriangles, "T", EvalOptions::Engine::kVm,
+  RunGraphProgram(state, kTriangles, "T", kVm,
                   /*il_opt=*/true, /*il_fuse=*/true);
 }
 BENCHMARK(BM_Vm_Join_VmFused)
@@ -176,13 +178,14 @@ BENCHMARK(BM_Vm_Join_VmFused)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-void RunPowerset(benchmark::State& state, EvalOptions::Engine engine,
+void RunPowerset(benchmark::State& state, bool tree_walk_oracle,
                  bool il_fuse = false) {
   int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     PreparedRun run(kPowerset);
     for (int i = 0; i < n; ++i) run.AddUnary("R", i);
-    EvalOptions options = EngineOptions(engine);
+    EvalOptions options;
+    options.tree_walk_oracle = tree_walk_oracle;
     options.il_opt = il_fuse;
     options.il_fuse = il_fuse;
     auto start = std::chrono::steady_clock::now();
@@ -197,7 +200,7 @@ void RunPowerset(benchmark::State& state, EvalOptions::Engine engine,
 }
 
 void BM_Vm_Powerset_TreeWalk(benchmark::State& state) {
-  RunPowerset(state, EvalOptions::Engine::kTreeWalk);
+  RunPowerset(state, kTreeWalk);
 }
 BENCHMARK(BM_Vm_Powerset_TreeWalk)
     ->DenseRange(3, 5, 1)
@@ -205,7 +208,7 @@ BENCHMARK(BM_Vm_Powerset_TreeWalk)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Vm_Powerset_Vm(benchmark::State& state) {
-  RunPowerset(state, EvalOptions::Engine::kVm);
+  RunPowerset(state, kVm);
 }
 BENCHMARK(BM_Vm_Powerset_Vm)
     ->DenseRange(3, 5, 1)
@@ -213,7 +216,7 @@ BENCHMARK(BM_Vm_Powerset_Vm)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Vm_Powerset_VmFused(benchmark::State& state) {
-  RunPowerset(state, EvalOptions::Engine::kVm, /*il_fuse=*/true);
+  RunPowerset(state, kVm, /*il_fuse=*/true);
 }
 BENCHMARK(BM_Vm_Powerset_VmFused)
     ->DenseRange(3, 5, 1)

@@ -101,10 +101,10 @@ jq '
     else . end
 ' "$OUT.tmp" > "$OUT.tmp2"
 mv "$OUT.tmp2" "$OUT.tmp"
-# Register-VM engine: per-workload speedup of the flat-IL VM over the
+# Register VM: per-workload speedup of the flat-IL VM over the
 # tree-walker on matched bench_vm series (identical program + input; the
-# _TreeWalk/_Vm name pairs differ only in EvalOptions::engine, or in
-# EvalMode kSemiNaiveIndexed vs kVm for the Datalog pair). Recorded under
+# _TreeWalk/_Vm name pairs differ only in EvalOptions::tree_walk_oracle,
+# or in EvalMode kSemiNaiveIndexed vs kVm for the Datalog pair). Recorded under
 # .vm so the VM-vs-tree-walk trajectory lives in the merged file.
 jq '
   (.runs.bench_vm.benchmarks // []) as $b

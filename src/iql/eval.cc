@@ -656,11 +656,11 @@ class RuleSolver {
   size_t slice_end_ = static_cast<size_t>(-1);
 };
 
-// Engine dispatch facade: exactly one of the two solvers is engaged per
-// (rule, solve). The register VM runs compiled rules; everything else --
-// engine kTreeWalk, or a rule outside the VM-eligible fragment -- stays
-// on the tree-walker. Both sides share the probe/slice/callback protocol,
-// so the four enumeration call sites below are engine-agnostic.
+// Executor dispatch facade: exactly one of the two solvers is engaged per
+// (rule, solve). The register VM runs compiled rules; a rule outside the
+// VM-eligible fragment (or any rule under tree_walk_oracle) stays on the
+// tree-walker. Both sides share the probe/slice/callback protocol, so the
+// four enumeration call sites below are executor-agnostic.
 struct AnySolver {
   std::optional<RuleSolver> tree;
   std::optional<vm::VmSolver> regvm;
@@ -882,7 +882,7 @@ class StageRunner {
         rule_metrics_.push_back(&metrics_->rules[first + i]);
       }
     }
-    if (options_.engine == EvalOptions::Engine::kVm) {
+    if (!options_.tree_walk_oracle) {
       compiled_.resize(rules_.size());
       for (size_t i = 0; i < rules_.size(); ++i) {
         compiled_[i] = il::CompileRule(prog_, rules_[i]);
@@ -952,12 +952,12 @@ class StageRunner {
   }
 
  private:
-  // The compiled IL for (rule, delta_literal), or nullptr when the engine
-  // is kTreeWalk or the rule is outside the VM-eligible fragment.
+  // The compiled IL for (rule, delta_literal), or nullptr when the rule is
+  // outside the VM-eligible fragment or tree_walk_oracle is set.
   // Coordinator-only: delta variants compile lazily into a node-stable
   // map; workers receive the resulting pointer and never call this.
   const il::CompiledRule* Compiled(size_t r, size_t delta_literal) {
-    if (options_.engine != EvalOptions::Engine::kVm) return nullptr;
+    if (options_.tree_walk_oracle) return nullptr;
     if (delta_literal == il::kNoDelta) {
       return compiled_[r].has_value() ? &*compiled_[r] : nullptr;
     }
@@ -977,7 +977,7 @@ class StageRunner {
     return it->second.has_value() ? &*it->second : nullptr;
   }
 
-  // Constructs the engine-selected solver for rule `r` into `out`. `cr`
+  // Constructs the executor-selected solver for rule `r` into `out`. `cr`
   // must be this rule's Compiled() result for the same delta literal, and
   // `prepared` its Prepared() state (or null to materialize per call).
   void MakeSolver(AnySolver* out, const il::CompiledRule* cr, size_t r,
@@ -1781,9 +1781,10 @@ class StageRunner {
   uint64_t step_partitions_ = 0;     // partitions used by the current step
   uint64_t choose_rng_ = 0;
   bool has_deletions_ = false;
-  // Engine kVm: per-rule compiled IL (nullopt = tree-walk fallback), plus
-  // lazily compiled semi-naive (rule, delta-literal) variants. The map's
-  // node stability keeps CompiledRule addresses valid across inserts.
+  // Per-rule compiled IL (nullopt = tree-walk fallback; empty under
+  // tree_walk_oracle), plus lazily compiled semi-naive (rule,
+  // delta-literal) variants. The map's node stability keeps CompiledRule
+  // addresses valid across inserts.
   std::vector<std::optional<il::CompiledRule>> compiled_;
   std::map<std::pair<size_t, size_t>, std::optional<il::CompiledRule>>
       delta_compiled_;

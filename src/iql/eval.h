@@ -177,21 +177,26 @@ struct EvalOptions {
   // threshold the serial path is cheaper than the fork/join.
   uint32_t parallel_min_candidates = 16;
 
-  // Rule enumeration engine. kTreeWalk interprets rule bodies with the
-  // backtracking tree-walker; kVm lowers each invention-free, choose-free
-  // rule to the flat IL of iql/il.h once and runs the register VM of
-  // iql/vm.h over it (rules outside that fragment silently fall back to
-  // the tree-walker -- their minting / choose order is enumeration-order
-  // sensitive). Both engines drive the same index, extent, arena, and
-  // governor machinery and produce byte-identical output at every thread
-  // count; the differential suites enforce this.
-  enum class Engine { kTreeWalk, kVm };
-  Engine engine = Engine::kTreeWalk;
+  // Rule enumeration. Every rule that il::CompileRule accepts -- the
+  // invention-free, choose-free fragment -- is lowered to the flat IL of
+  // iql/il.h once per stage (semi-naive delta variants on first use) and
+  // runs on the register VM of iql/vm.h, at every thread count and under
+  // durability and resume. The backtracking tree-walker runs exactly the
+  // rules CompileRule declines: invention, choose, and anything else
+  // outside the IL fragment, whose minting / choose order is
+  // enumeration-order sensitive. Both executors drive the same index,
+  // extent, arena, and governor machinery and produce byte-identical
+  // output.
+  //
+  // Test and benchmark use only: when set, every rule runs on the
+  // tree-walker, which makes it the oracle the differential suites and
+  // bench_vm compare the VM against. No tool or server path sets it.
+  bool tree_walk_oracle = false;
 
   // Run the verified IL optimizer (iql/ilopt.h) over every compiled rule
   // (full and delta variants) before the VM executes it: dead/duplicate
   // instruction elimination, equality propagation, and filter sinking
-  // into strict probe keys. Only meaningful with engine == kVm. Pure
+  // into strict probe keys. Ignored under tree_walk_oracle. Pure
   // optimization -- emitted valuations, and therefore WriteFacts output
   // and governor derivation trips, are byte-identical with it off; the
   // differential suites enforce this.
@@ -212,9 +217,9 @@ struct EvalOptions {
   // every compiled rule after the optimizer: kMatchTuple + kGetField*
   // collapse to kDestructure, strict kScanRel + guard to kScanRelKeyed
   // (the VM compares keyed fields positionally per candidate), and
-  // equality-filter runs to kCmpN. Only meaningful with engine == kVm.
+  // equality-filter runs to kCmpN. Ignored under tree_walk_oracle.
   // Pure optimization: emitted valuations and WriteFacts output are
-  // byte-identical with it off, enforced by the engine x dispatch x
+  // byte-identical with it off, enforced by the executor x dispatch x
   // fusion x threads differential matrix.
   bool il_fuse = false;
 

@@ -403,13 +403,14 @@ TEST_F(FaultInjectionTest, SoakVmEngineRollsBackLikeTheTreeWalker) {
   // observed step count on a clean tree-walk run.
   FaultInjector& injector = FaultInjector::Global();
   injector.Reset();
-  SoakOutcome clean = RunVmChain(EvalOptions{});
+  EvalOptions oracle;
+  oracle.tree_walk_oracle = true;
+  SoakOutcome clean = RunVmChain(oracle);
   ASSERT_TRUE(clean.status.ok()) << clean.status;
   for (const FaultInjector::Config& config : SoakConfigs()) {
     for (uint32_t threads : {1u, 2u, 8u}) {
       injector.Configure(config);
       EvalOptions options;
-      options.engine = EvalOptions::Engine::kVm;
       options.num_threads = threads;
       options.parallel_min_candidates = 1;  // let worker-task faults fire
       SoakOutcome faulty = RunVmChain(options);
@@ -420,7 +421,7 @@ TEST_F(FaultInjectionTest, SoakVmEngineRollsBackLikeTheTreeWalker) {
         continue;
       }
       EXPECT_NE(faulty.stats.trip, TripReason::kNone) << faulty.status;
-      EvalOptions ref;
+      EvalOptions ref = oracle;
       ref.limits.max_steps_per_stage = faulty.stats.steps;
       SoakOutcome reference = RunVmChain(ref);
       ASSERT_FALSE(reference.status.ok());
@@ -440,7 +441,6 @@ TEST_F(FaultInjectionTest, CertainWorkerTaskFaultTripsTheVmEngine) {
   config.p_task = 1.0;
   FaultInjector::Global().Configure(config);
   EvalOptions options;
-  options.engine = EvalOptions::Engine::kVm;
   options.num_threads = 8;
   options.parallel_min_candidates = 1;
   SoakOutcome out = RunVmChain(options);

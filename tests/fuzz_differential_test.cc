@@ -207,7 +207,11 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
           input.AddToRelation(GenProgram::Name(r), fact).ok());
     }
   }
-  auto out = RunUnit(&u, &*unit, input);
+  // The reference run is the tree-walker oracle; every other IQL run below
+  // executes these (all VM-eligible) rules on the register VM.
+  EvalOptions oracle;
+  oracle.tree_walk_oracle = true;
+  auto out = RunUnit(&u, &*unit, input, oracle);
   ASSERT_TRUE(out.ok()) << out.status() << "\n" << source;
 
   // The delta-driven mode must agree bit-for-bit with the naive operator.
@@ -223,7 +227,7 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
   }
 
   // Indexing and scheduling are pure optimizations: turning both off (the
-  // default `out` runs with both on) must not change a single fact.
+  // reference `out` runs with both on) must not change a single fact.
   EvalOptions plain;
   plain.enable_indexing = false;
   plain.enable_scheduling = false;
@@ -308,24 +312,18 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
   }
 
   // The register VM must be byte-equivalent to the tree-walker: serial,
-  // under the naive operator, inside the worker-pool fan-out with a
-  // randomized thread count, and with the IL optimizer on in each of
-  // those configurations.
+  // inside the worker-pool fan-out with a randomized thread count, and
+  // with the IL optimizer on in each of those configurations and under
+  // the naive operator (the VM's own naive run is `out_naive` above).
   {
     EvalOptions vm;
-    vm.engine = EvalOptions::Engine::kVm;
     auto out_vm = RunUnit(&u, &*unit, input, vm);
     ASSERT_TRUE(out_vm.ok()) << out_vm.status() << "\n" << source;
-    vm.enable_seminaive = false;
-    auto out_vm_naive = RunUnit(&u, &*unit, input, vm);
-    ASSERT_TRUE(out_vm_naive.ok()) << out_vm_naive.status() << "\n" << source;
-    vm.enable_seminaive = true;
     vm.num_threads = 2 + rng() % 7;
     vm.parallel_min_candidates = 1;
     auto out_vm_par = RunUnit(&u, &*unit, input, vm);
     ASSERT_TRUE(out_vm_par.ok()) << out_vm_par.status() << "\n" << source;
     EvalOptions vm_opt;
-    vm_opt.engine = EvalOptions::Engine::kVm;
     vm_opt.il_opt = true;
     auto out_opt = RunUnit(&u, &*unit, input, vm_opt);
     ASSERT_TRUE(out_opt.ok()) << out_opt.status() << "\n" << source;
@@ -341,7 +339,6 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
     // The fused tier (optimizer + superinstruction fusion), serially and
     // under the fan-out, and once more on the portable switch dispatch.
     EvalOptions vm_fused;
-    vm_fused.engine = EvalOptions::Engine::kVm;
     vm_fused.il_opt = true;
     vm_fused.il_fuse = true;
     auto out_fused = RunUnit(&u, &*unit, input, vm_fused);
@@ -360,9 +357,6 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
       EXPECT_EQ(out->Relation(name), out_vm->Relation(name))
           << "vm vs tree-walk divergence, seed " << GetParam() << "\n"
           << source;
-      EXPECT_EQ(out->Relation(name), out_vm_naive->Relation(name))
-          << "vm (naive) vs tree-walk divergence, seed " << GetParam()
-          << "\n" << source;
       EXPECT_EQ(out->Relation(name), out_vm_par->Relation(name))
           << "vm (" << vm.num_threads
           << " threads) vs tree-walk divergence, seed " << GetParam()

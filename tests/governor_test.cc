@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -407,12 +408,12 @@ TEST(GovernorTest, PressureHookRunsOnEveryFullCheck) {
   EXPECT_EQ(governor.CheckNow().code(), StatusCode::kOverloaded);
 }
 
-// ---- register VM engine ---------------------------------------------------
+// ---- register VM vs tree-walker -------------------------------------------
 
 // A longer converging chain than kTransitiveClosure, so tight budgets trip
 // mid-run with several committed steps to compare. Both rules are
-// VM-eligible (no invention, no choose), so engine = kVm actually runs the
-// register VM rather than falling back.
+// VM-eligible (no invention, no choose), so the default options actually
+// run the register VM rather than falling back.
 std::string ChainTc(int n) {
   std::ostringstream source;
   source << "schema { relation E : [D, D]; relation TC : [D, D]; }\n"
@@ -427,9 +428,10 @@ std::string ChainTc(int n) {
   return source.str();
 }
 
-EvalOptions VmOptions(bool seminaive, uint32_t threads) {
+// The tree-walker oracle the VM runs below are compared against.
+EvalOptions TreeWalkOptions(bool seminaive, uint32_t threads) {
   EvalOptions options = ModeOptions(seminaive, threads);
-  options.engine = EvalOptions::Engine::kVm;
+  options.tree_walk_oracle = true;
   return options;
 }
 
@@ -439,7 +441,7 @@ TEST(GovernorTest, VmStepTripMatchesTreeWalkerPartial) {
   // the tree-walker's, in every pipeline.
   std::string source = ChainTc(24);
   for (const Mode& mode : kModes) {
-    EvalOptions tree = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions tree = TreeWalkOptions(mode.seminaive, mode.threads);
     tree.limits.max_steps_per_stage = 3;
     RunOutcome tw = RunSource(source.c_str(), tree);
     ASSERT_FALSE(tw.status.ok()) << mode.name;
@@ -451,7 +453,7 @@ TEST(GovernorTest, VmStepTripMatchesTreeWalkerPartial) {
     // so committed steps stay bit-identical with either (or both) on.
     for (auto [il_opt, il_fuse] :
          {std::pair{false, false}, {true, false}, {true, true}}) {
-      EvalOptions vm = VmOptions(mode.seminaive, mode.threads);
+      EvalOptions vm = ModeOptions(mode.seminaive, mode.threads);
       vm.il_opt = il_opt;
       vm.il_fuse = il_fuse;
       vm.limits.max_steps_per_stage = 3;
@@ -475,7 +477,7 @@ TEST(GovernorTest, VmDerivationTripFiresAtTheSameStep) {
   // both engines: equal committed-step counts, byte-equal partials.
   std::string source = ChainTc(24);
   for (const Mode& mode : kModes) {
-    EvalOptions tree = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions tree = TreeWalkOptions(mode.seminaive, mode.threads);
     tree.limits.max_derivations = 40;
     RunOutcome tw = RunSource(source.c_str(), tree);
     ASSERT_FALSE(tw.status.ok()) << mode.name;
@@ -486,7 +488,7 @@ TEST(GovernorTest, VmDerivationTripFiresAtTheSameStep) {
     // fail), so the trip lands at the same step in every tier.
     for (auto [il_opt, il_fuse] :
          {std::pair{false, false}, {true, false}, {true, true}}) {
-      EvalOptions vm = VmOptions(mode.seminaive, mode.threads);
+      EvalOptions vm = ModeOptions(mode.seminaive, mode.threads);
       vm.il_opt = il_opt;
       vm.il_fuse = il_fuse;
       vm.limits.max_derivations = 40;
@@ -510,13 +512,13 @@ TEST(GovernorTest, VmMemoryTripRollsBackToAStepBoundary) {
   // checked by budget-matching the observed step count on the tree-walker.
   std::string source = ChainTc(32);
   for (const Mode& mode : kModes) {
-    EvalOptions vm = VmOptions(mode.seminaive, mode.threads);
+    EvalOptions vm = ModeOptions(mode.seminaive, mode.threads);
     vm.limits.max_memory_bytes = 8192;
     RunOutcome vo = RunSource(source.c_str(), vm);
     ASSERT_FALSE(vo.status.ok()) << mode.name;
     EXPECT_EQ(vo.stats.trip, TripReason::kMemory) << mode.name;
 
-    EvalOptions ref = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions ref = TreeWalkOptions(mode.seminaive, mode.threads);
     ref.limits.max_steps_per_stage = vo.stats.steps;
     RunOutcome reference = RunSource(source.c_str(), ref);
     EXPECT_EQ(reference.stats.trip, TripReason::kSteps) << mode.name;
@@ -526,13 +528,13 @@ TEST(GovernorTest, VmMemoryTripRollsBackToAStepBoundary) {
 
 TEST(GovernorTest, VmDeadlineTripRollsBackToAStepBoundary) {
   std::string source = ChainTc(220);
-  EvalOptions vm = VmOptions(true, 1);
+  EvalOptions vm = ModeOptions(true, 1);
   vm.limits.deadline_seconds = 0.005;
   RunOutcome vo = RunSource(source.c_str(), vm);
   if (vo.status.ok()) GTEST_SKIP() << "machine finished under the deadline";
   EXPECT_EQ(vo.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(vo.stats.trip, TripReason::kDeadline);
-  EvalOptions ref = ModeOptions(true, 1);
+  EvalOptions ref = TreeWalkOptions(true, 1);
   ref.limits.max_steps_per_stage = vo.stats.steps;
   RunOutcome reference = RunSource(source.c_str(), ref);
   EXPECT_EQ(vo.facts, reference.facts);
@@ -546,12 +548,12 @@ TEST(GovernorTest, VmPreemptionRollsBackToAStepBoundary) {
   ResourceLimits limits;
   limits.poll_stride = 1;
   Governor governor(limits);
-  int calls = 0;
+  // Atomic: with the default thread count the hook also runs on workers.
+  std::atomic<int> calls{0};
   governor.set_pressure_hook([&] {
     if (++calls == 400) governor.Preempt();
   });
   EvalOptions options;
-  options.engine = EvalOptions::Engine::kVm;
   options.governor = &governor;
   RunOutcome out = RunSource(source.c_str(), options);
   ASSERT_FALSE(out.status.ok());
@@ -559,7 +561,7 @@ TEST(GovernorTest, VmPreemptionRollsBackToAStepBoundary) {
   EXPECT_EQ(out.stats.trip, TripReason::kPreempted);
   EXPECT_GT(out.stats.steps, 0u);
 
-  EvalOptions ref = ModeOptions(true, 1);
+  EvalOptions ref = TreeWalkOptions(true, 1);
   ref.limits.max_steps_per_stage = out.stats.steps;
   RunOutcome reference = RunSource(source.c_str(), ref);
   EXPECT_EQ(out.facts, reference.facts);

@@ -355,8 +355,9 @@ TEST(IlOptDifferentialTest, OptimizedRunsMatchBothOracles) {
       options.enable_seminaive = seminaive;
       options.enable_indexing = indexing;
       // Oracle 1: the tree-walker. Oracle 2: the unoptimized VM.
+      options.tree_walk_oracle = true;
       std::string tree = RunToFacts(source, options);
-      options.engine = EvalOptions::Engine::kVm;
+      options.tree_walk_oracle = false;
       std::string vm = RunToFacts(source, options);
       options.il_opt = true;
       std::string vm_opt = RunToFacts(source, options);
@@ -388,8 +389,9 @@ TEST(IlOptDifferentialTest, StaticallyEmptyRuleStillRunsByteIdentical) {
     }
   )";
   EvalOptions options;
+  options.tree_walk_oracle = true;
   std::string tree = RunToFacts(source, options);
-  options.engine = EvalOptions::Engine::kVm;
+  options.tree_walk_oracle = false;
   options.il_opt = true;
   EXPECT_EQ(tree, RunToFacts(source, options));
 }
@@ -397,7 +399,6 @@ TEST(IlOptDifferentialTest, StaticallyEmptyRuleStillRunsByteIdentical) {
 TEST(IlOptDifferentialTest, OptimizerShrinksVmInstructionCount) {
   std::string source = JoinProgram();
   EvalOptions options;
-  options.engine = EvalOptions::Engine::kVm;
   EvalMetrics plain;
   RunToFacts(source, options, &plain);
   options.il_opt = true;
@@ -420,7 +421,6 @@ TEST(IlOptDifferentialTest, OptimizerShrinksVmInstructionCount) {
 TEST(IlOptDifferentialTest, FusionAccountsConstituentsAndDispatches) {
   std::string source = JoinProgram();
   EvalOptions options;
-  options.engine = EvalOptions::Engine::kVm;
   options.il_opt = true;
   EvalMetrics unfused;
   RunToFacts(source, options, &unfused);

@@ -111,18 +111,18 @@ void ExpectBitIdenticalAcrossThreadCounts(const std::string& source) {
     // the partition / private-buffer / rehoming merge pipeline.
     options.parallel_min_candidates = 1;
     options.num_threads = 1;
+    options.tree_walk_oracle = true;
     std::string serial = RunToFacts(source, options);
-    // Every (engine, vm config, thread count) cell must reproduce the
-    // serial tree-walker byte-for-byte -- the VM included, at one thread
-    // and under the fan-out, across optimizer / fusion / dispatch.
+    // Every (executor, vm config, thread count) cell must reproduce the
+    // serial tree-walker oracle byte-for-byte -- the VM included, at one
+    // thread and under the fan-out, across optimizer / fusion / dispatch.
     for (uint32_t threads : {2u, 8u}) {
       options.num_threads = threads;
-      options.engine = EvalOptions::Engine::kTreeWalk;
       EXPECT_EQ(RunToFacts(source, options), serial)
-          << "mode " << mode.name << ", engine tree-walk, num_threads "
+          << "mode " << mode.name << ", tree-walk oracle, num_threads "
           << threads;
     }
-    options.engine = EvalOptions::Engine::kVm;
+    options.tree_walk_oracle = false;
     for (const VmConfig& vc : kVmConfigs) {
       options.il_opt = vc.il_opt;
       options.il_fuse = vc.il_fuse;
@@ -130,7 +130,7 @@ void ExpectBitIdenticalAcrossThreadCounts(const std::string& source) {
       for (uint32_t threads : {1u, 2u, 8u}) {
         options.num_threads = threads;
         EXPECT_EQ(RunToFacts(source, options), serial)
-            << "mode " << mode.name << ", engine vm, config " << vc.name
+            << "mode " << mode.name << ", vm config " << vc.name
             << ", num_threads " << threads;
       }
     }
@@ -229,21 +229,19 @@ TEST(ParallelDifferentialTest, ChooseSeesCanonicalOrder) {
     options.choose_seed = 42;
     options.parallel_min_candidates = 1;
     options.num_threads = 1;
+    options.tree_walk_oracle = true;
     std::string serial = RunToFacts(source, options);
-    // Under engine=kVm the choose rule itself falls back to the
-    // tree-walker (its pick is enumeration-order sensitive) while the
-    // first stage runs compiled; the composition must stay byte-stable.
-    for (EvalOptions::Engine engine :
-         {EvalOptions::Engine::kTreeWalk, EvalOptions::Engine::kVm}) {
-      options.engine = engine;
+    // By default the choose rule itself runs on the tree-walker (its pick
+    // is enumeration-order sensitive) while the first stage runs on the
+    // VM; the composition must match the all-tree-walk oracle.
+    for (bool oracle : {true, false}) {
+      options.tree_walk_oracle = oracle;
       for (uint32_t threads : {1u, 2u, 8u}) {
-        if (engine == EvalOptions::Engine::kTreeWalk && threads == 1) {
-          continue;
-        }
+        if (oracle && threads == 1) continue;
         options.num_threads = threads;
         EXPECT_EQ(RunToFacts(source, options), serial)
-            << "policy " << static_cast<int>(policy) << ", engine "
-            << (engine == EvalOptions::Engine::kVm ? "vm" : "tree-walk")
+            << "policy " << static_cast<int>(policy) << ", "
+            << (oracle ? "tree-walk oracle" : "vm")
             << ", num_threads " << threads;
       }
     }

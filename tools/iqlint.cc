@@ -18,7 +18,7 @@
 //                        rule compiles to (tree-walk fallbacks marked);
 //                        used to maintain the golden IL corpus
 //   --il-dump-opt        like --il-dump, after the verified optimizer
-//                        passes (what `iqlsh --engine=vm --il-opt` runs)
+//                        passes (what `iqlsh --il-opt` runs on the VM)
 //
 // Exit status: 2 if any file has an error, 1 if any has a warning,
 // 0 otherwise (hints never fail a run).

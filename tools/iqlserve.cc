@@ -71,6 +71,10 @@
 //   --idle-timeout=MS --read-timeout=MS --write-timeout=MS
 //   --drain-grace=MS       grace window before preempting (default 2000)
 //
+// Numeric flag values are strict: trailing characters, a sign on an
+// unsigned flag, and a value outside the flag's range (--port above 65535,
+// say) are usage errors rather than a prefix parse or a wrapped value.
+//
 // Exit status: 0 when every query completed; 2 when any query was
 // rejected, tripped, or failed; 1 on usage or I/O errors.
 
@@ -90,6 +94,7 @@
 #include <vector>
 
 #include "base/fault_injection.h"
+#include "base/flags.h"
 #include "server/scheduler.h"
 #include "server/serve_loop.h"
 
@@ -392,102 +397,102 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    try {
-      if (arg == "--deterministic") {
-        sched.deterministic = true;
-      } else if (arg == "--trace") {
-        want_trace = true;
-      } else if (arg == "--print-facts") {
-        print_facts = true;
-      } else if (arg == "--counters") {
-        print_counters = true;
-      } else if (arg == "--serve") {
-        serve_mode = true;
-      } else if (arg.rfind("--port=", 0) == 0) {
-        port = static_cast<uint16_t>(std::stoul(arg.substr(7)));
-      } else if (arg.rfind("--connect=", 0) == 0) {
-        connect_port = std::stoi(arg.substr(10));
-      } else if (arg.rfind("--sim-clients=", 0) == 0) {
-        sim_clients = std::stoull(arg.substr(14));
-      } else if (arg.rfind("--drain-at=", 0) == 0) {
-        drain_at_ms = std::stoull(arg.substr(11));
-      } else if (arg.rfind("--tenant=", 0) == 0) {
-        tenant = arg.substr(9);
-      } else if (arg.rfind("--max-sessions=", 0) == 0) {
-        serve.max_sessions = std::stoull(arg.substr(15));
-      } else if (arg.rfind("--max-inflight=", 0) == 0) {
-        serve.session.max_inflight = std::stoull(arg.substr(15));
-      } else if (arg.rfind("--page-rows=", 0) == 0) {
-        serve.session.page_rows = std::stoull(arg.substr(12));
-      } else if (arg.rfind("--idle-timeout=", 0) == 0) {
-        serve.session.idle_timeout_ms = std::stoull(arg.substr(15));
-      } else if (arg.rfind("--read-timeout=", 0) == 0) {
-        serve.session.read_timeout_ms = std::stoull(arg.substr(15));
-      } else if (arg.rfind("--write-timeout=", 0) == 0) {
-        serve.session.write_timeout_ms = std::stoull(arg.substr(16));
-      } else if (arg.rfind("--drain-grace=", 0) == 0) {
-        serve.drain_grace_ms = std::stoull(arg.substr(14));
-      } else if (arg.rfind("--workers=", 0) == 0) {
-        sched.workers = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--queue-capacity=", 0) == 0) {
-        sched.queue_capacity = std::stoull(arg.substr(17));
-      } else if (arg.rfind("--quota-interactive=", 0) == 0) {
-        sched.class_quota[0] = std::stoull(arg.substr(20));
-      } else if (arg.rfind("--quota-batch=", 0) == 0) {
-        sched.class_quota[1] = std::stoull(arg.substr(14));
-      } else if (arg.rfind("--memory-budget=", 0) == 0) {
-        sched.global_memory_budget = std::stoull(arg.substr(16));
-      } else if (arg.rfind("--max-retries=", 0) == 0) {
-        sched.max_retries = std::stoi(arg.substr(14));
-      } else if (arg.rfind("--retry-base=", 0) == 0) {
-        sched.retry_base_seconds = std::stod(arg.substr(13));
-      } else if (arg.rfind("--data-dir=", 0) == 0) {
-        sched.data_dir = arg.substr(11);
-      } else if (arg == "--no-fsync") {
-        sched.durability.fsync = false;
-      } else if (arg.rfind("--seed=", 0) == 0) {
-        sched.seed = std::stoull(arg.substr(7));
-      } else if (arg.rfind("--repeat=", 0) == 0) {
-        repeat = std::stoull(arg.substr(9));
-      } else if (arg.rfind("--class=", 0) == 0) {
-        auto cls = ParseQueryClass(arg.substr(8));
-        if (!cls.ok()) {
-          std::cerr << "iqlserve: " << cls.status() << "\n";
-          return 1;
-        }
-        profile.cls = *cls;
-      } else if (arg.rfind("--priority=", 0) == 0) {
-        profile.priority = std::stoi(arg.substr(11));
-      } else if (arg.rfind("--max-steps=", 0) == 0) {
-        profile.limits.max_steps_per_stage = std::stoull(arg.substr(12));
-      } else if (arg.rfind("--timeout=", 0) == 0) {
-        profile.limits.deadline_seconds = std::stod(arg.substr(10));
-      } else if (arg.rfind("--max-memory=", 0) == 0) {
-        profile.limits.max_memory_bytes = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--reserve=", 0) == 0) {
-        profile.reserve_bytes = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--", 0) == 0) {
-        std::cerr << "iqlserve: unknown flag " << arg << "\n";
-        return Usage();
-      } else {
-        std::ifstream in(arg);
-        if (!in) {
-          std::cerr << "iqlserve: cannot open " << arg << "\n";
-          return 1;
-        }
-        std::ostringstream source;
-        source << in.rdbuf();
-        for (uint64_t k = 0; k < repeat; ++k) {
-          Submission sub;
-          sub.id = repeat == 1 ? arg : arg + "#" + std::to_string(k + 1);
-          sub.request = profile;
-          sub.request.id = sub.id;
-          sub.request.source = source.str();
-          submissions.push_back(std::move(sub));
-        }
+    iqlkit::Status bad = iqlkit::Status::Ok();  // a numeric flag's verdict
+    if (arg == "--deterministic") {
+      sched.deterministic = true;
+    } else if (arg == "--trace") {
+      want_trace = true;
+    } else if (arg == "--print-facts") {
+      print_facts = true;
+    } else if (arg == "--counters") {
+      print_counters = true;
+    } else if (arg == "--serve") {
+      serve_mode = true;
+    } else if (arg.rfind("--port=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &port);
+    } else if (arg.rfind("--connect=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &connect_port, 1, 65535);
+    } else if (arg.rfind("--sim-clients=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &sim_clients);
+    } else if (arg.rfind("--drain-at=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &drain_at_ms);
+    } else if (arg.rfind("--tenant=", 0) == 0) {
+      tenant = arg.substr(9);
+    } else if (arg.rfind("--max-sessions=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &serve.max_sessions);
+    } else if (arg.rfind("--max-inflight=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &serve.session.max_inflight);
+    } else if (arg.rfind("--page-rows=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &serve.session.page_rows);
+    } else if (arg.rfind("--idle-timeout=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &serve.session.idle_timeout_ms);
+    } else if (arg.rfind("--read-timeout=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &serve.session.read_timeout_ms);
+    } else if (arg.rfind("--write-timeout=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &serve.session.write_timeout_ms);
+    } else if (arg.rfind("--drain-grace=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &serve.drain_grace_ms);
+    } else if (arg.rfind("--workers=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &sched.workers);
+    } else if (arg.rfind("--queue-capacity=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &sched.queue_capacity);
+    } else if (arg.rfind("--quota-interactive=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &sched.class_quota[0]);
+    } else if (arg.rfind("--quota-batch=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &sched.class_quota[1]);
+    } else if (arg.rfind("--memory-budget=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &sched.global_memory_budget);
+    } else if (arg.rfind("--max-retries=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &sched.max_retries, 0);
+    } else if (arg.rfind("--retry-base=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &sched.retry_base_seconds, 0.0);
+    } else if (arg.rfind("--data-dir=", 0) == 0) {
+      sched.data_dir = arg.substr(11);
+    } else if (arg == "--no-fsync") {
+      sched.durability.fsync = false;
+    } else if (arg.rfind("--seed=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &sched.seed);
+    } else if (arg.rfind("--repeat=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &repeat);
+    } else if (arg.rfind("--class=", 0) == 0) {
+      auto cls = ParseQueryClass(arg.substr(8));
+      if (!cls.ok()) {
+        std::cerr << "iqlserve: " << cls.status() << "\n";
+        return 1;
       }
-    } catch (const std::exception&) {
-      std::cerr << "iqlserve: bad value in " << arg << "\n";
+      profile.cls = *cls;
+    } else if (arg.rfind("--priority=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &profile.priority);
+    } else if (arg.rfind("--max-steps=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &profile.limits.max_steps_per_stage);
+    } else if (arg.rfind("--timeout=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &profile.limits.deadline_seconds, 0.0);
+    } else if (arg.rfind("--max-memory=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &profile.limits.max_memory_bytes);
+    } else if (arg.rfind("--reserve=", 0) == 0) {
+      bad = iqlkit::SetNumericFlag(arg, &profile.reserve_bytes);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::cerr << "iqlserve: unknown flag " << arg << "\n";
+      return Usage();
+    } else {
+      std::ifstream in(arg);
+      if (!in) {
+        std::cerr << "iqlserve: cannot open " << arg << "\n";
+        return 1;
+      }
+      std::ostringstream source;
+      source << in.rdbuf();
+      for (uint64_t k = 0; k < repeat; ++k) {
+        Submission sub;
+        sub.id = repeat == 1 ? arg : arg + "#" + std::to_string(k + 1);
+        sub.request = profile;
+        sub.request.id = sub.id;
+        sub.request.source = source.str();
+        submissions.push_back(std::move(sub));
+      }
+    }
+    if (!bad.ok()) {
+      std::cerr << "iqlserve: " << bad << "\n";
       return 1;
     }
   }

@@ -5,7 +5,9 @@
 // The file contains `schema { ... }`, optional `input`/`output`
 // projections, an optional `instance { ... }` block of ground facts, and a
 // `program { ... }` block of rules. iqlsh parses, type checks, classifies
-// (§5), evaluates, and prints the result.
+// (§5), evaluates, and prints the result. Evaluation runs every
+// invention-free, choose-free rule on the register VM and the rest on the
+// tree-walker.
 //
 // Flags:
 //   --allow-deletions    enable IQL* negative heads (§4.5)
@@ -26,13 +28,10 @@
 //   --il, :il            print the flat rule IL each VM-eligible rule
 //                        compiles to (tree-walk fallbacks marked) and exit;
 //                        with --il-opt the optimized IL is printed
-//   --vm                  enumerate rule bodies with the register VM
-//                        (EvalOptions::engine = kVm); output is
-//                        byte-identical to the default tree-walker
 //   --il-opt             run the verified IL optimizer over every compiled
-//                        rule before the VM executes it (implies nothing
-//                        about results: they stay byte-identical); with
-//                        --il, print the optimized lowering instead
+//                        rule before the register VM executes it (results
+//                        stay byte-identical); with --il, print the
+//                        optimized lowering instead
 //   --il-fuse            run the superinstruction fusion pass after the
 //                        optimizer (keyed scans, destructures, compare
 //                        chains); results stay byte-identical; with --il,
@@ -68,6 +67,9 @@
 //   --no-fsync           skip fsync on snapshots/WAL frames (crash-only
 //                        durability, for tests and benchmarks)
 //
+// A malformed or out-of-range numeric flag value (trailing characters, a
+// sign on an unsigned flag, a negative timeout) is a usage error, exit 2.
+//
 // SIGINT (Ctrl-C) during evaluation cancels the running query instead of
 // killing the process: the governor rolls the instance back to the last
 // completed fixpoint step, iqlsh prints a partial-evaluation report, and
@@ -87,6 +89,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/diagnostic.h"
 #include "base/fault_injection.h"
+#include "base/flags.h"
 #include "iql/eval.h"
 #include "iql/il.h"
 #include "iql/ilopt.h"
@@ -145,7 +148,6 @@ int main(int argc, char** argv) {
   bool il_opt_flag = false;
   bool il_fuse_flag = false;
   bool dispatch_switch = false;
-  bool vm_flag = false;
   bool no_seminaive = false;
   bool no_index = false;
   bool no_schedule = false;
@@ -160,6 +162,7 @@ int main(int argc, char** argv) {
   std::string path;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    Status bad = Status::Ok();  // a numeric flag's verdict
     // `:name` is shell-friendly shorthand for `--name` (":metrics" reads
     // like a REPL command).
     if (arg.size() > 1 && arg[0] == ':') arg = "--" + arg.substr(1);
@@ -201,8 +204,6 @@ int main(int argc, char** argv) {
         std::cerr << "iqlsh: --dispatch expects 'switch' or 'threaded'\n";
         return 2;
       }
-    } else if (arg == "--vm") {
-      vm_flag = true;
     } else if (arg == "--no-seminaive") {
       no_seminaive = true;
     } else if (arg == "--no-index") {
@@ -212,13 +213,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--lint") {
       lint_flag = true;
     } else if (arg.rfind("--max-steps=", 0) == 0) {
-      max_steps = std::stoull(arg.substr(12));
+      bad = SetNumericFlag(arg, &max_steps);
     } else if (arg.rfind("--timeout=", 0) == 0) {
-      timeout_seconds = std::stod(arg.substr(10));
+      bad = SetNumericFlag(arg, &timeout_seconds, 0.0);
     } else if (arg.rfind("--max-memory=", 0) == 0) {
-      max_memory = std::stoull(arg.substr(13));
+      bad = SetNumericFlag(arg, &max_memory);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      num_threads = static_cast<uint32_t>(std::stoul(arg.substr(10)));
+      bad = SetNumericFlag(arg, &num_threads);
       threads_set = true;
     } else if (arg.rfind("--data-dir=", 0) == 0) {
       data_dir = arg.substr(11);
@@ -229,6 +230,10 @@ int main(int argc, char** argv) {
       return 2;
     } else {
       path = arg;
+    }
+    if (!bad.ok()) {
+      std::cerr << "iqlsh: " << bad << "\n";
+      return 2;
     }
   }
   if (path.empty()) {
@@ -395,7 +400,6 @@ int main(int argc, char** argv) {
   options.enable_seminaive = !no_seminaive;
   options.enable_indexing = !no_index;
   options.enable_scheduling = !no_schedule;
-  if (vm_flag) options.engine = EvalOptions::Engine::kVm;
   options.il_opt = il_opt_flag;
   options.il_fuse = il_fuse_flag;
   if (dispatch_switch) options.dispatch = EvalOptions::Dispatch::kSwitch;
