@@ -33,28 +33,20 @@ inline void ExportMetrics(benchmark::State& state,
   uint64_t derivations = 0;
   uint64_t scans = 0;
   uint64_t vm_instructions = 0;
-  uint64_t vm_fused_dispatches = 0;
   for (const RuleMetrics& r : metrics.rules) {
     derivations += r.derivations;
     scans += r.index_scans;
     vm_instructions += r.vm_instructions;
-    vm_fused_dispatches += r.vm_fused_dispatches;
   }
   state.counters["rule_derivations"] = static_cast<double>(derivations);
   // kIsRate divides by elapsed time, recording derivations per second.
   state.counters["derivations_per_sec"] = benchmark::Counter(
       static_cast<double>(derivations), benchmark::Counter::kIsRate);
   state.counters["extent_scans"] = static_cast<double>(scans);
-  // Zero for tree-walked rules; on the VM, the dispatch count whose
-  // reduction is the IL optimizer's whole point (run_all.sh divides by
-  // rule_derivations for instructions retired per emitted fact).
+  // Zero for tree-walked rules; on the VM, the instructions it dispatched
+  // (divide by rule_derivations for instructions per emitted fact).
   state.counters["vm_instructions"] =
       static_cast<double>(vm_instructions);
-  // Fused superinstructions dispatched (il_fuse runs only).
-  // vm_instructions stays in constituent units either way, so the gap
-  // between the two is the dispatch overhead fusion removed.
-  state.counters["vm_fused_dispatches"] =
-      static_cast<double>(vm_fused_dispatches);
   // "threads" would collide with google-benchmark's own field of that
   // name in the JSON output.
   state.counters["eval_threads"] = static_cast<double>(metrics.threads);

@@ -9,23 +9,13 @@
 // flat IL interpreted by vm::VmSolver. The outputs are byte-identical by
 // the differential suites; this file measures the cost of that
 // equivalence. `bench/run_all.sh` matches the pairs by name and records
-// the mean speedup under `.vm` in BENCH_RESULTS.json. The _VmOpt series
-// rerun the IQL graph workloads with `EvalOptions::il_opt` (the verified
-// optimizer of iql/ilopt.h); run_all.sh pairs them with _Vm under
-// `.vm_opt`, together with instructions retired per emitted fact from the
-// vm_instructions counter. The _VmFused series add the full second
-// execution tier on top -- threaded dispatch plus superinstruction
-// fusion (EvalOptions::il_fuse) -- and run_all.sh pairs them with
-// _VmOpt (or _Vm where no _VmOpt series exists) under `.vm_fused`. The
-// powerset series keeps its invention rules on the tree-walker (IL
-// compilation declines them), so it bounds the win when only part of a
-// program is VM-eligible; the Datalog pairs compare EvalMode::kVm
-// (plain and fused plans) against kSemiNaiveIndexed.
+// the mean speedup under `.vm` in BENCH_RESULTS.json. The powerset series
+// keeps its invention rules on the tree-walker (IL compilation declines
+// them), so it bounds the win when only part of a program is VM-eligible.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "datalog/datalog.h"
 
 namespace iqlkit::bench {
 namespace {
@@ -75,8 +65,7 @@ constexpr bool kTreeWalk = true;
 constexpr bool kVm = false;
 
 void RunGraphProgram(benchmark::State& state, std::string_view source,
-                     std::string_view out_rel, bool tree_walk_oracle,
-                     bool il_opt = false, bool il_fuse = false) {
+                     std::string_view out_rel, bool tree_walk_oracle) {
   int n = static_cast<int>(state.range(0));
   auto edges = RandomGraph(n, 2 * n, 17);
   size_t result_size = 0;
@@ -87,8 +76,6 @@ void RunGraphProgram(benchmark::State& state, std::string_view source,
     for (auto [a, b] : edges) run.AddEdge("E", a, b);
     EvalOptions options;
     options.tree_walk_oracle = tree_walk_oracle;
-    options.il_opt = il_opt;
-    options.il_fuse = il_fuse;
     options.metrics = &metrics;
     auto start = std::chrono::steady_clock::now();
     auto out = run.Run(options);
@@ -120,26 +107,6 @@ BENCHMARK(BM_Vm_Tc_Vm)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_Vm_Tc_VmOpt(benchmark::State& state) {
-  RunGraphProgram(state, kTC, "TC", kVm,
-                  /*il_opt=*/true);
-}
-BENCHMARK(BM_Vm_Tc_VmOpt)
-    ->RangeMultiplier(2)
-    ->Range(32, 128)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Vm_Tc_VmFused(benchmark::State& state) {
-  RunGraphProgram(state, kTC, "TC", kVm,
-                  /*il_opt=*/true, /*il_fuse=*/true);
-}
-BENCHMARK(BM_Vm_Tc_VmFused)
-    ->RangeMultiplier(2)
-    ->Range(32, 128)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
 void BM_Vm_Join_TreeWalk(benchmark::State& state) {
   RunGraphProgram(state, kTriangles, "T", kTreeWalk);
 }
@@ -158,36 +125,13 @@ BENCHMARK(BM_Vm_Join_Vm)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_Vm_Join_VmOpt(benchmark::State& state) {
-  RunGraphProgram(state, kTriangles, "T", kVm,
-                  /*il_opt=*/true);
-}
-BENCHMARK(BM_Vm_Join_VmOpt)
-    ->RangeMultiplier(2)
-    ->Range(64, 256)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Vm_Join_VmFused(benchmark::State& state) {
-  RunGraphProgram(state, kTriangles, "T", kVm,
-                  /*il_opt=*/true, /*il_fuse=*/true);
-}
-BENCHMARK(BM_Vm_Join_VmFused)
-    ->RangeMultiplier(2)
-    ->Range(64, 256)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void RunPowerset(benchmark::State& state, bool tree_walk_oracle,
-                 bool il_fuse = false) {
+void RunPowerset(benchmark::State& state, bool tree_walk_oracle) {
   int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     PreparedRun run(kPowerset);
     for (int i = 0; i < n; ++i) run.AddUnary("R", i);
     EvalOptions options;
     options.tree_walk_oracle = tree_walk_oracle;
-    options.il_opt = il_fuse;
-    options.il_fuse = il_fuse;
     auto start = std::chrono::steady_clock::now();
     auto out = run.Run(options);
     auto end = std::chrono::steady_clock::now();
@@ -212,81 +156,6 @@ void BM_Vm_Powerset_Vm(benchmark::State& state) {
 }
 BENCHMARK(BM_Vm_Powerset_Vm)
     ->DenseRange(3, 5, 1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Vm_Powerset_VmFused(benchmark::State& state) {
-  RunPowerset(state, kVm, /*il_fuse=*/true);
-}
-BENCHMARK(BM_Vm_Powerset_VmFused)
-    ->DenseRange(3, 5, 1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-// Datalog core: the compiled bind/check plans (EvalMode::kVm) against the
-// indexed interpreter they were lowered from.
-void RunDatalogTc(benchmark::State& state, datalog::EvalMode mode,
-                  datalog::VmOptions vm = {}) {
-  int n = static_cast<int>(state.range(0));
-  auto edges = RandomGraph(n, 2 * n, 17);
-  size_t result_size = 0;
-  for (auto _ : state) {
-    datalog::Database db;
-    int e = *db.AddRelation("E", 2);
-    int tc = *db.AddRelation("TC", 2);
-    datalog::Program prog;
-    using datalog::Atom;
-    using datalog::Term;
-    prog.rules.push_back(datalog::Rule{
-        Atom{tc, {Term::Var(0), Term::Var(1)}},
-        {Atom{e, {Term::Var(0), Term::Var(1)}}},
-        {}});
-    prog.rules.push_back(datalog::Rule{
-        Atom{tc, {Term::Var(0), Term::Var(2)}},
-        {Atom{tc, {Term::Var(0), Term::Var(1)}},
-         Atom{e, {Term::Var(1), Term::Var(2)}}},
-        {}});
-    for (auto [a, b] : edges) {
-      db.AddFact(e, {db.InternConstant(a), db.InternConstant(b)});
-    }
-    auto start = std::chrono::steady_clock::now();
-    Status s = datalog::Evaluate(prog, &db, mode, /*stats=*/nullptr,
-                                 /*num_threads=*/1, /*governor=*/nullptr,
-                                 vm);
-    auto end = std::chrono::steady_clock::now();
-    IQL_CHECK(s.ok()) << s;
-    result_size = db.FactCount(tc);
-    state.SetIterationTime(
-        std::chrono::duration<double>(end - start).count());
-  }
-  state.counters["output_facts"] = static_cast<double>(result_size);
-}
-
-void BM_Vm_Datalog_TreeWalk(benchmark::State& state) {
-  RunDatalogTc(state, datalog::EvalMode::kSemiNaiveIndexed);
-}
-BENCHMARK(BM_Vm_Datalog_TreeWalk)
-    ->RangeMultiplier(2)
-    ->Range(64, 256)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Vm_Datalog_Vm(benchmark::State& state) {
-  RunDatalogTc(state, datalog::EvalMode::kVm);
-}
-BENCHMARK(BM_Vm_Datalog_Vm)
-    ->RangeMultiplier(2)
-    ->Range(64, 256)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Vm_Datalog_VmFused(benchmark::State& state) {
-  RunDatalogTc(state, datalog::EvalMode::kVm,
-               datalog::VmOptions{/*threaded=*/true, /*fuse=*/true});
-}
-BENCHMARK(BM_Vm_Datalog_VmFused)
-    ->RangeMultiplier(2)
-    ->Range(64, 256)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -103,9 +103,9 @@ jq '
 mv "$OUT.tmp2" "$OUT.tmp"
 # Register VM: per-workload speedup of the flat-IL VM over the
 # tree-walker on matched bench_vm series (identical program + input; the
-# _TreeWalk/_Vm name pairs differ only in EvalOptions::tree_walk_oracle,
-# or in EvalMode kSemiNaiveIndexed vs kVm for the Datalog pair). Recorded under
-# .vm so the VM-vs-tree-walk trajectory lives in the merged file.
+# _TreeWalk/_Vm name pairs differ only in EvalOptions::tree_walk_oracle).
+# Recorded under .vm so the VM-vs-tree-walk trajectory lives in the merged
+# file.
 jq '
   (.runs.bench_vm.benchmarks // []) as $b
   | [ $b[] | select(.name | contains("_Vm/"))
@@ -118,74 +118,6 @@ jq '
       .vm = {mean_speedup: (([$pairs[].speedup] | add) / ($pairs | length)),
              points: ($pairs | length),
              pairs: $pairs}
-    else . end
-' "$OUT.tmp" > "$OUT.tmp2"
-mv "$OUT.tmp2" "$OUT.tmp"
-# IL optimizer: matched _Vm/_VmOpt bench_vm pairs (identical program,
-# input, and engine; the only difference is EvalOptions::il_opt). Records
-# the wall-clock speedup and, from the vm_instructions counter, the VM
-# instructions retired per emitted fact with the optimizer off and on --
-# the dispatch reduction is the optimizer's direct effect, visible even
-# when wall time is noise-bound. Recorded under .vm_opt.
-jq '
-  (.runs.bench_vm.benchmarks // []) as $b
-  | [ $b[] | select(.name | contains("_VmOpt/"))
-      | {key: (.name | sub("_VmOpt/"; "/")), t: .real_time,
-         ipe: (if (.rule_derivations // 0) > 0
-               then (.vm_instructions / .rule_derivations) else null end)} ]
-      as $opt
-  | [ $b[] | select((.name | contains("_Vm/")) and
-                    (.name | contains("_VmOpt/") | not))
-      | {key: (.name | sub("_Vm/"; "/")), t: .real_time,
-         ipe: (if (.rule_derivations // 0) > 0
-               then (.vm_instructions / .rule_derivations) else null end)} ]
-      as $plain
-  | [ $opt[] as $o | $plain[] | select(.key == $o.key)
-      | {workload: $o.key, speedup: (.t / $o.t),
-         instructions_per_emit: .ipe,
-         instructions_per_emit_opt: $o.ipe} ] as $pairs
-  | if ($pairs | length) > 0 then
-      .vm_opt = {mean_speedup:
-                   (([$pairs[].speedup] | add) / ($pairs | length)),
-                 points: ($pairs | length),
-                 pairs: $pairs}
-    else . end
-' "$OUT.tmp" > "$OUT.tmp2"
-mv "$OUT.tmp2" "$OUT.tmp"
-# Fused execution tier: matched _VmFused bench_vm series (threaded
-# dispatch + EvalOptions::il_fuse on top of il_opt) against the best
-# non-fused baseline -- _VmOpt where that series exists, plain _Vm
-# otherwise (powerset, Datalog). Also records fused superinstructions
-# dispatched and constituent instructions per emitted fact, so the
-# dispatch reduction is visible even when wall time is noise-bound.
-# Recorded under .vm_fused.
-jq '
-  (.runs.bench_vm.benchmarks // []) as $b
-  | [ $b[] | select(.name | contains("_VmFused/"))
-      | {key: (.name | sub("_VmFused/"; "/")), t: .real_time,
-         fused: (.vm_fused_dispatches // 0),
-         ipe: (if (.rule_derivations // 0) > 0
-               then (.vm_instructions / .rule_derivations) else null end)} ]
-      as $fused
-  | [ $b[] | select(.name | contains("_VmOpt/"))
-      | {key: (.name | sub("_VmOpt/"; "/")), t: .real_time} ] as $opt
-  | [ $b[] | select((.name | contains("_Vm/")) and
-                    (.name | contains("_VmOpt/") | not))
-      | {key: (.name | sub("_Vm/"; "/")), t: .real_time} ] as $plain
-  | [ $fused[] as $f
-      | [ $opt[] | select(.key == $f.key) ] as $o
-      | (($o + [$plain[] | select(.key == $f.key)]) | first) as $base
-      | select($base != null)
-      | {workload: $f.key,
-         baseline: (if ($o | length) > 0 then "vm_opt" else "vm" end),
-         speedup: ($base.t / $f.t),
-         fused_dispatches: $f.fused,
-         instructions_per_emit: $f.ipe} ] as $pairs
-  | if ($pairs | length) > 0 then
-      .vm_fused = {mean_speedup:
-                     (([$pairs[].speedup] | add) / ($pairs | length)),
-                   points: ($pairs | length),
-                   pairs: $pairs}
     else . end
 ' "$OUT.tmp" > "$OUT.tmp2"
 mv "$OUT.tmp2" "$OUT.tmp"
@@ -247,16 +179,6 @@ fi
 if jq -e '.vm' "$OUT" > /dev/null; then
   echo "vm mean speedup over tree-walker: $(jq '.vm.mean_speedup' "$OUT")" \
        "($(jq '.vm.points' "$OUT") matched points)"
-fi
-if jq -e '.vm_opt' "$OUT" > /dev/null; then
-  echo "il_opt mean speedup over plain vm:" \
-       "$(jq '.vm_opt.mean_speedup' "$OUT")" \
-       "($(jq '.vm_opt.points' "$OUT") matched points)"
-fi
-if jq -e '.vm_fused' "$OUT" > /dev/null; then
-  echo "fused tier mean speedup over non-fused baseline:" \
-       "$(jq '.vm_fused.mean_speedup' "$OUT")" \
-       "($(jq '.vm_fused.points' "$OUT") matched points)"
 fi
 if jq -e '.durability' "$OUT" > /dev/null; then
   echo "durability overhead ratio: $(jq '.durability.overhead_ratio' "$OUT")" \

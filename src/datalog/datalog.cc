@@ -9,13 +9,6 @@
 #include "base/logging.h"
 #include "base/thread_pool.h"
 
-// Computed-goto action dispatch is a GCC/Clang extension; the same gate
-// the IQL VM uses (iql/vm.cc) selects it, and IQLKIT_FORCE_SWITCH_DISPATCH
-// forces the portable switch interpreter for differential builds.
-#if defined(__GNUC__) && !defined(IQLKIT_FORCE_SWITCH_DISPATCH)
-#define IQLKIT_DATALOG_THREADED_DISPATCH 1
-#endif
-
 namespace iqlkit::datalog {
 
 size_t TupleHash::operator()(const Tuple& t) const {
@@ -166,13 +159,12 @@ constexpr size_t kParallelMinFacts = 4;
 class Engine {
  public:
   Engine(const Program& program, Database* db, Stats* stats, ThreadPool* pool,
-         Governor* governor, VmOptions vm_opts)
+         Governor* governor)
       : program_(program),
         db_(db),
         stats_(stats),
         pool_(pool),
-        governor_(governor),
-        vm_opts_(vm_opts) {}
+        governor_(governor) {}
 
   Status Run(EvalMode mode) {
     IQL_ASSIGN_OR_RETURN(std::vector<int> strata,
@@ -182,11 +174,7 @@ class Engine {
       IQL_RETURN_IF_ERROR(CheckRule(program_.rules[i], *db_,
                                     static_cast<int>(i), &var_counts_[i]));
     }
-    vm_ = mode == EvalMode::kVm;
-    indexed_ = mode == EvalMode::kSemiNaiveIndexed || vm_;
-    fuse_ = vm_ && vm_opts_.fuse;
-    threaded_ = vm_opts_.threaded;
-    if (vm_) CompilePlans();
+    indexed_ = mode == EvalMode::kSemiNaiveIndexed;
     stats_->rule_derivations.assign(program_.rules.size(), 0);
     // Context 0 serves serial joins; 1..workers are fan-out slots. Each
     // keeps its own positional indexes, so workers never share an index.
@@ -224,42 +212,6 @@ class Engine {
   }
 
  private:
-  // One position of one body atom, lowered for the kVm engine. Which
-  // variable positions bind is static -- atoms join strictly in body
-  // order, so a variable's first occurrence (scanning atoms, then
-  // positions) binds and every later occurrence checks, exactly the
-  // decisions MatchAtom makes dynamically through the kUnbound sentinel.
-  struct Action {
-    enum Kind : uint8_t { kCheckConst, kBind, kCheckVar };
-    Kind kind = kCheckConst;
-    uint16_t pos = 0;  // tuple position
-    Value val = 0;     // constant value (kCheckConst) or variable id
-  };
-
-  struct AtomPlan {
-    std::vector<Action> actions;  // one per position, in position order
-    std::vector<Value> binds;     // variable ids this atom's kBind set
-    // Static bound-position mask: constants plus variables bound by an
-    // earlier atom (within-atom repeats stay unmasked, as in the dynamic
-    // computation). 0 when the atom has no bound position or its arity
-    // exceeds the 32-bit mask, forcing the dense scan either way.
-    uint32_t mask = 0;
-    // Fused re-plan (VmOptions::fuse): the same actions grouped into
-    // phase-ordered check lists, then the binds. A within-atom repeat of a
-    // variable first bound *by this atom* cannot check the environment
-    // before the bind runs, so it becomes a fact-position pair compare
-    // against the first occurrence. Failures touch env not at all, which
-    // is what lets MatchFused skip the unbind on the failure path.
-    std::vector<Action> const_checks;   // fact[pos] == val
-    std::vector<Action> var_checks;     // fact[pos] == env[val]
-    std::vector<std::pair<uint16_t, uint16_t>> pair_checks;  // pos == pos0
-    std::vector<Action> bind_acts;      // env[val] = fact[pos]
-  };
-
-  struct RulePlan {
-    std::vector<AtomPlan> atoms;  // indexed like Rule::body
-  };
-
   // A lazily built, incrementally extended hash index over the bound
   // positions of one relation. facts_ vectors are append-only, so `stamp`
   // (the indexed prefix length) is all the invalidation state needed.
@@ -407,14 +359,6 @@ class Engine {
           size_t hi = begin + width * (w + 1) / workers;
           for (size_t f = lo; f < hi; ++f) {
             if (governor_ != nullptr && governor_->tripped()) return;
-            if (vm_) {
-              if (Match(plans_[i].atoms[0], facts[f], env)) {
-                JoinBodyVm(rule, plans_[i], env, 1, delta_atom, delta_begin,
-                           ctx);
-              }
-              UnbindPlanned(plans_[i].atoms[0], env);
-              continue;
-            }
             std::vector<int> trail;
             if (MatchAtom(rule.body[0], facts[f], &env, &trail)) {
               JoinBody(rule, env, 1, delta_atom, delta_begin, ctx);
@@ -432,11 +376,7 @@ class Engine {
       }
     }
     std::vector<Value> env(var_counts_[i], kUnbound);
-    if (vm_) {
-      JoinBodyVm(rule, plans_[i], env, 0, delta_atom, delta_begin, ctxs_[0]);
-    } else {
-      JoinBody(rule, env, 0, delta_atom, delta_begin, ctxs_[0]);
-    }
+    JoinBody(rule, env, 0, delta_atom, delta_begin, ctxs_[0]);
     std::move(ctxs_[0].pending.begin(), ctxs_[0].pending.end(),
               std::back_inserter(*pending));
     ctxs_[0].pending.clear();
@@ -459,265 +399,6 @@ class Engine {
       }
     }
     return true;
-  }
-
-  // Lowers every rule body to flat per-atom action lists (kVm).
-  void CompilePlans() {
-    plans_.resize(program_.rules.size());
-    for (size_t i = 0; i < program_.rules.size(); ++i) {
-      RulePlan& plan = plans_[i];
-      plan.atoms.assign(program_.rules[i].body.size(), AtomPlan());
-      std::unordered_set<Value> bound;  // vars bound by earlier atoms
-      for (size_t j = 0; j < program_.rules[i].body.size(); ++j) {
-        const Atom& atom = program_.rules[i].body[j];
-        AtomPlan& ap = plan.atoms[j];
-        std::unordered_set<Value> here;  // vars this atom binds
-        for (size_t k = 0; k < atom.terms.size(); ++k) {
-          const Term& t = atom.terms[k];
-          Action a;
-          a.pos = static_cast<uint16_t>(k);
-          a.val = t.value;
-          if (!t.is_var) {
-            a.kind = Action::kCheckConst;
-          } else if (bound.count(t.value) || here.count(t.value)) {
-            a.kind = Action::kCheckVar;
-          } else {
-            a.kind = Action::kBind;
-            here.insert(t.value);
-            ap.binds.push_back(t.value);
-          }
-          ap.actions.push_back(a);
-          if (atom.terms.size() <= 32 &&
-              (!t.is_var || bound.count(t.value))) {
-            ap.mask |= uint32_t{1} << k;
-          }
-        }
-        if (fuse_) {
-          // Phase grouping preserves relative order within each phase, so
-          // the conjunction of checks -- a pure function of (fact, env) --
-          // is the one the position-order interpreter computes.
-          std::unordered_map<Value, uint16_t> first_pos;
-          for (const Action& a : ap.actions) {
-            switch (a.kind) {
-              case Action::kCheckConst:
-                ap.const_checks.push_back(a);
-                break;
-              case Action::kBind:
-                first_pos.emplace(a.val, a.pos);
-                ap.bind_acts.push_back(a);
-                break;
-              case Action::kCheckVar: {
-                auto it = first_pos.find(a.val);
-                if (it != first_pos.end()) {
-                  ap.pair_checks.emplace_back(a.pos, it->second);
-                } else {
-                  ap.var_checks.push_back(a);
-                }
-                break;
-              }
-            }
-          }
-        }
-        bound.insert(here.begin(), here.end());
-      }
-    }
-  }
-
-  // The compiled analogue of MatchAtom: applies one atom's action list to
-  // a candidate fact. On failure every bind the plan owns is cleared --
-  // those variables were necessarily unbound on entry (each is a rule-wide
-  // first occurrence), so blanket clearing equals the dynamic trail.
-  static bool MatchPlanned(const AtomPlan& ap, const Tuple& fact,
-                           std::vector<Value>& env) {
-    for (const Action& a : ap.actions) {
-      switch (a.kind) {
-        case Action::kCheckConst:
-          if (fact[a.pos] != a.val) {
-            UnbindPlanned(ap, env);
-            return false;
-          }
-          break;
-        case Action::kBind:
-          env[a.val] = fact[a.pos];
-          break;
-        case Action::kCheckVar:
-          if (env[a.val] != fact[a.pos]) {
-            UnbindPlanned(ap, env);
-            return false;
-          }
-          break;
-      }
-    }
-    return true;
-  }
-
-  static void UnbindPlanned(const AtomPlan& ap, std::vector<Value>& env) {
-    for (Value v : ap.binds) env[v] = kUnbound;
-  }
-
-  // The fused matcher: all checks, then all binds. Same decision as
-  // MatchPlanned for every (fact, env) -- checks read only earlier-atom
-  // bindings and the fact itself -- but a failure returns with env
-  // untouched, so no unbind runs on the (dominant) miss path.
-  static bool MatchFused(const AtomPlan& ap, const Tuple& fact,
-                         std::vector<Value>& env) {
-    for (const Action& a : ap.const_checks) {
-      if (fact[a.pos] != a.val) return false;
-    }
-    for (const Action& a : ap.var_checks) {
-      if (env[a.val] != fact[a.pos]) return false;
-    }
-    for (const auto& [pos, pos0] : ap.pair_checks) {
-      if (fact[pos] != fact[pos0]) return false;
-    }
-    for (const Action& a : ap.bind_acts) env[a.val] = fact[a.pos];
-    return true;
-  }
-
-#ifdef IQLKIT_DATALOG_THREADED_DISPATCH
-  // MatchPlanned with the per-action switch replaced by an indirect jump
-  // through a label table: each action body jumps straight to the next
-  // action's body, so the branch predictor keys on per-transition targets
-  // instead of one shared dispatch branch. Same bodies, same order, same
-  // result as the switch interpreter.
-  static bool MatchPlannedThreaded(const AtomPlan& ap, const Tuple& fact,
-                                   std::vector<Value>& env) {
-    static const void* const kKind[] = {&&act_check_const, &&act_bind,
-                                        &&act_check_var};
-    const Action* a = ap.actions.data();
-    const Action* const end = a + ap.actions.size();
-#define DL_NEXT()                 \
-  do {                            \
-    if (a == end) return true;    \
-    goto* kKind[a->kind];         \
-  } while (0)
-    DL_NEXT();
-  act_check_const:
-    if (fact[a->pos] != a->val) goto fail;
-    ++a;
-    DL_NEXT();
-  act_bind:
-    env[a->val] = fact[a->pos];
-    ++a;
-    DL_NEXT();
-  act_check_var:
-    if (env[a->val] != fact[a->pos]) goto fail;
-    ++a;
-    DL_NEXT();
-  fail:
-    UnbindPlanned(ap, env);
-    return false;
-#undef DL_NEXT
-  }
-#endif  // IQLKIT_DATALOG_THREADED_DISPATCH
-
-  // Selects the matcher the run's VmOptions ask for. All three compute
-  // the identical match decision; they differ only in dispatch mechanics
-  // and failure-path writes.
-  bool Match(const AtomPlan& ap, const Tuple& fact,
-             std::vector<Value>& env) const {
-    if (fuse_) return MatchFused(ap, fact, env);
-#ifdef IQLKIT_DATALOG_THREADED_DISPATCH
-    if (threaded_) return MatchPlannedThreaded(ap, fact, env);
-#endif
-    return MatchPlanned(ap, fact, env);
-  }
-
-  // The kVm executor: iterates body levels j0..end with an explicit
-  // cursor stack instead of recursion. Candidate order, index probes, and
-  // governor polls mirror JoinBody exactly; a poll failure exhausts the
-  // innermost level, and the (tripped) parents then fail their own next
-  // poll, reproducing the recursive unwind.
-  void JoinBodyVm(const Rule& rule, const RulePlan& plan,
-                  std::vector<Value>& env, size_t j0, int delta_atom,
-                  size_t delta_begin, JoinCtx& ctx) {
-    struct Lvl {
-      const std::vector<Tuple>* facts = nullptr;
-      const std::vector<size_t>* bucket = nullptr;  // null: dense range
-      size_t idx = 0;  // next bucket slot, or next fact position
-      size_t end = 0;
-    };
-    const size_t n = rule.body.size();
-    std::vector<Lvl> stack;
-    stack.reserve(n - j0);
-    bool descend = true;
-    for (;;) {
-      if (descend) {
-        size_t j = j0 + stack.size();
-        if (j == n) {
-          // Negated atoms, then emit -- as the interpreter's base case.
-          bool blocked = false;
-          for (const Atom& a : rule.negated) {
-            Tuple t(a.terms.size());
-            for (size_t k = 0; k < a.terms.size(); ++k) {
-              t[k] = a.terms[k].is_var ? env[a.terms[k].value]
-                                       : a.terms[k].value;
-            }
-            if (db_->Contains(a.relation, t)) {
-              blocked = true;
-              break;
-            }
-          }
-          if (!blocked) {
-            ++ctx.derivations;
-            ++ctx.rule_derivations[current_rule_];
-            Tuple t(rule.head.terms.size());
-            for (size_t k = 0; k < rule.head.terms.size(); ++k) {
-              const Term& term = rule.head.terms[k];
-              t[k] = term.is_var ? env[term.value] : term.value;
-            }
-            ctx.pending.emplace_back(rule.head.relation, std::move(t));
-          }
-          descend = false;
-          continue;
-        }
-        const Atom& atom = rule.body[j];
-        const AtomPlan& ap = plan.atoms[j];
-        const std::vector<Tuple>& facts = db_->Facts(atom.relation);
-        size_t begin = static_cast<int>(j) == delta_atom ? delta_begin : 0;
-        Lvl lvl;
-        lvl.facts = &facts;
-        if (indexed_ && ap.mask != 0) {
-          const std::vector<size_t>* bucket =
-              ProbeIndex(atom, ap.mask, env, ctx);
-          if (bucket == nullptr) {
-            descend = false;  // guaranteed miss: no frame, advance parent
-            continue;
-          }
-          lvl.bucket = bucket;
-          lvl.idx = static_cast<size_t>(
-              std::lower_bound(bucket->begin(), bucket->end(), begin) -
-              bucket->begin());
-          lvl.end = bucket->size();
-        } else {
-          lvl.idx = begin;
-          lvl.end = facts.size();
-        }
-        stack.push_back(lvl);
-      }
-      // Advance the innermost open level to its next matching candidate.
-      if (stack.empty()) return;
-      size_t j = j0 + stack.size() - 1;
-      Lvl& lvl = stack.back();
-      const AtomPlan& ap = plan.atoms[j];
-      UnbindPlanned(ap, env);  // clear the previous candidate's binds
-      bool found = false;
-      while (lvl.idx < lvl.end) {
-        if (governor_ != nullptr && !governor_->Poll().ok()) break;
-        size_t f = lvl.bucket != nullptr ? (*lvl.bucket)[lvl.idx] : lvl.idx;
-        ++lvl.idx;
-        if (Match(ap, (*lvl.facts)[f], env)) {
-          found = true;
-          break;
-        }
-      }
-      if (found) {
-        descend = true;
-      } else {
-        stack.pop_back();
-        descend = false;
-      }
-    }
   }
 
   // Recursively joins body atoms j..end; atom delta_atom (if >= 0) ranges
@@ -822,12 +503,7 @@ class Engine {
   ThreadPool* pool_ = nullptr;
   Governor* governor_ = nullptr;
   std::vector<int> var_counts_;
-  std::vector<RulePlan> plans_;  // kVm: one compiled plan per rule
-  VmOptions vm_opts_;
   bool indexed_ = false;
-  bool vm_ = false;
-  bool fuse_ = false;     // kVm with VmOptions::fuse
-  bool threaded_ = true;  // kVm dispatch choice (when compiled in)
   size_t current_rule_ = 0;
   // ctxs_[0] is the serial context; ctxs_[1 + w] belongs to worker w.
   std::vector<JoinCtx> ctxs_;
@@ -836,15 +512,14 @@ class Engine {
 }  // namespace
 
 Status Evaluate(const Program& program, Database* db, EvalMode mode,
-                Stats* stats, uint32_t num_threads, Governor* governor,
-                VmOptions vm) {
+                Stats* stats, uint32_t num_threads, Governor* governor) {
   Stats local;
   if (stats == nullptr) stats = &local;
   size_t threads = ResolveThreadCount(num_threads);
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
   Engine engine(program, db, stats, pool.has_value() ? &*pool : nullptr,
-                governor, vm);
+                governor);
   Status run = engine.Run(mode);
   if (!run.ok() && governor != nullptr && governor->tripped()) {
     ResourceReport report = governor->Report();

@@ -101,34 +101,6 @@ enum class EvalMode {
   // positions in ascending order, so the delta-atom constraint (position
   // >= delta_begin) is a binary search away.
   kSemiNaiveIndexed,
-  // kSemiNaiveIndexed joins executed by a compiled engine instead of the
-  // recursive interpreter: each body atom is lowered once per run to a
-  // flat action list (check-constant / bind / check-variable per position
-  // -- which positions bind is static, because atoms always join in body
-  // order) plus a static bound-position mask, and an iterative executor
-  // drives the candidate cursors with an explicit level stack. Candidate
-  // enumeration order, index probes, and governor polls are those of the
-  // interpreter, so the fixpoint -- and facts_ insertion order -- is
-  // bit-for-bit identical at every thread count.
-  kVm,
-};
-
-// Execution knobs for the kVm engine (ignored by the interpreted modes).
-// Both default to the fast settings; both are output-invariant -- the
-// match decision per (atom, fact, env) is a pure function, so candidate
-// order, index probes, governor polls, and facts_ insertion order are
-// byte-for-byte those of the baseline action interpreter.
-struct VmOptions {
-  // Dispatch atom actions through a computed-goto loop where the build
-  // supports it (GCC/Clang without IQLKIT_FORCE_SWITCH_DISPATCH);
-  // otherwise the switch interpreter runs regardless of this flag.
-  bool threaded = true;
-  // Re-plan each atom's action list into phase-ordered check lists
-  // (constant checks, bound-variable checks, within-atom repeat checks as
-  // fact-position pair compares) followed by the binds. Checks cannot
-  // observe this atom's own binds, so failures write nothing and the
-  // per-candidate unbind on the failure path disappears.
-  bool fuse = false;
 };
 
 struct Stats {
@@ -164,7 +136,7 @@ struct Stats {
 // is present (a forced fault trips it, draining the pool).
 Status Evaluate(const Program& program, Database* db, EvalMode mode,
                 Stats* stats = nullptr, uint32_t num_threads = 1,
-                Governor* governor = nullptr, VmOptions vm = {});
+                Governor* governor = nullptr);
 
 // Computes the stratification: stratum index per relation, or an error if
 // the program recurses through negation.

@@ -19,7 +19,6 @@
 #include "base/thread_pool.h"
 #include "iql/extent.h"
 #include "iql/il.h"
-#include "iql/ilopt.h"
 #include "iql/index.h"
 #include "iql/parser.h"
 #include "iql/typecheck.h"
@@ -886,12 +885,6 @@ class StageRunner {
       compiled_.resize(rules_.size());
       for (size_t i = 0; i < rules_.size(); ++i) {
         compiled_[i] = il::CompileRule(prog_, rules_[i]);
-        if (options_.il_opt && compiled_[i].has_value()) {
-          compiled_[i] = il::OptimizeForExecution(*compiled_[i]);
-        }
-        if (options_.il_fuse && compiled_[i].has_value()) {
-          compiled_[i] = il::FuseForExecution(*compiled_[i]);
-        }
       }
     }
   }
@@ -964,15 +957,9 @@ class StageRunner {
     auto key = std::make_pair(r, delta_literal);
     auto it = delta_compiled_.find(key);
     if (it == delta_compiled_.end()) {
-      std::optional<il::CompiledRule> cr =
-          il::CompileRule(prog_, rules_[r], delta_literal);
-      if (options_.il_opt && cr.has_value()) {
-        cr = il::OptimizeForExecution(*cr);
-      }
-      if (options_.il_fuse && cr.has_value()) {
-        cr = il::FuseForExecution(*cr);
-      }
-      it = delta_compiled_.emplace(key, std::move(cr)).first;
+      it = delta_compiled_
+               .emplace(key, il::CompileRule(prog_, rules_[r], delta_literal))
+               .first;
     }
     return it->second.has_value() ? &*it->second : nullptr;
   }
@@ -993,7 +980,6 @@ class StageRunner {
       vctx.values = ctx.values;
       vctx.governor = ctx.governor;
       vctx.prepared = prepared;
-      vctx.threaded = options_.dispatch == EvalOptions::Dispatch::kThreaded;
       out->regvm.emplace(*cr, inst, vctx, delta_facts);
     } else {
       out->tree.emplace(prog_, rules_[r], inst, ctx, delta_literal,
@@ -1421,7 +1407,6 @@ class StageRunner {
         rm->index_probes += st.shard.index_probes;
         rm->index_scans += st.shard.index_scans;
         rm->vm_instructions += st.shard.vm_instructions;
-        rm->vm_fused_dispatches += st.shard.vm_fused_dispatches;
       }
       if (st.index.has_value()) FoldIndexCounters(*st.index);
     }
@@ -1972,7 +1957,6 @@ std::string EvalMetrics::ToJson() const {
        << ",\"index_scans\":" << r.index_scans
        << ",\"parallel_partitions\":" << r.parallel_partitions
        << ",\"vm_instructions\":" << r.vm_instructions
-       << ",\"vm_fused_dispatches\":" << r.vm_fused_dispatches
        << ",\"seconds\":" << r.seconds << "}";
   }
   os << "],\"rounds\":[";

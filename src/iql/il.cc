@@ -498,7 +498,7 @@ std::string RenderInstr(const CompiledRule& cr, size_t pc,
   auto probe = [&]() {
     if (in.naux == 0) return std::string();
     std::ostringstream p;
-    p << (in.strict ? " probe![" : " probe [");
+    p << " probe [";
     for (uint32_t k = 0; k + 1 < in.naux; k += 2) {
       if (k > 0) p << ", ";
       p << name(static_cast<Symbol>(cr.aux[in.aux + k])) << ": "
@@ -604,49 +604,6 @@ std::string RenderInstr(const CompiledRule& cr, size_t pc,
       out << "}";
       break;
     }
-    case Op::kDestructure: {
-      // Aux pairs are (field position, dst register); render positions as
-      // the shape's attr names so the dump reads like the unfused match.
-      out << "destructure " << reg(in.a) << " [";
-      const auto& shape = cr.shapes[in.imm];
-      for (size_t k = 0; k < shape.size(); ++k) {
-        if (k > 0) out << ", ";
-        out << name(shape[k]);
-      }
-      out << "] -> {";
-      for (uint32_t k = 0; k + 1 < in.naux; k += 2) {
-        if (k > 0) out << ", ";
-        out << name(shape[cr.aux[in.aux + k]]) << ": "
-            << reg(static_cast<uint16_t>(cr.aux[in.aux + k + 1]));
-      }
-      out << "}";
-      break;
-    }
-    case Op::kScanRelKeyed: {
-      out << reg(in.dst) << " = scan_rel_keyed " << name(in.sym) << " [";
-      const auto& shape = cr.shapes[in.imm];
-      for (size_t k = 0; k < shape.size(); ++k) {
-        if (k > 0) out << ", ";
-        out << name(shape[k]);
-      }
-      out << "] key![";
-      for (uint32_t k = 0; k + 1 < in.naux; k += 2) {
-        if (k > 0) out << ", ";
-        out << name(shape[cr.aux[in.aux + k]]) << ": "
-            << reg(static_cast<uint16_t>(cr.aux[in.aux + k + 1]));
-      }
-      out << "]";
-      break;
-    }
-    case Op::kCmpN: {
-      out << "cmp_n";
-      for (uint32_t k = 0; k + 1 < in.naux; k += 2) {
-        out << (k > 0 ? ", (" : " (")
-            << reg(static_cast<uint16_t>(cr.aux[in.aux + k])) << ", "
-            << reg(static_cast<uint16_t>(cr.aux[in.aux + k + 1])) << ")";
-      }
-      break;
-    }
   }
   return out.str();
 }
@@ -691,15 +648,26 @@ std::string RenderInstruction(const CompiledRule& cr, size_t pc,
 }
 
 std::string DumpProgramIl(const Program& prog, const SymbolTable& syms,
-                          const TypePool& types) {
+                          const TypePool& types, bool delta_variants) {
   std::ostringstream out;
   for (size_t s = 0; s < prog.stages.size(); ++s) {
     out << "stage " << s << ":\n";
     const auto& rules = prog.stages[s];
+    std::set<Symbol> heads;
+    if (delta_variants) {
+      for (const Rule& rule : rules) {
+        if (rule.head.kind != Literal::Kind::kMembership ||
+            rule.head_negative) {
+          continue;
+        }
+        const Term& lhs = prog.term(rule.head.lhs);
+        if (lhs.kind == Term::Kind::kRelName) heads.insert(lhs.name);
+      }
+    }
     for (size_t r = 0; r < rules.size(); ++r) {
       const Rule& rule = rules[r];
       out << "  rule " << r << ": " << prog.RuleToString(rule, syms) << "\n";
-      auto cr = CompileRule(prog, rule);
+      std::optional<CompiledRule> cr = CompileRule(prog, rule);
       if (!cr.has_value()) {
         const char* why = !rule.invented_vars.empty() ? "oid invention"
                           : rule.has_choose          ? "choose"
@@ -708,6 +676,25 @@ std::string DumpProgramIl(const Program& prog, const SymbolTable& syms,
         continue;
       }
       out << Render(*cr, syms, types, "    ");
+      if (!delta_variants) continue;
+      for (size_t d = 0; d < rule.body.size(); ++d) {
+        const Literal& lit = rule.body[d];
+        if (lit.kind != Literal::Kind::kMembership || !lit.positive) {
+          continue;
+        }
+        const Term& lhs = prog.term(lit.lhs);
+        if (lhs.kind != Term::Kind::kRelName || heads.count(lhs.name) == 0) {
+          continue;
+        }
+        out << "    delta variant (literal " << d << ": "
+            << prog.LiteralToString(lit, syms) << "):\n";
+        std::optional<CompiledRule> dv = CompileRule(prog, rule, d);
+        if (!dv.has_value()) {
+          out << "      fallback (tree-walk): planner bail\n";
+          continue;
+        }
+        out << Render(*dv, syms, types, "      ");
+      }
     }
   }
   return out.str();

@@ -74,24 +74,7 @@ enum class Op : uint8_t {
   kScanExtent,  // dst ranges over the extent of type imm (binds directly)
   // Terminator.
   kEmit,        // fire the callback with theta, then backtrack
-  // Fused superinstructions. Only the fusion pass (FuseRule in
-  // iql/ilopt.h) emits these; CompileRule never does, so raw lowerings
-  // stay fusion-free and the golden corpora pin each tier separately.
-  kDestructure,   // kMatchTuple + kGetField*: shape-check the tuple in a
-                  // against shapes[imm], then extract naux/2 (field
-                  // position, dst register) aux pairs in one dispatch
-  kScanRelKeyed,  // strict kScanRel + absorbed kMatchTuple guard: dst
-                  // ranges over rho(sym) restricted to tuples of exactly
-                  // shapes[imm] whose naux/2 (field position, key
-                  // register) aux pairs match -- positions ascending, so
-                  // the derived attr list satisfies the index Probe order
-  kCmpN,          // a run of kCmp/kCheckEq(pol=true): naux/2 (a, b) aux
-                  // register pairs, FAIL on the first unequal pair
 };
-
-// Total opcode count; the threaded VM's jump table is indexed by Op and
-// must cover exactly this range (static_asserted in iql/vm.cc).
-inline constexpr size_t kNumOps = static_cast<size_t>(Op::kCmpN) + 1;
 
 // Sentinel for Instr::src: the instruction was synthesized by the planner
 // (extent ranges, the final kEmit) rather than lowered from a body literal.
@@ -100,13 +83,6 @@ inline constexpr uint32_t kNoSrc = 0xFFFFFFFFu;
 struct Instr {
   Op op = Op::kEmit;
   bool pol = true;      // polarity for kCheck*
-  // Strict probe spec (set only by the IL optimizer, iql/ilopt.h): the VM
-  // itself skips scan candidates whose keyed fields differ from the key
-  // registers, instead of trusting the index's hash buckets. That makes
-  // the spec an exact filter -- index buckets only prefilter (collisions
-  // and index-off scans still deliver non-matching candidates) -- which is
-  // what licenses deleting the probe-implied post-scan field compares.
-  bool strict = false;
   uint16_t dst = 0;     // result / scan register
   uint16_t a = 0;       // first operand register
   uint16_t b = 0;       // second operand register
@@ -146,8 +122,7 @@ std::optional<CompiledRule> CompileRule(const Program& prog, const Rule& rule,
                                         size_t delta_literal = kNoDelta);
 
 // Deterministic textual rendering of one compiled rule, used by the
-// `:il` dump and the golden IL corpus. Strict probe specs render as
-// `probe![...]`.
+// `:il` dump and the golden IL corpus.
 std::string Disassemble(const CompiledRule& cr, const SymbolTable& syms,
                         const TypePool& types,
                         const std::string& indent = "  ");
@@ -159,8 +134,14 @@ std::string RenderInstruction(const CompiledRule& cr, size_t pc,
 
 // Renders the IL of every rule in a typechecked program, stage by stage,
 // marking tree-walk fallbacks. Stable across runs for a given source.
+// With `delta_variants`, each rule is followed by its semi-naive delta
+// variants: one for every positive relation-membership body literal whose
+// relation is a head relation of the same stage -- a superset of the
+// variants semi-naive evaluation compiles (it also requires stage
+// eligibility), so the golden corpus pins every lowering the evaluator
+// can request.
 std::string DumpProgramIl(const Program& prog, const SymbolTable& syms,
-                          const TypePool& types);
+                          const TypePool& types, bool delta_variants = false);
 
 }  // namespace iqlkit::il
 

@@ -1,7 +1,6 @@
 #include "iql/ilopt.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <set>
 #include <sstream>
@@ -17,24 +16,19 @@ bool IsContainerScan(Op op) {
 
 bool IsScan(Op op) {
   return IsContainerScan(op) || op == Op::kScanDelta ||
-         op == Op::kScanExtent || op == Op::kScanRelKeyed;
-}
-
-bool IsFused(Op op) {
-  return op == Op::kDestructure || op == Op::kScanRelKeyed || op == Op::kCmpN;
+         op == Op::kScanExtent;
 }
 
 // One instruction of the working list: the (operand-rewritten) copy, its
 // original pc, and the unpacked aux payload -- kMakeTuple/kMakeSet operand
 // registers or a container scan's probe spec -- so passes can edit it
-// without aux-offset bookkeeping. aux is repacked at rebuild.
+// without aux-offset bookkeeping.
 struct WorkInstr {
   Instr in;
   uint32_t orig_pc = 0;
   std::vector<uint16_t> elems;                    // kMakeTuple / kMakeSet
   std::vector<std::pair<Symbol, uint16_t>> spec;  // container-scan probe
   bool removed = false;
-  RemoveReason reason = RemoveReason::kDeadValue;
 };
 
 // Union-find over registers; the representative is the class member with
@@ -99,16 +93,6 @@ OptResult OptimizeRule(const CompiledRule& cr) {
   OptResult result;
   const uint16_t nregs = cr.num_regs;
 
-  // Fusion is the last pipeline stage: the passes below assume unfused IL
-  // (single-def instructions, symbol-keyed probe specs), so a rule that
-  // already contains fused opcodes passes through untouched.
-  for (const Instr& in : cr.code) {
-    if (IsFused(in.op)) {
-      result.rule = cr;
-      return result;
-    }
-  }
-
   // ---- setup: working copies with unpacked aux payloads -------------------
   std::vector<WorkInstr> work;
   work.reserve(cr.code.size());
@@ -133,7 +117,8 @@ OptResult OptimizeRule(const CompiledRule& cr) {
   // They cannot fail and read only the frozen instance, so this is
   // loop-invariant code motion (a load under a scan re-executes per
   // candidate for the same hash-consed id) and it makes constants
-  // available as probe keys for every scan (pass 4).
+  // available as probe keys for every scan (pass 4). The working list is
+  // reordered; every finding still names its original pc.
   std::stable_partition(work.begin(), work.end(), [](const WorkInstr& w) {
     return w.in.op == Op::kLoadConst || w.in.op == Op::kLoadRel ||
            w.in.op == Op::kLoadClass;
@@ -154,7 +139,6 @@ OptResult OptimizeRule(const CompiledRule& cr) {
 
   auto mark_removed = [&](WorkInstr& w, RemoveReason reason) {
     w.removed = true;
-    w.reason = reason;
     result.removed.push_back({w.orig_pc, w.in.src, reason});
   };
   auto note_empty = [&](const WorkInstr& w, std::string detail) {
@@ -167,11 +151,11 @@ OptResult OptimizeRule(const CompiledRule& cr) {
   // ---- pass 4 helper: filter sinking at one container scan ----------------
   // For each top-level tuple field of the scan's match guard that is
   // compared against a register assigned before the scan, sink the
-  // equality into the probe spec, mark the scan strict (the VM verifies
-  // the keyed fields per candidate, so the spec is exact, not a hash
-  // prefilter), and drop the now-implied compare. The field register joins
-  // the key's equivalence class: for every candidate that survives the
-  // strict check and the match guard, field #i *is* the key value.
+  // equality into the probe spec as a strict key (one checked exactly per
+  // candidate, not a hash prefilter), and drop the now-implied compare.
+  // The field register joins the key's equivalence class: for every
+  // candidate that survives the strict check and the match guard, field #i
+  // *is* the key value.
   auto sink_filters = [&](size_t i) {
     WorkInstr& scan = work[i];
     size_t mi = i + 1;
@@ -225,7 +209,6 @@ OptResult OptimizeRule(const CompiledRule& cr) {
     }
     std::sort(pairs.begin(), pairs.end());
     scan.spec = std::move(pairs);
-    scan.in.strict = true;
     result.strict_scans.push_back(scan.orig_pc);
     for (size_t c : implied) {
       mark_removed(work[c], RemoveReason::kProbeImplied);
@@ -497,262 +480,11 @@ OptResult OptimizeRule(const CompiledRule& cr) {
     }
   }
 
-  // ---- pass 6: rebuild with compacted registers and fresh aux -------------
-  CompiledRule out;
-  out.shapes = cr.shapes;
-  out.delta_literal = cr.delta_literal;
-  std::vector<uint16_t> remap(nregs, 0xFFFF);
-  uint16_t next = 0;
-  auto map_use = [&](uint16_t r) {
-    assert(r < nregs && remap[r] != 0xFFFF && "read of an unmapped register");
-    return remap[r];
-  };
-  for (const WorkInstr& w : work) {
-    if (w.removed) continue;
-    Instr in = w.in;
-    switch (in.op) {
-      case Op::kDeref:
-      case Op::kGetField:
-      case Op::kMatchTuple:
-      case Op::kBindType:
-      case Op::kScanSet:
-        in.a = map_use(in.a);
-        break;
-      case Op::kCheckRel:
-      case Op::kCheckClass:
-      case Op::kCheckDelta:
-        in.b = map_use(in.b);
-        break;
-      case Op::kCmp:
-      case Op::kCheckIn:
-      case Op::kCheckEq:
-        in.a = map_use(in.a);
-        in.b = map_use(in.b);
-        break;
-      default:
-        break;
-    }
-    if (!w.elems.empty() || !w.spec.empty()) {
-      in.aux = static_cast<uint32_t>(out.aux.size());
-      if (!w.elems.empty()) {
-        in.naux = static_cast<uint32_t>(w.elems.size());
-        for (uint16_t r : w.elems) out.aux.push_back(map_use(r));
-      } else {
-        in.naux = static_cast<uint32_t>(2 * w.spec.size());
-        for (const auto& [attr, key] : w.spec) {
-          out.aux.push_back(attr);
-          out.aux.push_back(map_use(key));
-        }
-      }
-    } else {
-      in.aux = 0;
-      in.naux = 0;
-    }
-    int d = DefOf(in);
-    if (d >= 0) {
-      if (remap[d] == 0xFFFF) remap[d] = next++;
-      in.dst = remap[d];
-    }
-    out.code.push_back(in);
-  }
-  out.num_regs = next;
-  out.theta.reserve(theta.size());
-  for (const auto& [var, r] : theta) out.theta.emplace_back(var, map_use(r));
-
   std::sort(result.removed.begin(), result.removed.end(),
             [](const RemovedInstr& a, const RemovedInstr& b) {
               return a.pc < b.pc;
             });
-  result.rule = std::move(out);
-#ifndef NDEBUG
-  {
-    std::vector<IlViolation> violations = VerifyRule(result.rule);
-    assert(violations.empty() &&
-           "OptimizeRule produced IL rejected by VerifyRule");
-  }
-#endif
   return result;
-}
-
-CompiledRule OptimizeForExecution(const CompiledRule& cr) {
-  return OptimizeRule(cr).rule;
-}
-
-// ---- superinstruction fusion ----------------------------------------------
-
-namespace {
-
-// One instruction of the fusion working list: the (possibly rewritten)
-// copy plus its unpacked aux payload, kept verbatim -- fusion never
-// renames registers, so payloads repack byte-for-byte at rebuild.
-struct FuseInstr {
-  Instr in;
-  std::vector<uint32_t> payload;
-  bool removed = false;
-};
-
-bool IsFusableEq(const Instr& in) {
-  return in.op == Op::kCmp || (in.op == Op::kCheckEq && in.pol);
-}
-
-}  // namespace
-
-FuseResult FuseRule(const CompiledRule& cr) {
-  FuseResult result;
-
-  std::vector<FuseInstr> work;
-  work.reserve(cr.code.size());
-  for (const Instr& in : cr.code) {
-    FuseInstr f;
-    f.in = in;
-    for (uint32_t k = 0; k < in.naux; ++k) {
-      f.payload.push_back(cr.aux[in.aux + k]);
-    }
-    work.push_back(std::move(f));
-  }
-
-  auto next_live = [&](size_t i) {
-    size_t j = i + 1;
-    while (j < work.size() && work[j].removed) ++j;
-    return j;
-  };
-
-  // ---- pattern 1: strict kScanRel + kMatchTuple guard -> kScanRelKeyed ----
-  // Runs first: it competes with the destructure pattern for the guard,
-  // and absorbing the shape check and the strict key compares into the
-  // scan's candidate loop is the bigger win (per-candidate work, not
-  // per-body work). The probe's (attr, key) pairs become (position in the
-  // guard's shape, key) pairs; shapes are attr-sorted, so ascending
-  // positions keep the derived attr list in index Probe order.
-  for (size_t i = 0; i < work.size(); ++i) {
-    FuseInstr& scan = work[i];
-    if (scan.removed || scan.in.op != Op::kScanRel || !scan.in.strict) {
-      continue;
-    }
-    size_t mi = next_live(i);
-    if (mi >= work.size()) continue;
-    const Instr& match = work[mi].in;
-    if (match.op != Op::kMatchTuple || match.a != scan.in.dst) continue;
-    if (match.imm >= cr.shapes.size()) continue;
-    const std::vector<Symbol>& shape = cr.shapes[match.imm];
-    // A keyed attr missing from the guard's shape means the scan can admit
-    // nothing; leave that verdict to the runtime rather than fuse it away.
-    std::vector<std::pair<uint32_t, uint32_t>> pairs;  // (position, key reg)
-    bool ok = true;
-    for (size_t k = 0; k + 1 < scan.payload.size(); k += 2) {
-      Symbol attr = static_cast<Symbol>(scan.payload[k]);
-      auto it = std::lower_bound(shape.begin(), shape.end(), attr);
-      if (it == shape.end() || *it != attr) {
-        ok = false;
-        break;
-      }
-      pairs.emplace_back(static_cast<uint32_t>(it - shape.begin()),
-                         scan.payload[k + 1]);
-    }
-    if (!ok || pairs.empty()) continue;
-    std::sort(pairs.begin(), pairs.end());
-    scan.in.op = Op::kScanRelKeyed;
-    scan.in.imm = match.imm;
-    scan.payload.clear();
-    for (const auto& [pos, key] : pairs) {
-      scan.payload.push_back(pos);
-      scan.payload.push_back(key);
-    }
-    work[mi].removed = true;
-    ++result.fused_keyed_scans;
-  }
-
-  // ---- pattern 2: kMatchTuple + kGetField* -> kDestructure ----------------
-  // Absorbs every projection of the matched register up to the next scan.
-  // Projections are pure, guarded, and SSA, so executing them at the match
-  // point -- ahead of any interleaved filters -- cannot change an outcome;
-  // stopping at the next scan keeps them out of inner loops.
-  for (size_t i = 0; i < work.size(); ++i) {
-    FuseInstr& m = work[i];
-    if (m.removed || m.in.op != Op::kMatchTuple) continue;
-    if (m.in.imm >= cr.shapes.size()) continue;
-    const size_t nfields = cr.shapes[m.in.imm].size();
-    std::vector<std::pair<uint32_t, uint32_t>> pairs;  // (position, dst reg)
-    std::vector<size_t> absorbed;
-    for (size_t j = i + 1; j < work.size(); ++j) {
-      if (work[j].removed) continue;
-      const Instr& g = work[j].in;
-      if (IsScan(g.op)) break;  // never move a projection across a loop head
-      if (g.op != Op::kGetField || g.a != m.in.a) continue;
-      // Compilation emits fields in ascending order and the optimizer
-      // deduplicates repeats; anything else stays unfused.
-      if (g.imm >= nfields) break;
-      if (!pairs.empty() && g.imm <= pairs.back().first) break;
-      pairs.emplace_back(g.imm, g.dst);
-      absorbed.push_back(j);
-    }
-    if (pairs.empty()) continue;
-    m.in.op = Op::kDestructure;
-    m.payload.clear();
-    for (const auto& [pos, dst] : pairs) {
-      m.payload.push_back(pos);
-      m.payload.push_back(dst);
-    }
-    for (size_t j : absorbed) work[j].removed = true;
-    ++result.fused_destructures;
-  }
-
-  // ---- pattern 3: runs of >= 2 equality filters -> kCmpN ------------------
-  for (size_t i = 0; i < work.size(); ++i) {
-    if (work[i].removed || !IsFusableEq(work[i].in)) continue;
-    std::vector<size_t> run{i};
-    size_t j = i + 1;
-    for (; j < work.size(); ++j) {
-      if (work[j].removed) continue;
-      if (!IsFusableEq(work[j].in)) break;
-      run.push_back(j);
-    }
-    i = run.back();
-    if (run.size() < 2) continue;
-    FuseInstr& head = work[run[0]];
-    head.in.op = Op::kCmpN;
-    head.in.pol = true;
-    head.payload.clear();
-    for (size_t c : run) {
-      head.payload.push_back(work[c].in.a);
-      head.payload.push_back(work[c].in.b);
-      if (c != run[0]) work[c].removed = true;
-    }
-    ++result.fused_cmp_chains;
-  }
-
-  // ---- rebuild: registers untouched, aux repacked -------------------------
-  CompiledRule out;
-  out.shapes = cr.shapes;
-  out.theta = cr.theta;
-  out.num_regs = cr.num_regs;
-  out.delta_literal = cr.delta_literal;
-  for (const FuseInstr& f : work) {
-    if (f.removed) continue;
-    Instr in = f.in;
-    if (!f.payload.empty()) {
-      in.aux = static_cast<uint32_t>(out.aux.size());
-      in.naux = static_cast<uint32_t>(f.payload.size());
-      for (uint32_t v : f.payload) out.aux.push_back(v);
-    } else {
-      in.aux = 0;
-      in.naux = 0;
-    }
-    out.code.push_back(in);
-  }
-  result.rule = std::move(out);
-#ifndef NDEBUG
-  {
-    std::vector<IlViolation> violations = VerifyRule(result.rule);
-    assert(violations.empty() &&
-           "FuseRule produced IL rejected by VerifyRule");
-  }
-#endif
-  return result;
-}
-
-CompiledRule FuseForExecution(const CompiledRule& cr) {
-  return FuseRule(cr).rule;
 }
 
 // ---- L-series lint --------------------------------------------------------
@@ -844,66 +576,6 @@ void LintProgramIl(const Program& prog, const SymbolTable& syms,
       LintCompiledRule(*cr, rule, syms, types, sink);
     }
   }
-}
-
-// ---- extended IL dump -----------------------------------------------------
-
-std::string DumpProgramIl(const Program& prog, const SymbolTable& syms,
-                          const TypePool& types, const IlDumpOptions& opts) {
-  auto render = [&](const CompiledRule& cr, const std::string& indent) {
-    CompiledRule staged = opts.optimize ? OptimizeForExecution(cr) : cr;
-    if (opts.fuse) staged = FuseForExecution(staged);
-    return Disassemble(staged, syms, types, indent);
-  };
-  std::ostringstream out;
-  for (size_t s = 0; s < prog.stages.size(); ++s) {
-    out << "stage " << s << ":\n";
-    const auto& rules = prog.stages[s];
-    std::set<Symbol> heads;
-    if (opts.delta_variants) {
-      for (const Rule& rule : rules) {
-        if (rule.head.kind != Literal::Kind::kMembership ||
-            rule.head_negative) {
-          continue;
-        }
-        const Term& lhs = prog.term(rule.head.lhs);
-        if (lhs.kind == Term::Kind::kRelName) heads.insert(lhs.name);
-      }
-    }
-    for (size_t r = 0; r < rules.size(); ++r) {
-      const Rule& rule = rules[r];
-      out << "  rule " << r << ": " << prog.RuleToString(rule, syms) << "\n";
-      std::optional<CompiledRule> cr = CompileRule(prog, rule);
-      if (!cr.has_value()) {
-        const char* why = !rule.invented_vars.empty() ? "oid invention"
-                          : rule.has_choose          ? "choose"
-                                                     : "planner bail";
-        out << "    fallback (tree-walk): " << why << "\n";
-        continue;
-      }
-      out << render(*cr, "    ");
-      if (!opts.delta_variants) continue;
-      for (size_t d = 0; d < rule.body.size(); ++d) {
-        const Literal& lit = rule.body[d];
-        if (lit.kind != Literal::Kind::kMembership || !lit.positive) {
-          continue;
-        }
-        const Term& lhs = prog.term(lit.lhs);
-        if (lhs.kind != Term::Kind::kRelName || heads.count(lhs.name) == 0) {
-          continue;
-        }
-        out << "    delta variant (literal " << d << ": "
-            << prog.LiteralToString(lit, syms) << "):\n";
-        std::optional<CompiledRule> dv = CompileRule(prog, rule, d);
-        if (!dv.has_value()) {
-          out << "      fallback (tree-walk): planner bail\n";
-          continue;
-        }
-        out << render(*dv, "      ");
-      }
-    }
-  }
-  return out.str();
 }
 
 }  // namespace iqlkit::il

@@ -1,44 +1,35 @@
-// Verified optimizer passes over the flat rule IL (iql/il.h), plus the
-// L-series IL diagnostics `iqlint --il` reports.
+// Dataflow analysis over the flat rule IL (iql/il.h) that finds the work
+// an optimizer could drop, plus the L-series IL diagnostics `iqlint --il`
+// reports. The analysis never rewrites the rule: the VM runs the raw
+// lowering, and the findings surface only as lint (L001, L003).
 //
 // Pass order (each justified by the dominance argument in iql/ilcheck.h:
 // pc order dominates, registers are SSA, and a backtrack to scan s leaves
 // every register defined at pc <= s untouched):
 //
 //   1. Load hoisting. kLoadConst / kLoadRel / kLoadClass are pure,
-//      operand-free, and cannot fail, so they move to the top of the body
-//      (loop-invariant code motion: a load under a scan re-executes per
-//      candidate for the same hash-consed id).
+//      operand-free, and cannot fail, so they are treated as if at the top
+//      of the body (loop-invariant: a load under a scan re-executes per
+//      candidate for the same hash-consed id), which makes constants
+//      available as probe keys for every scan (pass 4).
 //   2. Value numbering + equality propagation. Duplicate pure producers
 //      collapse (hash-consing makes identical constructions the same
 //      ValueId); a successful kCmp/kCheckEq(pol) makes its operands equal
 //      for every later pc, so later reads use the earlier register.
 //   3. Redundant-check elimination. A check identical (up to register
 //      equivalence) to one that already succeeded on every path here
-//      always succeeds, as do kCmp r, r after propagation; both drop.
-//      Checks that can never succeed (distinct constants compared,
-//      kCheckIn over a never-set register) are reported as a statically
-//      empty body (L003) but left in place -- they fail fast at runtime.
+//      always succeeds, as do kCmp r, r after propagation. Checks that can
+//      never succeed (distinct constants compared, kCheckIn over a
+//      never-set register) mark the body statically empty (L003).
 //   4. Filter sinking. For a scan followed by its kMatchTuple guard, a
 //      field projection compared against a register bound before the scan
-//      becomes a *strict* probe key: the VM skips candidates whose keyed
-//      field differs (Instr::strict), which is exact -- index buckets only
-//      prefilter by hash -- so the post-scan compare is implied and drops,
-//      and the probe gets statically tighter (index on or off).
+//      could become a *strict* probe key -- a scan that skips candidates
+//      whose keyed field differs -- which would imply the post-scan
+//      compare.
 //   5. Dead-value elimination. Pure producers (loads, kGetField,
-//      kMakeTuple, kMakeSet) whose result is never read drop, to a
-//      fixpoint. Scans are never removed (they shape the loop nest and the
-//      candidate enumeration the parallel protocol partitions), and kDeref
-//      is never removed (a failing deref is a filter).
-//   6. Register compaction + aux/theta rebuild.
-//
-// Why outputs are byte-identical: eligible rules' head effects are
-// order-insensitive *sets* of emitted valuations, and every pass either
-// removes work that cannot affect which valuations are emitted (2, 3, 5)
-// or skips candidates that provably fail a later filter before emitting
-// (4), in the same canonical candidate order. The engine x mode x threads
-// differential matrix enforces this with the unoptimized IL and the
-// tree-walker as two independent oracles.
+//      kMakeTuple, kMakeSet) whose result is never read are dead, to a
+//      fixpoint. Scans (they shape the loop nest) and kDeref (a failing
+//      deref is a filter) are never dead.
 
 #ifndef IQLKIT_IQL_ILOPT_H_
 #define IQLKIT_IQL_ILOPT_H_
@@ -58,7 +49,7 @@
 
 namespace iqlkit::il {
 
-// Why the optimizer dropped an instruction -- the L001 evidence.
+// Why the analysis finds an instruction droppable -- the L001 evidence.
 enum class RemoveReason : uint8_t {
   kValueNumbered,   // duplicate pure producer; the earlier register serves
   kRedundantCheck,  // an identical check already succeeded on this path
@@ -71,78 +62,31 @@ enum class RemoveReason : uint8_t {
 std::string_view RemoveReasonName(RemoveReason reason);
 
 struct RemovedInstr {
-  uint32_t pc = 0;        // pc in the ORIGINAL rule
+  uint32_t pc = 0;        // pc in the analyzed rule
   uint32_t src = kNoSrc;  // originating body literal (Instr::src)
   RemoveReason reason = RemoveReason::kDeadValue;
 };
 
 // A statically-always-failing filter: the body provably emits nothing.
 struct EmptyReason {
-  uint32_t pc = 0;        // pc of the contradiction in the ORIGINAL rule
+  uint32_t pc = 0;        // pc of the contradiction in the analyzed rule
   uint32_t src = kNoSrc;  // its body literal
   std::string detail;
 };
 
 struct OptResult {
-  CompiledRule rule;
-  std::vector<RemovedInstr> removed;       // ascending original pc
-  std::vector<uint32_t> strict_scans;      // original pcs made strict
+  std::vector<RemovedInstr> removed;       // ascending pc
+  std::vector<uint32_t> strict_scans;      // scan pcs a filter sinks into
   std::optional<EmptyReason> statically_empty;  // first contradiction (L003)
 };
 
-// Runs the passes above over one verifier-clean compiled rule. The result
-// is re-verified in debug builds. Idempotent: optimizing the output again
-// removes nothing further. Expects unfused IL: fusion (below) is the last
-// pipeline stage, so a rule already containing fused opcodes is returned
-// unchanged.
+// Runs the passes above over one verifier-clean compiled rule. Every pc
+// in the result refers to `cr`.
 OptResult OptimizeRule(const CompiledRule& cr);
-
-// The evaluator's entry point: optimize, keep only the rewritten rule.
-CompiledRule OptimizeForExecution(const CompiledRule& cr);
-
-// ---- superinstruction fusion ----------------------------------------------
-//
-// Collapses the hottest straight-line sequences into the fused opcodes of
-// iql/il.h, trading dispatch count for per-op work on the VM's threaded
-// tier:
-//
-//   * kScanRel(strict) + kMatchTuple guard  ->  kScanRelKeyed. The guard's
-//     shape moves into the scan, the strict probe's (attr, key) pairs
-//     become (field position, key) pairs against that shape, and the VM
-//     compares keyed fields positionally -- the strict-probe fast path --
-//     falling back to nothing: a candidate of any other shape simply
-//     fails the fused guard, exactly as it would have failed the match.
-//   * kMatchTuple + kGetField* (every projection of the matched register
-//     up to the next scan)  ->  kDestructure: one shape check plus all
-//     field extractions in a single dispatch. Projections are pure and
-//     guarded, so executing them at the match point is observationally
-//     identical.
-//   * Runs of >= 2 consecutive kCmp / kCheckEq(pol=true)  ->  kCmpN.
-//
-// Fusion never reorders filters relative to scans, never renumbers
-// registers, and never changes which candidates reach kEmit, so outputs
-// stay byte-identical; the engine x dispatch x fusion x threads
-// differential matrix enforces that. Idempotent (fused opcodes are not
-// fusion candidates); the result is re-verified in debug builds.
-
-struct FuseResult {
-  CompiledRule rule;
-  uint32_t fused_keyed_scans = 0;
-  uint32_t fused_destructures = 0;
-  uint32_t fused_cmp_chains = 0;
-};
-
-// Fuses one verifier-clean rule (typically OptimizeRule's output; raw
-// lowerings fuse too, though without strict scans only the destructure
-// and cmp-chain patterns apply).
-FuseResult FuseRule(const CompiledRule& cr);
-
-// The evaluator's entry point: fuse, keep only the rewritten rule.
-CompiledRule FuseForExecution(const CompiledRule& cr);
 
 // ---- L-series lint --------------------------------------------------------
 //
-//   L001 (hint)    dead/redundant instruction the optimizer eliminates
+//   L001 (hint)    dead/redundant instruction the analysis finds
 //   L002 (hint)    join scan with no bindable probe key: a full scan of the
 //                  container per outer candidate
 //   L003 (warning) statically empty rule body (always-failing filter)
@@ -159,23 +103,6 @@ void LintProgramIl(const Program& prog, const SymbolTable& syms,
 void LintCompiledRule(const CompiledRule& cr, const Rule& rule,
                       const SymbolTable& syms, const TypePool& types,
                       DiagnosticSink* sink);
-
-// ---- extended IL dump -----------------------------------------------------
-
-struct IlDumpOptions {
-  bool optimize = false;        // dump the optimizer's output
-  bool delta_variants = false;  // also dump each semi-naive delta variant
-  bool fuse = false;            // dump the fusion pass's output (applied
-                                // after the optimizer when both are set)
-};
-
-// DumpProgramIl with options. Delta variants are dumped for every positive
-// relation-membership body literal whose relation is a head relation of
-// the same stage -- a superset of the variants semi-naive evaluation
-// compiles (it also requires stage eligibility), so the golden corpus pins
-// every lowering the evaluator can request.
-std::string DumpProgramIl(const Program& prog, const SymbolTable& syms,
-                          const TypePool& types, const IlDumpOptions& opts);
 
 }  // namespace iqlkit::il
 

@@ -70,10 +70,6 @@ struct VmContext {
   // Prepared state for the executed rule (must match it pc for pc), or
   // null to materialize per call.
   const PreparedRule* prepared = nullptr;
-  // Use the computed-goto dispatch loop when the build has it (GCC/Clang
-  // without IQLKIT_FORCE_SWITCH_DISPATCH); ignored -- the switch loop
-  // runs -- when it was compiled out. Same op bodies either way.
-  bool threaded = true;
 };
 
 class VmSolver {
@@ -113,6 +109,9 @@ class VmSolver {
     std::vector<ValueId> owned;
     size_t idx = 0;
     size_t end = 0;
+    ValueId Current() const {
+      return elems != nullptr ? (*elems)[idx] : owned[idx];
+    }
   };
 
   const il::CompiledRule& cr_;
@@ -120,19 +119,6 @@ class VmSolver {
   VmContext ctx_;
   const std::vector<ValueId>* delta_facts_;
   TypeMembership membership_;
-
-  // Positional strict-probe fast path: for a strict scan whose guard (the
-  // next instruction) pins the candidate shape, the constructor resolves
-  // each keyed attr to its field position once; candidates of that exact
-  // shape then compare keyed fields by position instead of searching the
-  // field list (the search remains the fallback for heterogeneous
-  // candidates). Indexed by scan pc.
-  struct StrictPos {
-    bool valid = false;
-    uint32_t shape = 0;  // shape index of the guard
-    std::vector<std::pair<uint32_t, uint16_t>> keys;  // (field pos, key reg)
-  };
-  std::vector<StrictPos> strict_pos_;
 
   std::vector<ValueId> regs_;
   std::vector<Frame> frames_;

@@ -118,8 +118,10 @@ bool IsClassLike(const TypeNode& n) {
 
 TypeId Meet(TypePool* pool, TypeId a, TypeId b) {
   if (a == b) return a;
-  const TypeNode& an = pool->node(a);
-  const TypeNode& bn = pool->node(b);
+  // Copies: the recursive Meet calls below intern new nodes, which may
+  // reallocate the pool's node storage.
+  const TypeNode an = pool->node(a);
+  const TypeNode bn = pool->node(b);
   if (an.kind == TypeKind::kEmpty || bn.kind == TypeKind::kEmpty) {
     return pool->Empty();
   }

@@ -448,25 +448,13 @@ TEST(GovernorTest, VmStepTripMatchesTreeWalkerPartial) {
     EXPECT_EQ(tw.stats.trip, TripReason::kSteps) << mode.name;
     ASSERT_FALSE(tw.facts.empty()) << mode.name;
 
-    // The IL optimizer only skips candidates that provably fail a filter,
-    // and fusion only collapses dispatches around the same candidate walk,
-    // so committed steps stay bit-identical with either (or both) on.
-    for (auto [il_opt, il_fuse] :
-         {std::pair{false, false}, {true, false}, {true, true}}) {
-      EvalOptions vm = ModeOptions(mode.seminaive, mode.threads);
-      vm.il_opt = il_opt;
-      vm.il_fuse = il_fuse;
-      vm.limits.max_steps_per_stage = 3;
-      RunOutcome vo = RunSource(source.c_str(), vm);
-      ASSERT_FALSE(vo.status.ok())
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
-      EXPECT_EQ(vo.stats.trip, TripReason::kSteps)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
-      EXPECT_EQ(vo.stats.steps, tw.stats.steps)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
-      EXPECT_EQ(vo.facts, tw.facts)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
-    }
+    EvalOptions vm = ModeOptions(mode.seminaive, mode.threads);
+    vm.limits.max_steps_per_stage = 3;
+    RunOutcome vo = RunSource(source.c_str(), vm);
+    ASSERT_FALSE(vo.status.ok()) << mode.name;
+    EXPECT_EQ(vo.stats.trip, TripReason::kSteps) << mode.name;
+    EXPECT_EQ(vo.stats.steps, tw.stats.steps) << mode.name;
+    EXPECT_EQ(vo.facts, tw.facts) << mode.name;
   }
 }
 
@@ -483,25 +471,13 @@ TEST(GovernorTest, VmDerivationTripFiresAtTheSameStep) {
     ASSERT_FALSE(tw.status.ok()) << mode.name;
     EXPECT_EQ(tw.stats.trip, TripReason::kDerivations) << mode.name;
 
-    // Derivations count satisfying valuations, which neither the optimizer
-    // nor the fusion pass changes (both only skip candidates that would
-    // fail), so the trip lands at the same step in every tier.
-    for (auto [il_opt, il_fuse] :
-         {std::pair{false, false}, {true, false}, {true, true}}) {
-      EvalOptions vm = ModeOptions(mode.seminaive, mode.threads);
-      vm.il_opt = il_opt;
-      vm.il_fuse = il_fuse;
-      vm.limits.max_derivations = 40;
-      RunOutcome vo = RunSource(source.c_str(), vm);
-      ASSERT_FALSE(vo.status.ok())
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
-      EXPECT_EQ(vo.stats.trip, TripReason::kDerivations)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
-      EXPECT_EQ(vo.stats.steps, tw.stats.steps)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
-      EXPECT_EQ(vo.facts, tw.facts)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
-    }
+    EvalOptions vm = ModeOptions(mode.seminaive, mode.threads);
+    vm.limits.max_derivations = 40;
+    RunOutcome vo = RunSource(source.c_str(), vm);
+    ASSERT_FALSE(vo.status.ok()) << mode.name;
+    EXPECT_EQ(vo.stats.trip, TripReason::kDerivations) << mode.name;
+    EXPECT_EQ(vo.stats.steps, tw.stats.steps) << mode.name;
+    EXPECT_EQ(vo.facts, tw.facts) << mode.name;
   }
 }
 
@@ -594,8 +570,7 @@ TEST(GovernorTest, DatalogStepTripRollsBackAcrossModesAndThreads) {
   // Reference: a clean full run, then per-(mode, threads) tripped runs
   // whose database must equal a budget-matched clean truncation.
   for (auto mode : {datalog::EvalMode::kNaive, datalog::EvalMode::kSemiNaive,
-                    datalog::EvalMode::kSemiNaiveIndexed,
-                    datalog::EvalMode::kVm}) {
+                    datalog::EvalMode::kSemiNaiveIndexed}) {
     for (uint32_t threads : {1u, 2u, 8u}) {
       datalog::Database tripped_db;
       datalog::Program program = TcProgram(&tripped_db, 64);

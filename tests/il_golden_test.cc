@@ -1,18 +1,17 @@
 // Golden IL corpus: for every examples/iql/*.iql program, the flat IL its
-// rules compile to (il::DumpProgramIl after parse + type check) is
-// compared against tests/golden_il/<name>.expected, the verified
-// optimizer's output (iql/ilopt.h) against
-// tests/golden_il_opt/<name>.expected, and the superinstruction fusion
-// pass's output (optimizer + FuseRule, the full execution tier) against
-// tests/golden_il_fused/<name>.expected. All dumps include the semi-naive
-// delta variants, so the corpus pins every lowering the evaluator can
-// request. Unlike the evaluation goldens, which compare up to
-// O-isomorphism, IL text is fully deterministic -- registers, shapes, and
-// probe specs depend only on the source -- so the comparison is exact
-// string equality. Pass --regen to rewrite the corpora after an
-// intentional lowering or pass change (then review the diff: a changed
-// dump means a changed plan, which the differential suites must still
-// prove byte-equivalent to the tree-walker).
+// rules compile to (il::DumpProgramIl after parse + type check, semi-naive
+// delta variants included, so the corpus pins every lowering the
+// evaluator can request) is compared against
+// tests/golden_il/<name>.expected, and the L-series IL diagnostics
+// (il::LintProgramIl, what `iqlint --il` adds) against
+// tests/golden_il_lint/<name>.expected. Unlike the evaluation goldens,
+// which compare up to O-isomorphism, both are fully deterministic --
+// registers, shapes, probe specs, and the analysis findings depend only on
+// the source -- so the comparison is exact string equality. Pass --regen
+// to rewrite the corpora after an intentional lowering or analysis change
+// (then review the diff: a changed dump means a changed plan, which the
+// differential suites must still prove byte-equivalent to the
+// tree-walker).
 
 #include <filesystem>
 #include <fstream>
@@ -20,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include "analysis/diagnostic.h"
 #include "gtest/gtest.h"
 #include "iql/il.h"
 #include "iql/ilopt.h"
@@ -39,14 +39,12 @@ fs::path ExampleDir() {
   return fs::path(IQLKIT_SOURCE_DIR) / "examples" / "iql";
 }
 
-// The three pinned tiers: raw lowering, optimized, and the execution tier
-// the fused VM runs (optimizer followed by superinstruction fusion).
-enum class Tier { kRaw, kOpt, kFused };
+// The two pinned tiers: the raw lowering the VM runs, and the IL lint's
+// diagnostics over it.
+enum class Tier { kRaw, kLint };
 
 fs::path GoldenDir(Tier tier) {
-  const char* dir = tier == Tier::kRaw     ? "golden_il"
-                    : tier == Tier::kOpt   ? "golden_il_opt"
-                                           : "golden_il_fused";
+  const char* dir = tier == Tier::kRaw ? "golden_il" : "golden_il_lint";
   return fs::path(IQLKIT_SOURCE_DIR) / "tests" / dir;
 }
 
@@ -68,21 +66,26 @@ std::set<std::string> ListStems(const fs::path& dir, const char* ext) {
   return out;
 }
 
-// Parses and type checks examples/iql/<name>.iql and renders its IL at
-// the requested tier, delta variants included.
+// Parses and type checks examples/iql/<name>.iql and renders the
+// requested tier: its IL with delta variants, or its L-series diagnostics
+// in the clang-style text form `iqlint --il` prints.
 std::string DumpFor(const std::string& name, Tier tier) {
   Universe u;
-  auto unit = ParseUnit(&u, ReadFile(ExampleDir() / (name + ".iql")));
+  std::string source = ReadFile(ExampleDir() / (name + ".iql"));
+  auto unit = ParseUnit(&u, source);
   EXPECT_TRUE(unit.ok()) << unit.status();
   if (!unit.ok()) return "<parse error>";
   Status checked = TypeCheck(&u, unit->schema, &unit->program);
   EXPECT_TRUE(checked.ok()) << checked;
   if (!checked.ok()) return "<type error>";
-  il::IlDumpOptions opts;
-  opts.optimize = tier != Tier::kRaw;
-  opts.fuse = tier == Tier::kFused;
-  opts.delta_variants = true;
-  return il::DumpProgramIl(unit->program, u.symbols(), u.types(), opts);
+  if (tier == Tier::kRaw) {
+    return il::DumpProgramIl(unit->program, u.symbols(), u.types(),
+                             /*delta_variants=*/true);
+  }
+  DiagnosticSink sink;
+  il::LintProgramIl(unit->program, u.symbols(), u.types(), &sink);
+  return RenderText(sink.diagnostics(), source,
+                    "examples/iql/" + name + ".iql");
 }
 
 void CheckAgainst(const std::string& name, Tier tier) {
@@ -104,8 +107,7 @@ void CheckAgainst(const std::string& name, Tier tier) {
 
 void RunIlGolden(const std::string& name) {
   CheckAgainst(name, Tier::kRaw);
-  CheckAgainst(name, Tier::kOpt);
-  CheckAgainst(name, Tier::kFused);
+  CheckAgainst(name, Tier::kLint);
 }
 
 TEST(IlGoldenTest, Genesis) { RunIlGolden("genesis"); }
@@ -120,8 +122,7 @@ TEST(IlGoldenTest, EveryExampleHasAGolden) {
   if (regen) GTEST_SKIP() << "goldens are being regenerated";
   std::set<std::string> examples = ListStems(ExampleDir(), ".iql");
   EXPECT_EQ(examples, ListStems(GoldenDir(Tier::kRaw), ".expected"));
-  EXPECT_EQ(examples, ListStems(GoldenDir(Tier::kOpt), ".expected"));
-  EXPECT_EQ(examples, ListStems(GoldenDir(Tier::kFused), ".expected"));
+  EXPECT_EQ(examples, ListStems(GoldenDir(Tier::kLint), ".expected"));
   std::set<std::string> covered = {"genesis", "graph_encoding", "powerset",
                                    "tc", "updates"};
   EXPECT_EQ(examples, covered)

@@ -81,25 +81,6 @@ constexpr ModeConfig kModes[] = {
     {"seminaive+indexed", true, true, true},
 };
 
-// The VM-only dimensions: optimizer, fusion, and dispatch loop. Fusion is
-// tested with and without the optimizer underneath, and the portable
-// switch dispatch is pinned against the (default) threaded loop on the
-// fully tiered configuration.
-struct VmConfig {
-  const char* name;
-  bool il_opt;
-  bool il_fuse;
-  EvalOptions::Dispatch dispatch;
-};
-
-constexpr VmConfig kVmConfigs[] = {
-    {"plain", false, false, EvalOptions::Dispatch::kThreaded},
-    {"opt", true, false, EvalOptions::Dispatch::kThreaded},
-    {"fuse", false, true, EvalOptions::Dispatch::kThreaded},
-    {"opt+fuse", true, true, EvalOptions::Dispatch::kThreaded},
-    {"opt+fuse+switch", true, true, EvalOptions::Dispatch::kSwitch},
-};
-
 void ExpectBitIdenticalAcrossThreadCounts(const std::string& source) {
   for (const ModeConfig& mode : kModes) {
     EvalOptions options;
@@ -113,9 +94,9 @@ void ExpectBitIdenticalAcrossThreadCounts(const std::string& source) {
     options.num_threads = 1;
     options.tree_walk_oracle = true;
     std::string serial = RunToFacts(source, options);
-    // Every (executor, vm config, thread count) cell must reproduce the
-    // serial tree-walker oracle byte-for-byte -- the VM included, at one
-    // thread and under the fan-out, across optimizer / fusion / dispatch.
+    // Every (executor, thread count) cell must reproduce the serial
+    // tree-walker oracle byte-for-byte -- the VM included, at one thread
+    // and under the fan-out.
     for (uint32_t threads : {2u, 8u}) {
       options.num_threads = threads;
       EXPECT_EQ(RunToFacts(source, options), serial)
@@ -123,16 +104,10 @@ void ExpectBitIdenticalAcrossThreadCounts(const std::string& source) {
           << threads;
     }
     options.tree_walk_oracle = false;
-    for (const VmConfig& vc : kVmConfigs) {
-      options.il_opt = vc.il_opt;
-      options.il_fuse = vc.il_fuse;
-      options.dispatch = vc.dispatch;
-      for (uint32_t threads : {1u, 2u, 8u}) {
-        options.num_threads = threads;
-        EXPECT_EQ(RunToFacts(source, options), serial)
-            << "mode " << mode.name << ", vm config " << vc.name
-            << ", num_threads " << threads;
-      }
+    for (uint32_t threads : {1u, 2u, 8u}) {
+      options.num_threads = threads;
+      EXPECT_EQ(RunToFacts(source, options), serial)
+          << "mode " << mode.name << ", vm, num_threads " << threads;
     }
   }
 }

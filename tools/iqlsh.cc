@@ -26,20 +26,7 @@
 //   --explain, :explain  print the static greedy join schedule per rule
 //                        (no evaluation unless --metrics is also set)
 //   --il, :il            print the flat rule IL each VM-eligible rule
-//                        compiles to (tree-walk fallbacks marked) and exit;
-//                        with --il-opt the optimized IL is printed
-//   --il-opt             run the verified IL optimizer over every compiled
-//                        rule before the register VM executes it (results
-//                        stay byte-identical); with --il, print the
-//                        optimized lowering instead
-//   --il-fuse            run the superinstruction fusion pass after the
-//                        optimizer (keyed scans, destructures, compare
-//                        chains); results stay byte-identical; with --il,
-//                        print the fused lowering
-//   --dispatch=MODE      VM dispatch loop: `threaded` (computed goto, the
-//                        default where the build supports it) or `switch`
-//                        (the portable loop); output is identical either
-//                        way
+//                        compiles to (tree-walk fallbacks marked) and exit
 //   --lint, :lint        run the iqlint static analyzer and exit (exit
 //                        code 2 on errors, 1 on warnings, 0 otherwise)
 //   --no-seminaive       force the paper's naive operator on every stage
@@ -92,7 +79,6 @@
 #include "base/flags.h"
 #include "iql/eval.h"
 #include "iql/il.h"
-#include "iql/ilopt.h"
 #include "iql/parser.h"
 #include "iql/restrict.h"
 #include "iql/typecheck.h"
@@ -145,9 +131,6 @@ int main(int argc, char** argv) {
   bool metrics_flag = false;
   bool explain_flag = false;
   bool il_flag = false;
-  bool il_opt_flag = false;
-  bool il_fuse_flag = false;
-  bool dispatch_switch = false;
   bool no_seminaive = false;
   bool no_index = false;
   bool no_schedule = false;
@@ -192,18 +175,6 @@ int main(int argc, char** argv) {
       explain_flag = true;
     } else if (arg == "--il") {
       il_flag = true;
-    } else if (arg == "--il-opt") {
-      il_opt_flag = true;
-    } else if (arg == "--il-fuse") {
-      il_fuse_flag = true;
-    } else if (arg.rfind("--dispatch=", 0) == 0) {
-      std::string mode = arg.substr(11);
-      if (mode == "switch") {
-        dispatch_switch = true;
-      } else if (mode != "threaded") {
-        std::cerr << "iqlsh: --dispatch expects 'switch' or 'threaded'\n";
-        return 2;
-      }
     } else if (arg == "--no-seminaive") {
       no_seminaive = true;
     } else if (arg == "--no-index") {
@@ -274,19 +245,8 @@ int main(int argc, char** argv) {
   }
 
   if (il_flag) {
-    il::IlDumpOptions il_opts;
-    il_opts.optimize = il_opt_flag;
-    il_opts.fuse = il_fuse_flag;
-    const char* header = "=== rule IL ===\n";
-    if (il_fuse_flag) {
-      header = il_opt_flag ? "=== rule IL (optimized, fused) ===\n"
-                           : "=== rule IL (fused) ===\n";
-    } else if (il_opt_flag) {
-      header = "=== rule IL (optimized) ===\n";
-    }
-    std::cout << header
-              << il::DumpProgramIl(unit->program, u.symbols(), u.types(),
-                                   il_opts);
+    std::cout << "=== rule IL ===\n"
+              << il::DumpProgramIl(unit->program, u.symbols(), u.types());
     return 0;
   }
 
@@ -400,9 +360,6 @@ int main(int argc, char** argv) {
   options.enable_seminaive = !no_seminaive;
   options.enable_indexing = !no_index;
   options.enable_scheduling = !no_schedule;
-  options.il_opt = il_opt_flag;
-  options.il_fuse = il_fuse_flag;
-  if (dispatch_switch) options.dispatch = EvalOptions::Dispatch::kSwitch;
   // Without --threads the library default applies (0 = hardware
   // concurrency); results are identical either way.
   if (threads_set) options.num_threads = num_threads;
