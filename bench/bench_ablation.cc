@@ -26,10 +26,11 @@ constexpr std::string_view kTC = R"(
 void RunTC(benchmark::State& state, bool disable_fast_path) {
   int n = static_cast<int>(state.range(0));
   auto edges = RandomGraph(n, 2 * n, 11);
+  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kTC);
     for (auto [a, b] : edges) run.AddEdge("E", a, b);
-    EvalOptions options;
+    EvalOptions options = SerialOptions();
     options.enable_seminaive = false;  // measure the naive operator
     options.disable_head_fast_path = disable_fast_path;
     auto start = std::chrono::steady_clock::now();

@@ -18,11 +18,12 @@ constexpr std::string_view kBulkDelete = R"(
 
 void BM_BulkFactDeletion(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
+  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kBulkDelete);
     for (auto [a, b] : RandomGraph(n, 4 * n, 17)) run.AddEdge("R", a, b);
     for (int i = 0; i < n / 2; ++i) run.AddUnary("Kill", i);
-    EvalOptions options;
+    EvalOptions options = SerialOptions();
     options.allow_deletions = true;
     auto start = std::chrono::steady_clock::now();
     auto out = run.Run(options);
@@ -52,6 +53,7 @@ void BM_CascadeOidDeletion(benchmark::State& state) {
     input Node, Kill;
     program { !Node(x) :- Kill(x). }
   )";
+  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kSource);
     ValueStore& v = run.universe.values();
@@ -70,7 +72,7 @@ void BM_CascadeOidDeletion(benchmark::State& state) {
         IQL_CHECK(run.input->AddToRelation("Kill", v.OfOid(*o)).ok());
       }
     }
-    EvalOptions options;
+    EvalOptions options = SerialOptions();
     options.allow_deletions = true;
     auto start = std::chrono::steady_clock::now();
     auto out = run.Run(options);

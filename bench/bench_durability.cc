@@ -48,12 +48,6 @@ std::string ScratchDir() {
   return dir;
 }
 
-EvalOptions SerialOptions() {
-  EvalOptions options;
-  options.num_threads = 1;
-  return options;
-}
-
 void BM_Durability_Plain(benchmark::State& state) {
   PreparedRun run(kTcSource);
   AddGraph(run, static_cast<int>(state.range(0)));

@@ -29,10 +29,11 @@ constexpr std::string_view kTC = R"(
 void RunGovernedTC(benchmark::State& state, const ResourceLimits& limits) {
   int n = static_cast<int>(state.range(0));
   auto edges = RandomGraph(n, 2 * n, 11);
+  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kTC);
     for (auto [a, b] : edges) run.AddEdge("E", a, b);
-    EvalOptions options;
+    EvalOptions options = SerialOptions();
     options.limits = limits;
     auto start = std::chrono::steady_clock::now();
     auto out = run.Run(options);

@@ -36,12 +36,13 @@ void BM_GraphEncoding(benchmark::State& state) {
   auto edges = RandomGraph(n, 2 * n, 13);
   EvalStats stats;
   size_t nodes = 0;
+  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     stats = EvalStats{};
     PreparedRun run(kSource);
     for (auto [a, b] : edges) run.AddEdge("R", a, b);
     auto start = std::chrono::steady_clock::now();
-    auto out = run.Run({}, &stats);
+    auto out = run.Run(SerialOptions(), &stats);
     auto end = std::chrono::steady_clock::now();
     IQL_CHECK(out.ok()) << out.status();
     nodes = out->ClassExtent(run.universe.Intern("P")).size();
@@ -64,11 +65,12 @@ BENCHMARK(BM_GraphEncoding)
 // Cycle graph: worst case sharing structure (every node reachable).
 void BM_GraphEncoding_Cycle(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
+  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kSource);
     for (int i = 0; i < n; ++i) run.AddEdge("R", i, (i + 1) % n);
     auto start = std::chrono::steady_clock::now();
-    auto out = run.Run();
+    auto out = run.Run(SerialOptions());
     auto end = std::chrono::steady_clock::now();
     IQL_CHECK(out.ok()) << out.status();
     state.SetIterationTime(

@@ -39,6 +39,7 @@ constexpr std::string_view kNest = R"(
 void BM_Unnest(benchmark::State& state) {
   int groups = static_cast<int>(state.range(0));
   int fanout = static_cast<int>(state.range(1));
+  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kUnnest);
     ValueStore& v = run.universe.values();
@@ -53,7 +54,7 @@ void BM_Unnest(benchmark::State& state) {
       IQL_CHECK(run.input->AddToRelation("R1", t).ok());
     }
     auto start = std::chrono::steady_clock::now();
-    auto out = run.Run();
+    auto out = run.Run(SerialOptions());
     auto end = std::chrono::steady_clock::now();
     IQL_CHECK(out.ok()) << out.status();
     IQL_CHECK(out->Relation(run.universe.Intern("R2")).size() ==
@@ -75,6 +76,7 @@ void BM_Nest(benchmark::State& state) {
   int groups = static_cast<int>(state.range(0));
   int fanout = static_cast<int>(state.range(1));
   EvalStats stats;
+  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     stats = EvalStats{};
     PreparedRun run(kNest);
@@ -84,7 +86,7 @@ void BM_Nest(benchmark::State& state) {
       }
     }
     auto start = std::chrono::steady_clock::now();
-    auto out = run.Run({}, &stats);
+    auto out = run.Run(SerialOptions(), &stats);
     auto end = std::chrono::steady_clock::now();
     IQL_CHECK(out.ok()) << out.status();
     IQL_CHECK(out->Relation(run.universe.Intern("R3")).size() ==

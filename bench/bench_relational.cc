@@ -161,7 +161,7 @@ void BM_RelationalReachability(benchmark::State& state, bool indexed) {
     for (int r = 0; r < 4; ++r) {
       for (const auto& t : facts[r]) AddFlat(run, kRels[r], t);
     }
-    EvalOptions options;
+    EvalOptions options = SerialOptions();
     options.enable_indexing = indexed;
     options.enable_scheduling = indexed;
     options.metrics = &metrics;

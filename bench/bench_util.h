@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "base/logging.h"
+#include "base/thread_pool.h"
 #include "iql/eval.h"
 #include "iql/parser.h"
 #include "model/instance.h"
@@ -50,6 +51,23 @@ inline void ExportMetrics(benchmark::State& state,
   // "threads" would collide with google-benchmark's own field of that
   // name in the JSON output.
   state.counters["eval_threads"] = static_cast<double>(metrics.threads);
+}
+
+// The options every single-mechanism bench starts from: one evaluation
+// thread, so a series measures its mechanism and not the worker pool
+// (bench_parallel_scaling sweeps the thread count itself).
+inline EvalOptions SerialOptions() {
+  EvalOptions options;
+  options.num_threads = 1;
+  return options;
+}
+
+// Records the evaluation thread count a series ran at, for benches that
+// do not collect EvalMetrics (ExportMetrics records it for those that do).
+inline void ExportEvalThreads(benchmark::State& state,
+                              const EvalOptions& options) {
+  state.counters["eval_threads"] =
+      static_cast<double>(ResolveThreadCount(options.num_threads));
 }
 
 // Deterministic random digraph: `n` nodes, `m` edges (duplicates collapse).

@@ -74,7 +74,7 @@ void RunGraphProgram(benchmark::State& state, std::string_view source,
     metrics = EvalMetrics{};
     PreparedRun run(source);
     for (auto [a, b] : edges) run.AddEdge("E", a, b);
-    EvalOptions options;
+    EvalOptions options = SerialOptions();
     options.tree_walk_oracle = tree_walk_oracle;
     options.metrics = &metrics;
     auto start = std::chrono::steady_clock::now();
@@ -127,10 +127,11 @@ BENCHMARK(BM_Vm_Join_Vm)
 
 void RunPowerset(benchmark::State& state, bool tree_walk_oracle) {
   int n = static_cast<int>(state.range(0));
+  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kPowerset);
     for (int i = 0; i < n; ++i) run.AddUnary("R", i);
-    EvalOptions options;
+    EvalOptions options = SerialOptions();
     options.tree_walk_oracle = tree_walk_oracle;
     auto start = std::chrono::steady_clock::now();
     auto out = run.Run(options);

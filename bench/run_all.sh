@@ -147,25 +147,6 @@ jq '
     else . end
 ' "$OUT.tmp" > "$OUT.tmp2"
 mv "$OUT.tmp2" "$OUT.tmp"
-# Serving tier: sustained completed-queries-per-second from the simulated
-# serve loop (per client count), and the wall-clock QUERY -> terminal-PAGE
-# latency of a hand-pumped wire session (p50/p99 sampled inside
-# bench_serve and exported as counters). Recorded under .serve.
-jq '
-  (.runs.bench_serve.benchmarks // []) as $b
-  | [ $b[] | select(.name | startswith("BM_Serve_Qps/"))
-      | {clients: (.name | split("/")[1] | split(":")[0]),
-         qps: (.qps // 0)} ] as $qps
-  | [ $b[] | select(.name | startswith("BM_Serve_FirstPage/"))
-      | {size: (.name | split("/")[1] | split(":")[0]),
-         p50_us: (.p50_us // 0), p99_us: (.p99_us // 0)} ] as $lat
-  | if ($qps | length) > 0 then
-      .serve = {qps: $qps,
-                peak_qps: ([$qps[].qps] | max),
-                first_page: $lat}
-    else . end
-' "$OUT.tmp" > "$OUT.tmp2"
-mv "$OUT.tmp2" "$OUT.tmp"
 mv "$OUT.tmp" "$OUT"
 echo "wrote $OUT ($(jq '.runs | length' "$OUT") benchmark binaries)"
 if jq -e '.governor' "$OUT" > /dev/null; then
@@ -183,9 +164,4 @@ fi
 if jq -e '.durability' "$OUT" > /dev/null; then
   echo "durability overhead ratio: $(jq '.durability.overhead_ratio' "$OUT")" \
        "(target <= $(jq '.durability.target_max_ratio' "$OUT"))"
-fi
-if jq -e '.serve' "$OUT" > /dev/null; then
-  echo "serve peak sustained qps: $(jq '.serve.peak_qps' "$OUT");" \
-       "first-page p50/p99 us:" \
-       "$(jq -c '[.serve.first_page[] | {size, p50_us, p99_us}]' "$OUT")"
 fi

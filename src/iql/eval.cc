@@ -41,6 +41,9 @@ double Seconds(std::chrono::steady_clock::time_point from) {
 // charge so max_memory_bytes tracks instance growth.
 constexpr uint64_t kFactBytes = 64;
 
+// The slice bounds that cover a rule's whole first multi-way branch.
+constexpr size_t kWholeBranch = static_cast<size_t>(-1);
+
 // A (partial) valuation theta of a rule's body variables (§3.2). Ordered
 // map so valuations compare deterministically (for dedup and reproducible
 // firing order).
@@ -57,8 +60,7 @@ using Bindings = std::map<Symbol, ValueId>;
 //
 // All interning goes through `values`, so a parallel worker evaluating with
 // a snapshot arena builds new o-values in its private side store while the
-// serial path (a passthrough arena) interns into the shared store exactly
-// as before.
+// coordinator (a passthrough arena) interns into the shared store.
 std::optional<ValueId> EvalTerm(const Program& prog, TermId id,
                                 const Bindings& b, const Instance& inst,
                                 ValueArena& values) {
@@ -234,10 +236,10 @@ std::optional<std::vector<ValueId>> ContainerElems(const Program& prog,
 // Valuation enumeration: a backtracking solver over the body literals.
 // ---------------------------------------------------------------------------
 
-// Shared per-step machinery handed to every RuleSolver of that step.
+// One slice's machinery handed to a RuleSolver (see Slice).
 // `index` and `estimator` may be null (indexing / scheduling disabled);
 // `rule_metrics` may be null (metrics not requested). `values` is required:
-// the serial path passes a passthrough arena over the shared store, a
+// the coordinator passes a passthrough arena over the shared store, a
 // parallel worker its private snapshot arena.
 struct SolverContext {
   ExtentEnumerator* extents = nullptr;
@@ -659,7 +661,7 @@ class RuleSolver {
 // (rule, solve). The register VM runs compiled rules; a rule outside the
 // VM-eligible fragment (or any rule under tree_walk_oracle) stays on the
 // tree-walker. Both sides share the probe/slice/callback protocol, so the
-// four enumeration call sites below are executor-agnostic.
+// enumeration driver below is executor-agnostic.
 struct AnySolver {
   std::optional<RuleSolver> tree;
   std::optional<vm::VmSolver> regvm;
@@ -831,6 +833,42 @@ struct Derivation {
   Bindings theta;
 };
 
+// Receives the valuations of one rule solve, in the serial enumeration
+// order and with every value in the shared store.
+using EmitFn = std::function<void(const Bindings&)>;
+
+// The enumeration machinery one slice of a rule solve runs against: the
+// coordinator's, over a passthrough arena, or a parallel worker's, over a
+// private snapshot arena.
+struct Slice {
+  explicit Slice(ValueArena a) : arena(std::move(a)) {}
+  ValueArena arena;
+  std::optional<ExtentEnumerator> extents;
+  std::optional<RelationIndex> index;
+  std::optional<CardinalityEstimator> estimator;
+  RelationIndex::Counters folded;  // index counters already in EvalMetrics
+  RuleMetrics shard;  // a worker's rule counters, summed into the rule
+};
+
+// One rule solve against the frozen step instance: what every slice of it
+// shares.
+struct RuleSolve {
+  const Instance* inst = nullptr;
+  size_t rule = 0;
+  size_t delta_literal = il::kNoDelta;
+  const std::vector<ValueId>* delta_facts = nullptr;
+  bool filter_head = false;
+  const il::CompiledRule* compiled = nullptr;
+  const vm::PreparedRule* prepared = nullptr;
+};
+
+// One parallel chunk: a contiguous range of the first branch's candidates.
+struct Chunk {
+  size_t worker = 0;
+  std::vector<Bindings> thetas;
+  Status status = Status::Ok();
+};
+
 class StageRunner {
  public:
   // `pool` is null when the run is serial (num_threads resolved to 1);
@@ -854,19 +892,12 @@ class StageRunner {
     // A rule's enumeration may fan out only when every variable type is
     // intersection-free: extent enumeration compiles intersections away by
     // interning new nodes into the shared TypePool, which workers must not
-    // mutate. Such rules (and any whose first branch is narrow) take the
-    // serial path.
-    rule_parallel_.assign(rules_.size(), false);
-    if (pool_ != nullptr) {
-      for (size_t i = 0; i < rules_.size(); ++i) {
-        bool ok = true;
-        for (const auto& [var, t] : rules_[i].var_types) {
-          if (!u_->types().IsIntersectionFree(t)) {
-            ok = false;
-            break;
-          }
-        }
-        rule_parallel_[i] = ok;
+    // mutate. Such rules (and any whose first branch is narrow) run as the
+    // one inline slice.
+    rule_parallel_.assign(rules_.size(), true);
+    for (size_t i = 0; i < rules_.size(); ++i) {
+      for (const auto& [var, t] : rules_[i].var_types) {
+        if (!u_->types().IsIntersectionFree(t)) rule_parallel_[i] = false;
       }
     }
     if (metrics_ != nullptr) {
@@ -889,62 +920,86 @@ class StageRunner {
     }
   }
 
+  // Iterates the one-step operator to a fixpoint. Every step, naive or
+  // semi-naive, passes the same boundary: the budget and governor check
+  // before it, and the step count, durable commit, round record and trace
+  // line after it.
   Status Run(Instance* work) {
     // A stage resumed mid-fixpoint (start_step_ > 0) always runs the naive
     // operator: WAL frames are step-granular, and for semi-naive-eligible
     // stages the naive iteration reaches the identical fixpoint from any
     // committed intermediate state (monotone, invention-free).
-    if (options_.enable_seminaive && start_step_ == 0 &&
-        EligibleForSemiNaive()) {
-      return RunSemiNaive(work);
-    }
+    const bool seminaive = options_.enable_seminaive && start_step_ == 0 &&
+                           EligibleForSemiNaive();
+    Delta delta;  // semi-naive: the facts the previous round added
     for (uint64_t step = start_step_;; ++step) {
       // Step-boundary governor check: the instance sits exactly on a
       // completed-step boundary here, so any trip (step budget, deadline,
       // cancel, memory) rolls back for free. The budget is read through
-      // the governor so an external TightenSteps binds at the next round.
+      // the governor so an external TightenSteps binds at the next round,
+      // and a kSteps trip always leaves exactly `limits.max_steps_per_stage`
+      // completed steps -- which is what lets tests reproduce a tripped
+      // run's instance by re-running with the observed step count.
       if (step >= governor_->max_steps()) {
         return governor_->TripNow(TripReason::kSteps);
       }
       IQL_RETURN_IF_ERROR(governor_->CheckNow());
       auto step_start = std::chrono::steady_clock::now();
       uint64_t added_before = stats_->facts_added;
-      IQL_ASSIGN_OR_RETURN(std::vector<Derivation> derivations,
-                           ValuationDomain(*work));
-      if (derivations.empty()) return Status::Ok();
-      // Snapshot for net-change detection: with deletions in play, a step
-      // whose insertions and deletions cancel out (J = I) is a fixpoint
-      // even though individual operations fired.
-      std::optional<Instance> before;
-      if (has_deletions_) before = *work;
-      IQL_ASSIGN_OR_RETURN(bool changed, Apply(derivations, work));
+      step_partitions_ = 0;
+      // A naive step reads its frozen step-start instance, so fresh
+      // per-step machinery needs no invalidation. A semi-naive stage only
+      // ever adds relation facts, so its one stage-long index stays valid
+      // under incremental AddRelationFact maintenance (class extents and
+      // set values cannot change here).
+      if (!seminaive || !coordinator_.has_value()) {
+        coordinator_.emplace(ValueArena::Passthrough(&u_->values()));
+      }
+      Equip(*work, &*coordinator_);
+      IQL_ASSIGN_OR_RETURN(StepOutcome outcome,
+                           seminaive ? SemiNaiveRound(step, work, &delta)
+                                     : NaiveStep(work));
       ++prepared_epoch_;  // the commit invalidates prepared rule state
+      if (!outcome.applied) return Status::Ok();
       ++stats_->steps;
       IQL_RETURN_IF_ERROR(CommitDurable(step, work));
       if (metrics_ != nullptr) {
         metrics_->rounds.push_back(RoundMetrics{
-            stage_index_, step, /*seminaive=*/false,
-            stats_->facts_added - added_before, work->GroundFactCount(),
-            Seconds(step_start)});
+            stage_index_, step, seminaive, stats_->facts_added - added_before,
+            work->GroundFactCount(), Seconds(step_start)});
       }
       if (options_.trace != nullptr) {
-        *options_.trace << "stage " << stage_index_ << " step " << step
-                        << ": val-dom " << derivations.size()
-                        << ", facts " << work->GroundFactCount()
-                        << ", invented " << stats_->invented_oids;
-        if (step_partitions_ > 0) {
-          *options_.trace << ", parallel partitions " << step_partitions_;
+        std::ostream& trace = *options_.trace;
+        trace << "stage " << stage_index_;
+        if (seminaive) {
+          trace << " (semi-naive) round " << step << ": facts "
+                << work->GroundFactCount();
+        } else {
+          trace << " step " << step << ": val-dom " << outcome.val_dom
+                << ", facts " << work->GroundFactCount() << ", invented "
+                << stats_->invented_oids;
         }
-        *options_.trace << "\n";
+        if (step_partitions_ > 0) {
+          trace << ", parallel partitions " << step_partitions_;
+        }
+        trace << "\n";
       }
-      if (!changed) return Status::Ok();
-      if (before.has_value() && work->EqualGroundFacts(*before)) {
-        return Status::Ok();
-      }
+      if (outcome.fixpoint) return Status::Ok();
     }
   }
 
  private:
+  using Delta = std::map<Symbol, std::vector<ValueId>>;
+
+  // What one application of the operator did.
+  struct StepOutcome {
+    // False when val-dom was empty: the instance is already a fixpoint and
+    // no step happened.
+    bool applied = false;
+    bool fixpoint = false;  // no further step can change the instance
+    size_t val_dom = 0;     // naive steps: |val-dom|
+  };
+
   // The compiled IL for (rule, delta_literal), or nullptr when the rule is
   // outside the VM-eligible fragment or tree_walk_oracle is set.
   // Coordinator-only: delta variants compile lazily into a node-stable
@@ -964,26 +1019,23 @@ class StageRunner {
     return it->second.has_value() ? &*it->second : nullptr;
   }
 
-  // Constructs the executor-selected solver for rule `r` into `out`. `cr`
-  // must be this rule's Compiled() result for the same delta literal, and
-  // `prepared` its Prepared() state (or null to materialize per call).
-  void MakeSolver(AnySolver* out, const il::CompiledRule* cr, size_t r,
-                  const Instance& inst, const SolverContext& ctx,
-                  size_t delta_literal,
-                  const std::vector<ValueId>* delta_facts,
-                  const vm::PreparedRule* prepared) const {
-    if (cr != nullptr) {
+  // Constructs the executor-selected solver for `solve` into `out`: the
+  // register VM for a compiled rule, the tree-walker otherwise.
+  void MakeSolver(AnySolver* out, const RuleSolve& solve,
+                  const SolverContext& ctx) const {
+    if (solve.compiled != nullptr) {
       vm::VmContext vctx;
       vctx.extents = ctx.extents;
       vctx.index = ctx.index;
       vctx.rule_metrics = ctx.rule_metrics;
       vctx.values = ctx.values;
       vctx.governor = ctx.governor;
-      vctx.prepared = prepared;
-      out->regvm.emplace(*cr, inst, vctx, delta_facts);
+      vctx.prepared = solve.prepared;
+      out->regvm.emplace(*solve.compiled, *solve.inst, vctx,
+                         solve.delta_facts);
     } else {
-      out->tree.emplace(prog_, rules_[r], inst, ctx, delta_literal,
-                        delta_facts);
+      out->tree.emplace(prog_, rules_[solve.rule], *solve.inst, ctx,
+                        solve.delta_literal, solve.delta_facts);
     }
   }
 
@@ -1074,269 +1126,269 @@ class StageRunner {
     return true;
   }
 
-  Status RunSemiNaive(Instance* work) {
+  // One naive step: val-dom against the step-start instance, then every
+  // derivation applied at once.
+  Result<StepOutcome> NaiveStep(Instance* work) {
+    IQL_ASSIGN_OR_RETURN(std::vector<Derivation> derivations,
+                         ValuationDomain(*work));
+    coordinator_.reset();  // application needs no enumeration machinery
+    if (derivations.empty()) return StepOutcome{};
+    // Snapshot for net-change detection: with deletions in play, a step
+    // whose insertions and deletions cancel out (J = I) is a fixpoint
+    // even though individual operations fired.
+    std::optional<Instance> before;
+    if (has_deletions_) before = *work;
+    IQL_ASSIGN_OR_RETURN(bool changed, Apply(derivations, work));
+    bool fixpoint =
+        !changed || (before.has_value() && work->EqualGroundFacts(*before));
+    return StepOutcome{true, fixpoint, derivations.size()};
+  }
+
+  Result<std::vector<Derivation>> ValuationDomain(const Instance& inst) {
+    std::vector<Derivation> out;
+    for (size_t r = 0; r < rules_.size(); ++r) {
+      const Rule& rule = rules_[r];
+      // val-dom is a *set* of (r, theta): deduplication matters only for
+      // invention rules (a duplicate theta would mint extra oids); for
+      // ordinary heads, firing twice derives the same fact.
+      bool dedupe = !rule.invented_vars.empty();
+      std::set<Bindings> seen;
+      IQL_RETURN_IF_ERROR(ForEachValuation(
+          inst, r, il::kNoDelta, nullptr, /*filter_head=*/true,
+          [&](const Bindings& theta) {
+            if (!dedupe || seen.insert(theta).second) {
+              out.push_back({&rule, theta});
+            }
+          }));
+    }
+    return out;
+  }
+
+  // One semi-naive round. Round 0 evaluates every rule in full; a later
+  // round evaluates each rule once per positive relation literal whose
+  // relation gained facts in the previous round, with that literal ranging
+  // over just the new facts. The round's new facts are applied at once and
+  // become the next round's delta.
+  Result<StepOutcome> SemiNaiveRound(uint64_t round, Instance* work,
+                                     Delta* delta) {
     struct PendingFact {
       Symbol rel;
       ValueId v;
       RuleMetrics* rm;
     };
-    using Pending = std::vector<PendingFact>;
-    // Eligible stages only ever add relation facts, so one stage-long index
-    // stays valid under incremental AddRelationFact maintenance (class
-    // extents and set values cannot change here).
-    std::optional<RelationIndex> index;
-    if (options_.enable_indexing) index.emplace(work);
-    std::optional<CardinalityEstimator> estimator;
-    if (options_.enable_scheduling) estimator.emplace(work);
-    ValueArena arena = ValueArena::Passthrough(&u_->values());
-    auto solve_into = [&](size_t rule_idx, ExtentEnumerator* extents,
-                          size_t delta_literal,
-                          const std::vector<ValueId>* delta_facts,
-                          Pending* pending) -> Status {
-      const Rule& rule = rules_[rule_idx];
-      RuleMetrics* rm =
-          rule_metrics_.empty() ? nullptr : rule_metrics_[rule_idx];
+    std::vector<PendingFact> pending;
+    for (auto& [rel, facts] : *delta) std::sort(facts.begin(), facts.end());
+    for (size_t r = 0; r < rules_.size(); ++r) {
+      const Rule& rule = rules_[r];
+      RuleMetrics* rm = rule_metrics_.empty() ? nullptr : rule_metrics_[r];
       Symbol head_rel = prog_.term(rule.head.lhs).name;
-      SolverContext ctx;
-      ctx.extents = extents;
-      ctx.index = index.has_value() ? &*index : nullptr;
-      ctx.estimator = estimator.has_value() ? &*estimator : nullptr;
-      ctx.rule_metrics = rm;
-      ctx.values = &arena;
-      ctx.governor = governor_;
-      ctx.schedule = options_.enable_scheduling;
-      const il::CompiledRule* cr = Compiled(rule_idx, delta_literal);
-      const vm::PreparedRule* prepared = Prepared(cr, *work);
-      if (pool_ != nullptr && rule_parallel_[rule_idx]) {
-        // Parallel semi-naive: partition this solve's first candidate
-        // list (the delta itself whenever the planner ranges the delta
-        // literal first) across the pool; heads are evaluated by the
-        // coordinator from the rehomed thetas, in canonical order.
-        IQL_ASSIGN_OR_RETURN(
-            size_t width, ProbeBranchWidth(rule_idx, cr, *work, ctx,
-                                           delta_literal, delta_facts,
-                                           prepared));
-        if (width >= options_.parallel_min_candidates) {
-          auto start = std::chrono::steady_clock::now();
-          if (rm != nullptr) ++rm->invocations;
-          IQL_ASSIGN_OR_RETURN(
-              std::vector<Bindings> thetas,
-              ParallelEnumerate(*work, rule_idx, cr, width, rm,
-                                /*filter_head=*/false, delta_literal,
-                                delta_facts, prepared));
-          for (const Bindings& theta : thetas) {
-            auto v = EvalTerm(prog_, rule.head.rhs, theta, *work, arena);
-            if (v.has_value()) pending->push_back({head_rel, *v, rm});
-          }
-          if (rm != nullptr) rm->seconds += Seconds(start);
-          return Status::Ok();
+      auto solve = [&](size_t delta_literal,
+                       const std::vector<ValueId>* delta_facts) {
+        return ForEachValuation(
+            *work, r, delta_literal, delta_facts, /*filter_head=*/false,
+            [&](const Bindings& theta) {
+              auto v = EvalTerm(prog_, rule.head.rhs, theta, *work,
+                                coordinator_->arena);
+              if (v.has_value()) pending.push_back({head_rel, *v, rm});
+            });
+      };
+      if (round == 0) {
+        IQL_RETURN_IF_ERROR(solve(il::kNoDelta, nullptr));
+        continue;
+      }
+      for (size_t d = 0; d < rule.body.size(); ++d) {
+        const Literal& lit = rule.body[d];
+        if (lit.kind != Literal::Kind::kMembership || !lit.positive) {
+          continue;
         }
+        const Term& lhs = prog_.term(lit.lhs);
+        if (lhs.kind != Term::Kind::kRelName) continue;
+        auto it = delta->find(lhs.name);
+        if (it == delta->end() || it->second.empty()) continue;
+        IQL_RETURN_IF_ERROR(solve(d, &it->second));
       }
-      AnySolver solver;
-      MakeSolver(&solver, cr, rule_idx, *work, ctx, delta_literal,
-                 delta_facts, prepared);
-      auto start = std::chrono::steady_clock::now();
-      if (rm != nullptr) ++rm->invocations;
-      Status s = solver.Solve([&](const Bindings& theta) -> Status {
-        if (++stats_->derivations > options_.limits.max_derivations) {
-          return governor_->TripNow(TripReason::kDerivations);
-        }
-        if (rm != nullptr) ++rm->derivations;
-        auto v = EvalTerm(prog_, rule.head.rhs, theta, *work, arena);
-        if (v.has_value()) pending->push_back({head_rel, *v, rm});
-        return Status::Ok();
-      });
-      if (rm != nullptr) rm->seconds += Seconds(start);
-      return s;
-    };
-    auto apply = [&](Pending* pending,
-                     std::map<Symbol, std::vector<ValueId>>* delta)
-        -> Status {
-      for (const auto& [rel, v, rm] : *pending) {
-        if (work->RelationContains(rel, v)) continue;
-        IQL_RETURN_IF_ERROR(work->AddToRelation(rel, v));
-        ++stats_->facts_added;
-        governor_->accountant()->Charge(kFactBytes);
-        if (rm != nullptr) ++rm->facts_added;
-        if (index.has_value()) index->AddRelationFact(rel, v);
-        (*delta)[rel].push_back(v);
-      }
-      // The commit moved the instance: prepared set values and candidate
-      // lists are stale from here on.
-      ++prepared_epoch_;
-      return Status::Ok();
-    };
-    auto record_round =
-        [&](uint64_t round, std::chrono::steady_clock::time_point start,
-            const std::map<Symbol, std::vector<ValueId>>& d) {
-          if (metrics_ == nullptr) return;
-          uint64_t delta_facts = 0;
-          for (const auto& [rel, facts] : d) delta_facts += facts.size();
-          metrics_->rounds.push_back(
-              RoundMetrics{stage_index_, round, /*seminaive=*/true,
-                           delta_facts, work->GroundFactCount(),
-                           Seconds(start)});
-        };
-
-    std::map<Symbol, std::vector<ValueId>> delta;
-    // Round budget and governor checks run at the top of every round
-    // (including round 0), mirroring the naive loop: a kSteps trip always
-    // leaves exactly `limits.max_steps_per_stage` completed rounds, which
-    // is what lets tests reproduce a tripped run's instance by re-running
-    // with the observed step count as the budget.
-    uint64_t rounds = 0;
-    {
-      // Round 0: full evaluation of every rule.
-      if (rounds >= governor_->max_steps()) {
-        return governor_->TripNow(TripReason::kSteps);
-      }
-      IQL_RETURN_IF_ERROR(governor_->CheckNow());
-      auto round_start = std::chrono::steady_clock::now();
-      step_partitions_ = 0;
-      ExtentEnumerator extents(work, options_.limits.extent_budget);
-      extents.set_governor(governor_);
-      Pending pending;
-      for (size_t r = 0; r < rules_.size(); ++r) {
-        IQL_RETURN_IF_ERROR(solve_into(r, &extents, static_cast<size_t>(-1),
-                                       nullptr, &pending));
-      }
-      IQL_RETURN_IF_ERROR(apply(&pending, &delta));
-      ++stats_->steps;
-      IQL_RETURN_IF_ERROR(CommitDurable(0, work));
-      ++rounds;
-      record_round(0, round_start, delta);
     }
-    while (!delta.empty()) {
-      if (rounds >= governor_->max_steps()) {
-        return governor_->TripNow(TripReason::kSteps);
+    Delta next;
+    for (const auto& [rel, v, rm] : pending) {
+      if (work->RelationContains(rel, v)) continue;
+      IQL_RETURN_IF_ERROR(work->AddToRelation(rel, v));
+      ++stats_->facts_added;
+      governor_->accountant()->Charge(kFactBytes);
+      if (rm != nullptr) ++rm->facts_added;
+      if (coordinator_->index.has_value()) {
+        coordinator_->index->AddRelationFact(rel, v);
       }
-      IQL_RETURN_IF_ERROR(governor_->CheckNow());
-      auto round_start = std::chrono::steady_clock::now();
-      step_partitions_ = 0;
-      for (auto& [rel, facts] : delta) std::sort(facts.begin(), facts.end());
-      ExtentEnumerator extents(work, options_.limits.extent_budget);
-      extents.set_governor(governor_);
-      Pending pending;
-      for (size_t r = 0; r < rules_.size(); ++r) {
-        const Rule& rule = rules_[r];
-        for (size_t d = 0; d < rule.body.size(); ++d) {
-          const Literal& lit = rule.body[d];
-          if (lit.kind != Literal::Kind::kMembership || !lit.positive) {
-            continue;
-          }
-          const Term& lhs = prog_.term(lit.lhs);
-          if (lhs.kind != Term::Kind::kRelName) continue;
-          auto it = delta.find(lhs.name);
-          if (it == delta.end() || it->second.empty()) continue;
-          IQL_RETURN_IF_ERROR(
-              solve_into(r, &extents, d, &it->second, &pending));
-        }
-      }
-      std::map<Symbol, std::vector<ValueId>> next;
-      IQL_RETURN_IF_ERROR(apply(&pending, &next));
-      delta = std::move(next);
-      ++stats_->steps;
-      IQL_RETURN_IF_ERROR(CommitDurable(rounds, work));
-      record_round(rounds, round_start, delta);
-      if (options_.trace != nullptr) {
-        *options_.trace << "stage " << stage_index_ << " (semi-naive) round "
-                        << rounds << ": facts " << work->GroundFactCount();
-        if (step_partitions_ > 0) {
-          *options_.trace << ", parallel partitions " << step_partitions_;
-        }
-        *options_.trace << "\n";
-      }
-      ++rounds;
+      next[rel].push_back(v);
     }
-    if (index.has_value()) FoldIndexCounters(*index);
-    return Status::Ok();
+    *delta = std::move(next);
+    return StepOutcome{true, delta->empty(), 0};
   }
 
-  // One worker's private view of the frozen step instance: a snapshot
-  // arena over the shared store plus arena-backed enumeration machinery.
-  // Estimates and extents are deterministic functions of the frozen
-  // instance, so every worker (and the coordinator's probe) makes the same
-  // generator choices and sees the same candidate lists.
-  struct WorkerState {
-    std::optional<ValueArena> arena;
-    std::optional<ExtentEnumerator> extents;
-    std::optional<RelationIndex> index;
-    std::optional<CardinalityEstimator> estimator;
-    RuleMetrics shard;  // derivation/index counters, summed at merge
-  };
+  // Sets up the enumeration machinery of one slice against the frozen
+  // `inst`: the one set-up for the coordinator and every worker. Extents
+  // are rebuilt per call; an index or estimator the slice already holds is
+  // kept (a semi-naive coordinator's is stage-long).
+  void Equip(const Instance& inst, Slice* slice) {
+    slice->extents.emplace(&inst, options_.limits.extent_budget,
+                           &slice->arena);
+    slice->extents->set_governor(governor_);
+    if (options_.enable_indexing && !slice->index.has_value()) {
+      slice->index.emplace(&inst, &slice->arena);
+    }
+    if (options_.enable_scheduling && !slice->estimator.has_value()) {
+      slice->estimator.emplace(&inst);
+    }
+  }
 
-  // Measures the width of rule `r`'s first multi-way branch against the
-  // frozen instance without enumerating past it (ctx must be the
-  // coordinator's serial context). Zero when the enumeration dies, or
-  // never branches, before any candidate list.
-  Result<size_t> ProbeBranchWidth(size_t r, const il::CompiledRule* cr,
-                                  const Instance& inst, SolverContext ctx,
-                                  size_t delta_literal,
-                                  const std::vector<ValueId>* delta_facts,
-                                  const vm::PreparedRule* prepared) {
+  SolverContext ContextOf(Slice* slice, RuleMetrics* counters) const {
+    SolverContext ctx;
+    ctx.extents = &*slice->extents;
+    ctx.index = slice->index.has_value() ? &*slice->index : nullptr;
+    ctx.estimator =
+        slice->estimator.has_value() ? &*slice->estimator : nullptr;
+    ctx.rule_metrics = counters;
+    ctx.values = &slice->arena;
+    ctx.governor = governor_;
+    ctx.schedule = options_.enable_scheduling;
+    return ctx;
+  }
+
+  // Measures the width of the rule's first multi-way branch against the
+  // frozen instance on the coordinator's machinery, without enumerating
+  // past it. Zero when the enumeration dies, or never branches, before any
+  // candidate list.
+  Result<size_t> ProbeBranchWidth(const RuleSolve& solve) {
     size_t width = 0;
-    ctx.rule_metrics = nullptr;  // probe work is not attributed to the rule
     AnySolver probe;
-    MakeSolver(&probe, cr, r, inst, ctx, delta_literal, delta_facts,
-               prepared);
+    // Probe work is not attributed to the rule.
+    MakeSolver(&probe, solve, ContextOf(&*coordinator_, nullptr));
     probe.SetProbe(&width);
     IQL_RETURN_IF_ERROR(
         probe.Solve([](const Bindings&) { return Status::Ok(); }));
     return width;
   }
 
-  // Enumerates rule `r`'s satisfying valuations with the candidate list at
-  // the solver's first multi-way branch (width `width`, as measured by
-  // ProbeBranchWidth against the same frozen instance) partitioned into
-  // contiguous chunks that workers claim dynamically. Each worker
-  // enumerates its chunks into private buffers, interning new o-values
-  // into its side store; the coordinator then rehomes every binding into
-  // the shared store and concatenates the buffers in chunk order -- which
-  // is exactly the serial enumeration order, so downstream invention,
-  // choose, and weak assignment see the canonical derivation sequence.
-  // With `filter_head` set, the naive val-dom head filter runs inside the
-  // workers (per-worker HeadSatisfiability over the same frozen instance).
-  Result<std::vector<Bindings>> ParallelEnumerate(
-      const Instance& inst, size_t r, const il::CompiledRule* cr,
-      size_t width, RuleMetrics* rm, bool filter_head, size_t delta_literal,
-      const std::vector<ValueId>* delta_facts,
-      const vm::PreparedRule* prepared) {
-    const Rule& rule = rules_[r];
+  // The enumeration driver: hands `emit` every satisfying valuation of rule
+  // `r` against the frozen `inst` -- with the delta literal ranging over
+  // `delta_facts` when one is given, and, with `filter_head`, only the
+  // valuations in val-dom -- in the serial enumeration order.
+  //
+  // Without a pool, for an intersection-typed rule, or when the first
+  // multi-way branch is narrower than parallel_min_candidates, one
+  // unbounded slice runs inline on the coordinator and streams each theta
+  // to `emit`. Otherwise the same per-slice body runs on contiguous chunks
+  // of that branch, which the pool's workers claim dynamically, and the
+  // merge emits the chunks' valuations in chunk order.
+  Status ForEachValuation(const Instance& inst, size_t r,
+                          size_t delta_literal,
+                          const std::vector<ValueId>* delta_facts,
+                          bool filter_head, const EmitFn& emit) {
+    RuleMetrics* rm = rule_metrics_.empty() ? nullptr : rule_metrics_[r];
+    RuleSolve solve{&inst, r, delta_literal, delta_facts, filter_head,
+                    Compiled(r, delta_literal)};
+    solve.prepared = Prepared(solve.compiled, inst);
+    size_t width = 0;  // zero: run the one inline slice
+    if (pool_ != nullptr && rule_parallel_[r]) {
+      IQL_ASSIGN_OR_RETURN(width, ProbeBranchWidth(solve));
+      if (width < options_.parallel_min_candidates) width = 0;
+    }
+    auto start = std::chrono::steady_clock::now();
+    if (rm != nullptr) ++rm->invocations;
+    derivations_.store(stats_->derivations, std::memory_order_relaxed);
+    std::vector<std::optional<Slice>> workers;
+    std::vector<Chunk> chunks;
+    Status s = width == 0
+                   ? SolveSlice(solve, &*coordinator_, rm, 0, kWholeBranch,
+                                emit)
+                   : Scatter(solve, width, &workers, &chunks);
+    // Every exit, tripped or not, leaves the counters consistent: the
+    // derivation count is written back, and every slice's index and rule
+    // counters are folded.
+    stats_->derivations = derivations_.load(std::memory_order_relaxed);
+    std::vector<Slice*> slices = {&*coordinator_};
+    for (std::optional<Slice>& worker : workers) slices.push_back(&*worker);
+    for (Slice* slice : slices) FoldIndexCounters(slice, rm);
+    if (s.ok() && width > 0) {
+      // Canonical merge: rehome each valuation into the shared store, chunk
+      // by chunk in chunk order -- exactly the serial enumeration order, so
+      // invention, choose and weak assignment downstream see the canonical
+      // derivation sequence.
+      for (const Chunk& chunk : chunks) {
+        ValueArena& arena = workers[chunk.worker]->arena;
+        for (const Bindings& theta : chunk.thetas) {
+          Bindings rehomed;
+          for (const auto& [var, v] : theta) {
+            rehomed.emplace(var, arena.RehomeInto(&u_->values(), v));
+          }
+          emit(rehomed);
+        }
+      }
+      if (rm != nullptr) rm->parallel_partitions += chunks.size();
+      step_partitions_ += chunks.size();
+    }
+    if (rm != nullptr) rm->seconds += Seconds(start);
+    return s;
+  }
+
+  // The per-slice body of every rule solve: enumerates candidates [begin,
+  // end) of the rule's first multi-way branch on `slice`'s machinery,
+  // counts each valuation against max_derivations (into `counters` too,
+  // when set), applies the val-dom head filter and hands the survivors to
+  // `sink`.
+  Status SolveSlice(const RuleSolve& solve, Slice* slice,
+                    RuleMetrics* counters, size_t begin, size_t end,
+                    const EmitFn& sink) {
+    const Rule& rule = rules_[solve.rule];
+    // The "no extension satisfies the head" filter applies to inflationary
+    // heads only; a deletion rule (IQL*) is applicable whenever its body is
+    // satisfied (deleting an absent fact is a no-op caught by net-change
+    // detection).
+    std::optional<HeadSatisfiability> head;
+    if (solve.filter_head && !rule.head_negative) {
+      head.emplace(prog_, rule, *solve.inst, &slice->arena,
+                   !options_.disable_head_fast_path);
+    }
+    AnySolver solver;
+    MakeSolver(&solver, solve, ContextOf(slice, counters));
+    solver.SetSlice(begin, end);
+    return solver.Solve([&](const Bindings& theta) -> Status {
+      if (derivations_.fetch_add(1, std::memory_order_relaxed) >=
+          options_.limits.max_derivations) {
+        return governor_->TripNow(TripReason::kDerivations);
+      }
+      if (counters != nullptr) ++counters->derivations;
+      if (head.has_value() && head->Satisfiable(theta)) {
+        return Status::Ok();  // not in val-dom
+      }
+      sink(theta);
+      return Status::Ok();
+    });
+  }
+
+  // Runs the per-slice body on the pool over contiguous chunks of the
+  // rule's first branch (`width` candidates, as probed). Each worker
+  // equips a slice over a private snapshot arena, so new o-values intern
+  // into its side store, and buffers each chunk's valuations; `workers`
+  // and `chunks` are left for the caller's fold and merge. Estimates and
+  // extents are deterministic functions of the frozen instance, so every
+  // worker (and the coordinator's probe) makes the same generator choices
+  // and sees the same candidate lists.
+  Status Scatter(const RuleSolve& solve, size_t width,
+                 std::vector<std::optional<Slice>>* workers,
+                 std::vector<Chunk>* chunks) {
     // More chunks than workers smooths skew from uneven subtree sizes;
     // chunk *order*, not assignment, determines the merged output.
     size_t chunk_count = std::min(width, pool_->workers() * 4);
-    size_t workers = std::min(pool_->workers(), chunk_count);
-    struct Chunk {
-      size_t worker = 0;
-      std::vector<Bindings> thetas;
-      Status status = Status::Ok();
-    };
-    std::vector<Chunk> chunks(chunk_count);
-    std::vector<WorkerState> states(workers);
+    chunks->resize(chunk_count);
+    *workers = std::vector<std::optional<Slice>>(
+        std::min(pool_->workers(), chunk_count));
     std::atomic<size_t> next_chunk{0};
-    std::atomic<uint64_t> derivations{stats_->derivations};
     std::atomic<bool> abort{false};
-    pool_->ParallelRun(workers, [&](size_t w) {
-      WorkerState& st = states[w];
-      st.arena.emplace(ValueArena::Snapshot(&u_->values()));
-      st.arena->set_accountant(governor_->accountant());
-      st.extents.emplace(&inst, options_.limits.extent_budget, &*st.arena);
-      st.extents->set_governor(governor_);
-      if (options_.enable_indexing) st.index.emplace(&inst, &*st.arena);
-      if (options_.enable_scheduling) st.estimator.emplace(&inst);
-      std::optional<HeadSatisfiability> head;
-      if (filter_head) {
-        head.emplace(prog_, rule, inst, &*st.arena,
-                     !options_.disable_head_fast_path);
-      }
-      SolverContext ctx;
-      ctx.extents = &*st.extents;
-      ctx.index = st.index.has_value() ? &*st.index : nullptr;
-      ctx.estimator = st.estimator.has_value() ? &*st.estimator : nullptr;
-      ctx.rule_metrics = &st.shard;
-      ctx.values = &*st.arena;
-      ctx.governor = governor_;
-      ctx.schedule = options_.enable_scheduling;
+    pool_->ParallelRun(workers->size(), [&](size_t w) {
+      Slice& slice =
+          (*workers)[w].emplace(ValueArena::Snapshot(&u_->values()));
+      slice.arena.set_accountant(governor_->accountant());
+      Equip(*solve.inst, &slice);
       for (;;) {
         // A sticky governor trip on any thread drains the whole pool: every
         // worker observes it either here or at its solver's next poll.
@@ -1344,166 +1396,53 @@ class StageRunner {
           return;
         }
         size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-        if (c >= chunks.size()) return;
-        Chunk& chunk = chunks[c];
+        if (c >= chunk_count) return;
+        Chunk& chunk = (*chunks)[c];
         chunk.worker = w;
         if (FaultInjector::Global().ShouldFail(FaultSite::kWorkerTask)) {
           // An injected worker-task fault is reported through the governor
           // so the step aborts with the standard rollback guarantee.
           chunk.status = governor_->TripNow(TripReason::kFault);
-          abort.store(true, std::memory_order_relaxed);
-          return;
+        } else {
+          chunk.status = SolveSlice(
+              solve, &slice, &slice.shard, c * width / chunk_count,
+              (c + 1) * width / chunk_count,
+              [&chunk](const Bindings& theta) {
+                chunk.thetas.push_back(theta);
+              });
         }
-        AnySolver solver;
-        MakeSolver(&solver, cr, r, inst, ctx, delta_literal, delta_facts,
-                   prepared);
-        solver.SetSlice(c * width / chunk_count,
-                        (c + 1) * width / chunk_count);
-        chunk.status = solver.Solve([&](const Bindings& theta) -> Status {
-          uint64_t n =
-              derivations.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (n > options_.limits.max_derivations) {
-            return governor_->TripNow(TripReason::kDerivations);
-          }
-          ++st.shard.derivations;
-          if (head.has_value() && !rule.head_negative &&
-              head->Satisfiable(theta)) {
-            return Status::Ok();  // not in val-dom
-          }
-          chunk.thetas.push_back(theta);
-          return Status::Ok();
-        });
         if (!chunk.status.ok()) {
           abort.store(true, std::memory_order_relaxed);
           return;
         }
       }
     });
-    // Any failed chunk fails the step (the serial evaluator would have
+    // Any failed chunk fails the step (the one inline slice would have
     // surfaced the same class of error within the same enumeration).
-    for (const Chunk& chunk : chunks) {
+    for (const Chunk& chunk : *chunks) {
       IQL_RETURN_IF_ERROR(chunk.status);
     }
     // Belt and braces: a sticky trip always fails the step even if every
     // chunk drained before storing the error.
-    IQL_RETURN_IF_ERROR(governor_->Poll());
-    stats_->derivations = derivations.load();
-    // Serial canonical merge: rehome each surviving binding into the
-    // shared store, chunk by chunk, in chunk order.
-    std::vector<Bindings> out;
-    for (Chunk& chunk : chunks) {
-      ValueArena& arena = *states[chunk.worker].arena;
-      for (Bindings& theta : chunk.thetas) {
-        Bindings rehomed;
-        for (const auto& [var, v] : theta) {
-          rehomed.emplace(var, arena.RehomeInto(&u_->values(), v));
-        }
-        out.push_back(std::move(rehomed));
-      }
-    }
-    for (WorkerState& st : states) {
-      if (rm != nullptr) {
-        rm->derivations += st.shard.derivations;
-        rm->index_probes += st.shard.index_probes;
-        rm->index_scans += st.shard.index_scans;
-        rm->vm_instructions += st.shard.vm_instructions;
-      }
-      if (st.index.has_value()) FoldIndexCounters(*st.index);
-    }
-    if (rm != nullptr) rm->parallel_partitions += chunk_count;
-    step_partitions_ += chunk_count;
-    return out;
+    return governor_->Poll();
   }
 
-  Result<std::vector<Derivation>> ValuationDomain(const Instance& inst) {
-    std::vector<Derivation> out;
-    ValueArena arena = ValueArena::Passthrough(&u_->values());
-    ExtentEnumerator extents(&inst, options_.limits.extent_budget, &arena);
-    extents.set_governor(governor_);
-    // Naive steps evaluate against the frozen step-start instance, so a
-    // fresh per-step index needs no invalidation at all.
-    std::optional<RelationIndex> index;
-    if (options_.enable_indexing) index.emplace(&inst);
-    std::optional<CardinalityEstimator> estimator;
-    if (options_.enable_scheduling) estimator.emplace(&inst);
-    step_partitions_ = 0;
-    for (size_t r = 0; r < rules_.size(); ++r) {
-      const Rule& rule = rules_[r];
-      RuleMetrics* rm = rule_metrics_.empty() ? nullptr : rule_metrics_[r];
-      // val-dom is a *set* of (r, theta): deduplication matters only for
-      // invention rules (a duplicate theta would mint extra oids); for
-      // ordinary heads, firing twice derives the same fact.
-      bool dedupe = !rule.invented_vars.empty();
-      std::set<Bindings> seen;
-      SolverContext ctx;
-      ctx.extents = &extents;
-      ctx.index = index.has_value() ? &*index : nullptr;
-      ctx.estimator = estimator.has_value() ? &*estimator : nullptr;
-      ctx.rule_metrics = rm;
-      ctx.values = &arena;
-      ctx.governor = governor_;
-      ctx.schedule = options_.enable_scheduling;
-      const il::CompiledRule* cr = Compiled(r, il::kNoDelta);
-      const vm::PreparedRule* prepared = Prepared(cr, inst);
-      if (pool_ != nullptr && rule_parallel_[r]) {
-        IQL_ASSIGN_OR_RETURN(
-            size_t width,
-            ProbeBranchWidth(r, cr, inst, ctx, static_cast<size_t>(-1),
-                             nullptr, prepared));
-        if (width >= options_.parallel_min_candidates) {
-          auto start = std::chrono::steady_clock::now();
-          if (rm != nullptr) ++rm->invocations;
-          IQL_ASSIGN_OR_RETURN(
-              std::vector<Bindings> thetas,
-              ParallelEnumerate(inst, r, cr, width, rm,
-                                /*filter_head=*/true,
-                                static_cast<size_t>(-1), nullptr, prepared));
-          for (Bindings& theta : thetas) {
-            if (!dedupe || seen.insert(theta).second) {
-              out.push_back({&rule, std::move(theta)});
-            }
-          }
-          if (rm != nullptr) rm->seconds += Seconds(start);
-          continue;
-        }
-      }
-      HeadSatisfiability head(prog_, rule, inst, &arena,
-                              !options_.disable_head_fast_path);
-      AnySolver solver;
-      MakeSolver(&solver, cr, r, inst, ctx, static_cast<size_t>(-1),
-                 nullptr, prepared);
-      auto start = std::chrono::steady_clock::now();
-      if (rm != nullptr) ++rm->invocations;
-      Status s = solver.Solve([&](const Bindings& theta) -> Status {
-        if (++stats_->derivations > options_.limits.max_derivations) {
-          return governor_->TripNow(TripReason::kDerivations);
-        }
-        if (rm != nullptr) ++rm->derivations;
-        // The "no extension satisfies the head" filter applies to
-        // inflationary heads only; a deletion rule (IQL*) is applicable
-        // whenever its body is satisfied (deleting an absent fact is a
-        // no-op caught by net-change detection).
-        if (!rule.head_negative && head.Satisfiable(theta)) {
-          return Status::Ok();  // not in val-dom
-        }
-        if (!dedupe || seen.insert(theta).second) {
-          out.push_back({&rule, theta});
-        }
-        return Status::Ok();
-      });
-      if (rm != nullptr) rm->seconds += Seconds(start);
-      IQL_RETURN_IF_ERROR(s);
+  // Folds one slice's counters into the run's: what its index counted
+  // since the last fold into EvalMetrics (a semi-naive coordinator's index
+  // is stage-long), and a worker's rule counters into `rm`.
+  void FoldIndexCounters(Slice* slice, RuleMetrics* rm) {
+    if (rm != nullptr) {
+      rm->derivations += slice->shard.derivations;
+      rm->index_probes += slice->shard.index_probes;
+      rm->index_scans += slice->shard.index_scans;
+      rm->vm_instructions += slice->shard.vm_instructions;
     }
-    if (index.has_value()) FoldIndexCounters(*index);
-    return out;
-  }
-
-  void FoldIndexCounters(const RelationIndex& index) {
-    if (metrics_ == nullptr) return;
-    const RelationIndex::Counters& c = index.counters();
-    metrics_->index_builds += c.builds;
-    metrics_->index_probes += c.probes;
-    metrics_->index_hits += c.hits;
+    if (metrics_ == nullptr || !slice->index.has_value()) return;
+    const RelationIndex::Counters& c = slice->index->counters();
+    metrics_->index_builds += c.builds - slice->folded.builds;
+    metrics_->index_probes += c.probes - slice->folded.probes;
+    metrics_->index_hits += c.hits - slice->folded.hits;
+    slice->folded = c;
   }
 
   // Applies all derivations "in parallel": inventions first (the
@@ -1764,6 +1703,12 @@ class StageRunner {
   Governor* governor_ = nullptr;  // owned by EvaluateProgram, never null
   std::vector<bool> rule_parallel_;  // per rule: may its solver fan out?
   uint64_t step_partitions_ = 0;     // partitions used by the current step
+  // The coordinator's enumeration machinery: per naive step, stage-long
+  // for a semi-naive stage.
+  std::optional<Slice> coordinator_;
+  // The run's derivation count while a rule solve enumerates, shared by
+  // its slices; written back to stats_ when the solve ends.
+  std::atomic<uint64_t> derivations_{0};
   uint64_t choose_rng_ = 0;
   bool has_deletions_ = false;
   // Per-rule compiled IL (nullopt = tree-walk fallback; empty under

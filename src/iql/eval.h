@@ -150,24 +150,30 @@ struct EvalOptions {
   bool allow_deletions = false;
 
   // When set, a one-line summary of every one-step-operator application
-  // (stage, step, |val-dom|, facts added so far) is streamed here. Trace
-  // lines are emitted by the coordinator after each step's merge, so they
-  // stay in step order regardless of num_threads.
+  // is streamed here: per naive step (stage, step, |val-dom|, ground
+  // facts, invented oids), per semi-naive round, round 0 included (stage,
+  // round, ground facts). Trace lines are emitted by the coordinator after
+  // each step's merge, so they stay in step order regardless of
+  // num_threads.
   std::ostream* trace = nullptr;
 
-  // Worker-pool parallel enumeration. 0 = hardware concurrency, 1 = the
-  // serial evaluator (bit-for-bit today's path, no pool, no probes). With
-  // N > 1 workers, each fixpoint step partitions the candidate list at a
-  // rule's first multi-way branch across workers; workers enumerate into
-  // private buffers against the immutable start-of-round instance,
-  // interning new values into per-worker side stores, and a deterministic
-  // serial merge rehomes and applies them in canonical (rule, partition,
-  // sequence) order. Outputs are bit-for-bit identical for every N.
+  // Worker-pool parallel enumeration. 0 = hardware concurrency. Every
+  // rule solve runs one enumeration driver; serial evaluation is its
+  // one-slice case. With 1, there is no pool: each rule runs as one slice
+  // on the coordinator, streaming its valuations without buffers,
+  // snapshot arenas or probes. With N > 1 workers, a rule whose first
+  // multi-way branch is wide enough has that branch's candidate list
+  // partitioned into chunks; workers run the same per-slice body on the
+  // chunks against the immutable start-of-round instance, interning new
+  // values into per-worker side stores, and a deterministic merge rehomes
+  // the valuations and applies them in canonical (rule, chunk, sequence)
+  // order. Outputs are bit-for-bit identical for every N.
   uint32_t num_threads = 0;
 
   // A rule's enumeration only fans out when the candidate list at its
-  // first multi-way branch has at least this many entries; below the
-  // threshold the serial path is cheaper than the fork/join.
+  // first multi-way branch has at least this many entries; a narrower
+  // rule runs as the one inline slice, which is cheaper than the
+  // fork/join.
   uint32_t parallel_min_candidates = 16;
 
   // Rule enumeration. Every rule that il::CompileRule accepts -- the

@@ -27,9 +27,10 @@ program {
 }
 )";
 
-// A parsed TC unit with E = the chain 1 -> 2 -> ... -> 5.
+// A parsed TC unit with E = the chain 1 -> 2 -> ... -> `nodes`, closed
+// into a cycle by the edge `nodes` -> 1 when `cycle` is set.
 struct ChainRun {
-  ChainRun() {
+  explicit ChainRun(int nodes = 5, bool cycle = false) {
     auto parsed = ParseUnit(&universe, kTcSource);
     EXPECT_TRUE(parsed.ok()) << parsed.status();
     unit = std::make_unique<ParsedUnit>(std::move(*parsed));
@@ -38,10 +39,11 @@ struct ChainRun {
     input_schema = std::make_shared<const Schema>(std::move(*in));
     input = std::make_unique<Instance>(input_schema, &universe);
     ValueStore& v = universe.values();
-    for (int a = 1; a <= 4; ++a) {
-      ValueId t =
-          v.Tuple({{PositionalAttr(&universe, 1), v.ConstInt(a)},
-                   {PositionalAttr(&universe, 2), v.ConstInt(a + 1)}});
+    int edges = cycle ? nodes : nodes - 1;
+    for (int a = 1; a <= edges; ++a) {
+      ValueId t = v.Tuple(
+          {{PositionalAttr(&universe, 1), v.ConstInt(a)},
+           {PositionalAttr(&universe, 2), v.ConstInt(a % nodes + 1)}});
       EXPECT_TRUE(input->AddToRelation("E", t).ok());
     }
   }
@@ -114,6 +116,44 @@ TEST(EvalMetricsTest, NaiveRoundsWhenSemiNaiveDisabled) {
   for (size_t i = 0; i < metrics.rounds.size(); ++i) {
     EXPECT_FALSE(metrics.rounds[i].seminaive);
     EXPECT_EQ(metrics.rounds[i].delta_facts, expected_delta[i]) << i;
+  }
+}
+
+// A derivation-budget trip leaves the counters as consistent as a
+// completed run, naive and semi-naive, at every thread count: the run's
+// index probes equal the rules' summed probes, exactly the budget's worth
+// of derivations is attributed to rules, and the run's derivation count
+// shows the overrun that tripped it.
+TEST(EvalMetricsTest, CountersStayConsistentOnADerivationTrip) {
+  constexpr uint64_t kBudget = 500;
+  for (bool seminaive : {false, true}) {
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(seminaive ? "semi-naive" : "naive") +
+                   " threads=" + std::to_string(threads));
+      ChainRun run(/*nodes=*/40, /*cycle=*/true);
+      EvalMetrics metrics;
+      EvalOptions options;
+      options.metrics = &metrics;
+      options.enable_seminaive = seminaive;
+      options.num_threads = threads;
+      options.parallel_min_candidates = 1;
+      options.limits.max_derivations = kBudget;
+      EvalStats stats;
+      auto out = RunUnit(&run.universe, run.unit.get(), *run.input, options,
+                         &stats);
+      ASSERT_FALSE(out.ok());
+      EXPECT_EQ(stats.trip, TripReason::kDerivations);
+      uint64_t rule_probes = 0;
+      uint64_t rule_derivations = 0;
+      for (const RuleMetrics& rule : metrics.rules) {
+        rule_probes += rule.index_probes;
+        rule_derivations += rule.derivations;
+      }
+      EXPECT_GT(rule_probes, 0u);
+      EXPECT_EQ(metrics.index_probes, rule_probes);
+      EXPECT_EQ(rule_derivations, kBudget);
+      EXPECT_GT(stats.derivations, kBudget);
+    }
   }
 }
 

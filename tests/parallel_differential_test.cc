@@ -284,24 +284,26 @@ TEST(ParallelDifferentialTest, MetricsReportThreadsAndPartitions) {
   EXPECT_NE(json.find("\"parallel_partitions\":"), std::string::npos);
 }
 
+// TC over a 7-node chain, traced by the two tests below.
+constexpr char kTraceSource[] =
+    "schema { relation E : [D, D]; relation TC : [D, D]; }\n"
+    "input E;\noutput TC;\ninstance {\n"
+    "  E(1, 2); E(2, 3); E(3, 4); E(4, 5); E(5, 6); E(6, 7);\n"
+    "}\nprogram {\n"
+    "  TC(x, y) :- E(x, y).\n"
+    "  TC(x, z) :- TC(x, y), E(y, z).\n"
+    "}\n";
+
 // Trace output stays in step order under parallelism (the coordinator
 // writes it after each merge), and annotates partitioned steps.
 TEST(ParallelDifferentialTest, TraceStaysInStepOrder) {
-  std::string source =
-      "schema { relation E : [D, D]; relation TC : [D, D]; }\n"
-      "input E;\noutput TC;\ninstance {\n"
-      "  E(1, 2); E(2, 3); E(3, 4); E(4, 5); E(5, 6); E(6, 7);\n"
-      "}\nprogram {\n"
-      "  TC(x, y) :- E(x, y).\n"
-      "  TC(x, z) :- TC(x, y), E(y, z).\n"
-      "}\n";
   std::ostringstream trace;
   EvalOptions options;
   options.num_threads = 4;
   options.parallel_min_candidates = 1;
   options.enable_seminaive = false;
   options.trace = &trace;
-  RunToFacts(source, options);
+  RunToFacts(kTraceSource, options);
   std::string text = trace.str();
   EXPECT_NE(text.find("parallel partitions"), std::string::npos);
   // Step numbers appear in ascending order.
@@ -315,6 +317,52 @@ TEST(ParallelDifferentialTest, TraceStaysInStepOrder) {
     }
     EXPECT_GE(pos, last_pos) << text;
     last_pos = pos;
+  }
+}
+
+// Semi-naive stages trace every round, round 0 (the full evaluation of
+// every rule) included, in ascending order at every thread count.
+TEST(ParallelDifferentialTest, SemiNaiveTraceIncludesRoundZero) {
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::ostringstream trace;
+    EvalOptions options;
+    options.num_threads = threads;
+    options.parallel_min_candidates = 1;
+    options.trace = &trace;
+    RunToFacts(kTraceSource, options);
+    std::string text = trace.str();
+    EXPECT_NE(text.find("(semi-naive) round 0:"), std::string::npos) << text;
+    size_t last_pos = 0;
+    for (int round = 0;; ++round) {
+      std::string needle = "round " + std::to_string(round) + ":";
+      size_t pos = text.find(needle);
+      if (pos == std::string::npos) {
+        EXPECT_GE(round, 2) << "expected at least two traced rounds:\n"
+                            << text;
+        break;
+      }
+      EXPECT_GE(pos, last_pos) << text;
+      last_pos = pos;
+    }
+  }
+}
+
+// A rule whose enumeration never reaches a multi-way branch probes to
+// width 0. With parallel_min_candidates = 0 it must still run, as the one
+// inline slice, and derive its fact at every thread count.
+TEST(ParallelDifferentialTest, NonBranchingRuleRunsWithZeroMinCandidates) {
+  std::string source =
+      "schema { relation S : D; relation R : D; }\n"
+      "input S;\noutput R;\ninstance { S(\"b\"); }\n"
+      "program {\n  R(x) :- x = \"a\".\n}\n";
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EvalOptions options;
+    options.num_threads = threads;
+    options.parallel_min_candidates = 0;
+    EXPECT_NE(RunToFacts(source, options).find("R(\"a\");"),
+              std::string::npos);
   }
 }
 
