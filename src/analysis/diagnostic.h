@@ -26,10 +26,10 @@ namespace iqlkit {
 //   W005  dead rule                          W006  statically empty type
 //   W007  negation on same-stage predicate
 //   O001  cross-product join (optimizer hint)
-//   L001  dead/redundant IL instruction       L002  unbindable probe key
-//   L003  statically empty rule body          L004  IL verifier violation
-// (L-series codes come from the IL pipeline, iql/ilopt.h; iqlint emits
-// them under --il.)
+//   L002  unbindable probe key               L003  statically empty rule body
+//   L004  IL verifier violation
+// (L-series codes come from the IL lint, iql/ilcheck.h; iqlint emits them
+// under --il. L001, a dead-instruction hint, is retired.)
 enum class Severity : uint8_t {
   kHint = 0,     // optimizer / style observation; never fails a build
   kWarning = 1,  // probable bug or lost guarantee; program still runs

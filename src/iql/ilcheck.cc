@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
+#include <optional>
 #include <sstream>
 
 namespace iqlkit::il {
@@ -24,9 +26,9 @@ bool IsContainerScan(Op op) {
   return op == Op::kScanRel || op == Op::kScanClass || op == Op::kScanSet;
 }
 
-// aux entries actually addressable by the instruction, clamped so the
-// analyses never index out of range on malformed IL (the verifier reports
-// the bad range separately).
+// aux entries actually addressable by the instruction, clamped so operand
+// iteration never indexes out of range on malformed IL (the verifier
+// reports the bad range separately).
 size_t AuxCount(const CompiledRule& cr, const Instr& in) {
   if (in.naux == 0 || in.aux >= cr.aux.size()) return 0;
   return std::min<size_t>(in.naux, cr.aux.size() - in.aux);
@@ -34,8 +36,10 @@ size_t AuxCount(const CompiledRule& cr, const Instr& in) {
 
 std::string Reg(uint16_t r) { return "r" + std::to_string(r); }
 
-}  // namespace
-
+// Calls `fn` once per register the instruction at `pc` reads: the a/b
+// operands, kMakeTuple/kMakeSet element registers, scan probe-spec key
+// registers (keys are evaluated before the scan resolves its candidate
+// list, so they count as reads at the scan's pc).
 void ForEachUse(const CompiledRule& cr, size_t pc,
                 const std::function<void(uint16_t)>& fn) {
   const Instr& in = cr.code[pc];
@@ -84,6 +88,9 @@ void ForEachUse(const CompiledRule& cr, size_t pc,
   }
 }
 
+// The register the instruction defines, or -1: loads, construction,
+// kDeref, kGetField, and scans define `dst`; filters, checks, and kEmit
+// define nothing.
 int DefOf(const Instr& in) {
   switch (in.op) {
     case Op::kLoadConst:
@@ -104,84 +111,34 @@ int DefOf(const Instr& in) {
   }
 }
 
-DefUse BuildDefUse(const CompiledRule& cr) {
-  DefUse du;
-  du.def.assign(cr.num_regs, -1);
-  du.uses.assign(cr.num_regs, {});
-  for (size_t pc = 0; pc < cr.code.size(); ++pc) {
-    ForEachUse(cr, pc, [&](uint16_t r) {
-      if (r < cr.num_regs) du.uses[r].push_back(static_cast<uint32_t>(pc));
-    });
-    int d = DefOf(cr.code[pc]);
-    if (d >= 0 && d < cr.num_regs && du.def[d] < 0) {
-      du.def[d] = static_cast<int>(pc);
-    }
-  }
-  return du;
-}
+}  // namespace
 
-std::vector<LiveRange> ComputeLiveRanges(const CompiledRule& cr) {
-  DefUse du = BuildDefUse(cr);
-  std::vector<LiveRange> live(cr.num_regs);
-  std::vector<uint32_t> scan_pcs;
-  for (size_t pc = 0; pc < cr.code.size(); ++pc) {
-    if (IsScan(cr.code[pc].op)) scan_pcs.push_back(static_cast<uint32_t>(pc));
+AbsVal AbstractOf(const Instr& in) {
+  AbsVal v;
+  switch (in.op) {
+    case Op::kLoadConst:
+      v.kind = AbsVal::Kind::kConst;
+      v.sym = in.sym;
+      break;
+    case Op::kLoadRel:
+      v.kind = AbsVal::Kind::kRelValue;
+      v.sym = in.sym;
+      break;
+    case Op::kLoadClass:
+      v.kind = AbsVal::Kind::kClassValue;
+      v.sym = in.sym;
+      break;
+    case Op::kMakeTuple:
+      v.kind = AbsVal::Kind::kTuple;
+      v.shape = in.imm;
+      break;
+    case Op::kMakeSet:
+      v.kind = AbsVal::Kind::kSet;
+      break;
+    default:
+      break;  // scans, kDeref, kGetField, non-defs: kAny
   }
-  const int emit_pc = static_cast<int>(cr.code.size()) - 1;
-  for (uint16_t r = 0; r < cr.num_regs; ++r) {
-    live[r].def = du.def[r];
-    if (!du.uses[r].empty()) {
-      live[r].last_use = static_cast<int>(du.uses[r].back());
-    }
-  }
-  // Theta registers are read by kEmit.
-  for (const auto& [var, r] : cr.theta) {
-    if (r < cr.num_regs) live[r].last_use = emit_pc;
-  }
-  for (uint16_t r = 0; r < cr.num_regs; ++r) {
-    for (uint32_t s : scan_pcs) {
-      if (live[r].def >= 0 && static_cast<int>(s) > live[r].def &&
-          static_cast<int>(s) < live[r].last_use) {
-        live[r].crosses_scan = true;
-        break;
-      }
-    }
-  }
-  return live;
-}
-
-std::vector<AbsVal> PropagateAbstract(const CompiledRule& cr) {
-  std::vector<AbsVal> abs(cr.num_regs);
-  for (size_t pc = 0; pc < cr.code.size(); ++pc) {
-    const Instr& in = cr.code[pc];
-    AbsVal v;
-    switch (in.op) {
-      case Op::kLoadConst:
-        v.kind = AbsVal::Kind::kConst;
-        v.sym = in.sym;
-        break;
-      case Op::kLoadRel:
-        v.kind = AbsVal::Kind::kRelValue;
-        v.sym = in.sym;
-        break;
-      case Op::kLoadClass:
-        v.kind = AbsVal::Kind::kClassValue;
-        v.sym = in.sym;
-        break;
-      case Op::kMakeTuple:
-        v.kind = AbsVal::Kind::kTuple;
-        v.shape = in.imm;
-        break;
-      case Op::kMakeSet:
-        v.kind = AbsVal::Kind::kSet;
-        break;
-      default:
-        break;  // scans, kDeref, kGetField: kAny
-    }
-    int d = DefOf(in);
-    if (d >= 0 && d < cr.num_regs) abs[d] = v;
-  }
-  return abs;
+  return v;
 }
 
 bool ProvablyDistinct(const AbsVal& a, const AbsVal& b) {
@@ -337,30 +294,6 @@ std::vector<IlViolation> VerifyRule(const CompiledRule& cr) {
 
     // The def, after the reads (so kDeref r, r with r undefined is
     // still a use-before-def).
-    AbsVal v;
-    switch (in.op) {
-      case Op::kLoadConst:
-        v.kind = AbsVal::Kind::kConst;
-        v.sym = in.sym;
-        break;
-      case Op::kLoadRel:
-        v.kind = AbsVal::Kind::kRelValue;
-        v.sym = in.sym;
-        break;
-      case Op::kLoadClass:
-        v.kind = AbsVal::Kind::kClassValue;
-        v.sym = in.sym;
-        break;
-      case Op::kMakeTuple:
-        v.kind = AbsVal::Kind::kTuple;
-        v.shape = in.imm;
-        break;
-      case Op::kMakeSet:
-        v.kind = AbsVal::Kind::kSet;
-        break;
-      default:
-        break;
-    }
     if (int d = DefOf(in); d >= 0) {
       uint16_t r = static_cast<uint16_t>(d);
       if (r >= cr.num_regs) {
@@ -369,7 +302,7 @@ std::vector<IlViolation> VerifyRule(const CompiledRule& cr) {
         bad(pc, "register " + Reg(r) + " defined twice");
       } else {
         defined[r] = true;
-        abs[r] = v;
+        abs[r] = AbstractOf(in);
       }
     }
   }
@@ -396,6 +329,144 @@ std::vector<IlViolation> VerifyRule(const CompiledRule& cr) {
     }
   }
   return out;
+}
+
+// ---- L-series lint --------------------------------------------------------
+
+namespace {
+
+// The first filter in pc order that can never succeed: its pc and why.
+struct Contradiction {
+  uint32_t pc = 0;
+  const char* detail = "";
+};
+
+// Records in `v` what a successful check proves about it: an unknown
+// value takes `known`; a value already known stays as it is.
+void Refine(AbsVal* v, const AbsVal& known) {
+  if (v->kind == AbsVal::Kind::kAny) *v = known;
+}
+
+// One forward pass over a verifier-clean rule (pc order is dominance, see
+// ilcheck.h): each def records its abstract value, each successful check
+// refines its operands, and the first check whose operands' values
+// contradict it ends the body statically.
+std::optional<Contradiction> FirstContradiction(const CompiledRule& cr) {
+  std::vector<AbsVal> abs(cr.num_regs);
+  for (size_t pc = 0; pc < cr.code.size(); ++pc) {
+    const Instr& in = cr.code[pc];
+    auto fail = [&](const char* detail) {
+      return Contradiction{static_cast<uint32_t>(pc), detail};
+    };
+    switch (in.op) {
+      case Op::kMatchTuple:
+        if (NeverTuple(abs[in.a])) {
+          return fail("tuple match over a value that is never a tuple");
+        }
+        Refine(&abs[in.a], {AbsVal::Kind::kTuple, kInvalidSymbol, in.imm});
+        break;
+      case Op::kCheckIn:
+        // A non-set container fails either polarity (mirror Check).
+        if (NeverSet(abs[in.a])) {
+          return fail("membership test in a value that is never a set");
+        }
+        if (in.pol) Refine(&abs[in.a], {AbsVal::Kind::kSet});
+        break;
+      case Op::kScanSet:
+        if (NeverSet(abs[in.a])) {
+          return fail("scan of a value that is never a set");
+        }
+        Refine(&abs[in.a], {AbsVal::Kind::kSet});  // candidates imply a set
+        break;
+      case Op::kCmp:
+      case Op::kCheckEq: {
+        bool pol = in.op == Op::kCmp || in.pol;
+        AbsVal& x = abs[in.a];
+        AbsVal& y = abs[in.b];
+        bool provably_equal =
+            in.a == in.b || (x.kind == AbsVal::Kind::kConst &&
+                             y.kind == AbsVal::Kind::kConst && x.sym == y.sym);
+        if (pol && ProvablyDistinct(x, y)) {
+          return fail("equality of provably distinct values");
+        }
+        if (!pol && provably_equal) {
+          return fail("a value compared unequal to itself");
+        }
+        if (pol) {
+          Refine(&x, y);
+          Refine(&y, x);
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    if (int d = DefOf(in); d >= 0) abs[d] = AbstractOf(in);
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+void LintCompiledRule(const CompiledRule& cr, const Rule& rule,
+                      const SymbolTable& syms, const TypePool& types,
+                      DiagnosticSink* sink) {
+  auto span_for = [&](uint32_t src) {
+    if (src != kNoSrc && src < rule.body.size()) return rule.body[src].span;
+    return rule.span;
+  };
+
+  // L004: malformed IL. CompileRule's output is meant to verify clean
+  // (debug builds assert it); the later checks assume verifier-clean
+  // input, so stop here.
+  std::vector<IlViolation> violations = VerifyRule(cr);
+  if (!violations.empty()) {
+    for (const IlViolation& v : violations) {
+      uint32_t src =
+          v.pc < cr.code.size() ? cr.code[v.pc].src : kNoSrc;
+      std::ostringstream msg;
+      msg << "malformed IL at %" << v.pc << ": " << v.detail;
+      sink->Error("L004", span_for(src), msg.str());
+    }
+    return;
+  }
+
+  // L002: a join scan (any container scan after the first loop) with no
+  // probe key rescans its whole container once per outer candidate.
+  bool seen_scan = false;
+  for (const Instr& in : cr.code) {
+    if (!IsScan(in.op)) continue;
+    if (seen_scan && IsContainerScan(in.op) && in.naux == 0) {
+      std::string what = in.op == Op::kScanSet
+                             ? std::string("a set value")
+                             : "'" + std::string(syms.name(in.sym)) + "'";
+      sink->Hint("L002", span_for(in.src),
+                 "join scan of " + what +
+                     " has no bindable key: the whole container is "
+                     "rescanned per outer candidate");
+    }
+    seen_scan = true;
+  }
+
+  // L003: a filter that can never succeed.
+  if (std::optional<Contradiction> c = FirstContradiction(cr)) {
+    std::ostringstream msg;
+    msg << "rule body is statically empty: " << c->detail << " (%" << c->pc
+        << ": " << RenderInstruction(cr, c->pc, syms, types)
+        << "); the rule can never fire";
+    sink->Warning("L003", span_for(cr.code[c->pc].src), msg.str());
+  }
+}
+
+void LintProgramIl(const Program& prog, const SymbolTable& syms,
+                   const TypePool& types, DiagnosticSink* sink) {
+  for (const auto& stage : prog.stages) {
+    for (const Rule& rule : stage) {
+      std::optional<CompiledRule> cr = CompileRule(prog, rule);
+      if (!cr.has_value()) continue;  // tree-walk fallback: no IL to lint
+      LintCompiledRule(*cr, rule, syms, types, sink);
+    }
+  }
 }
 
 }  // namespace iqlkit::il

@@ -6,9 +6,9 @@
 // (il::LintProgramIl, what `iqlint --il` adds) against
 // tests/golden_il_lint/<name>.expected. Unlike the evaluation goldens,
 // which compare up to O-isomorphism, both are fully deterministic --
-// registers, shapes, probe specs, and the analysis findings depend only on
+// registers, shapes, probe specs, and the lint findings depend only on
 // the source -- so the comparison is exact string equality. Pass --regen
-// to rewrite the corpora after an intentional lowering or analysis change
+// to rewrite the corpora after an intentional lowering or lint change
 // (then review the diff: a changed dump means a changed plan, which the
 // differential suites must still prove byte-equivalent to the
 // tree-walker).
@@ -22,7 +22,7 @@
 #include "analysis/diagnostic.h"
 #include "gtest/gtest.h"
 #include "iql/il.h"
-#include "iql/ilopt.h"
+#include "iql/ilcheck.h"
 #include "iql/parser.h"
 #include "iql/typecheck.h"
 #include "model/universe.h"

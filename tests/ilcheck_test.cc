@@ -1,15 +1,24 @@
-// The IL verifier and the dataflow analyses under it (iql/ilcheck.h):
-// every compiled example rule (delta variants included) verifies clean,
-// and a hand-written corpus of malformed rules -- use-before-def, double
-// defs, bad aux/shape/probe encodings, misplaced terminators, broken
-// theta -- is rejected with the expected violation. The corpus is exactly
-// the invariant set the VM executes without runtime guards.
+// The IL verifier and the L-series lint (iql/ilcheck.h): every compiled
+// example rule (delta variants included) verifies clean, and a
+// hand-written corpus of malformed rules -- use-before-def, double defs,
+// bad aux/shape/probe encodings, misplaced terminators, broken theta -- is
+// rejected with the expected violation (the corpus is exactly the
+// invariant set the VM executes without runtime guards). The lint checks
+// cover L002, L004, the refinements L003 draws from successful checks,
+// and a table of statically empty bodies (L003) whose rules derive
+// nothing, with WriteFacts byte-identity of the VM against the
+// tree-walker.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analysis/diagnostic.h"
+#include "iql/eval.h"
 #include "iql/il.h"
 #include "iql/ilcheck.h"
 #include "iql/parser.h"
@@ -292,42 +301,20 @@ TEST(IlVerifierTest, CompiledRulesVerifyClean) {
   }
 }
 
-TEST(IlDataflowTest, DefUseAndLiveness) {
-  Universe u;
-  auto unit = ParseUnit(&u, kTc);
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  ASSERT_TRUE(TypeCheck(&u, unit->schema, &unit->program).ok());
-  // Rule 1: TC(x, z) :- TC(x, y), E(y, z): two scans, the join register.
-  const Rule& join = unit->program.stages[0][1];
-  auto cr = CompileRule(unit->program, join);
-  ASSERT_TRUE(cr.has_value());
-  DefUse du = BuildDefUse(*cr);
-  ASSERT_EQ(du.def.size(), cr->num_regs);
-  for (uint16_t r = 0; r < cr->num_regs; ++r) {
-    EXPECT_GE(du.def[r], 0) << "r" << r << " never defined";
-    for (uint32_t use : du.uses[r]) {
-      EXPECT_GT(static_cast<int>(use), du.def[r])
-          << "use of r" << r << " at or before its def";
-    }
-  }
-  // The outer tuple's first field (x) is read only before the inner scan
-  // but stays live across it: it is a theta register, read at kEmit.
-  std::vector<LiveRange> live = ComputeLiveRanges(*cr);
-  int inner_scan = -1;
-  int scans = 0;
-  for (size_t pc = 0; pc < cr->code.size(); ++pc) {
-    Op op = cr->code[pc].op;
-    if (op == Op::kScanRel || op == Op::kScanDelta) {
-      if (++scans == 2) inner_scan = static_cast<int>(pc);
-    }
-  }
-  ASSERT_GT(inner_scan, 0);
-  bool some_register_crosses = false;
-  for (const LiveRange& lr : live) some_register_crosses |= lr.crosses_scan;
-  EXPECT_TRUE(some_register_crosses);
-}
+// ---- abstract values ------------------------------------------------------
 
-TEST(IlDataflowTest, AbstractValuesAndDistinctness) {
+TEST(IlLintTest, AbstractValuesAndDistinctness) {
+  Instr load;
+  load.op = Op::kLoadConst;
+  load.sym = 7;
+  AbsVal c7 = AbstractOf(load);
+  EXPECT_EQ(c7.kind, AbsVal::Kind::kConst);
+  EXPECT_EQ(c7.sym, 7u);
+  Instr scan;
+  scan.op = Op::kScanRel;
+  scan.sym = 7;
+  EXPECT_EQ(AbstractOf(scan).kind, AbsVal::Kind::kAny);
+
   AbsVal any;
   AbsVal c1{AbsVal::Kind::kConst, 1, 0};
   AbsVal c2{AbsVal::Kind::kConst, 2, 0};
@@ -349,6 +336,325 @@ TEST(IlDataflowTest, AbstractValuesAndDistinctness) {
   EXPECT_TRUE(NeverTuple(c1));
   EXPECT_TRUE(NeverTuple(s));
   EXPECT_FALSE(NeverTuple(any));
+}
+
+// ---- L-series lint --------------------------------------------------------
+
+// Keeps the universe and parsed unit alive next to the compiled rules.
+struct Compiled {
+  std::unique_ptr<Universe> u = std::make_unique<Universe>();
+  std::optional<ParsedUnit> unit;
+
+  explicit Compiled(const std::string& source) {
+    auto parsed = ParseUnit(u.get(), source);
+    EXPECT_TRUE(parsed.ok()) << parsed.status();
+    if (!parsed.ok()) return;
+    unit.emplace(std::move(*parsed));
+    Status checked = TypeCheck(u.get(), unit->schema, &unit->program);
+    EXPECT_TRUE(checked.ok()) << checked;
+  }
+
+  const Rule& rule(size_t stage, size_t index) const {
+    return unit->program.stages[stage][index];
+  }
+
+  DiagnosticSink Lint() const {
+    DiagnosticSink sink;
+    LintProgramIl(unit->program, u->symbols(), u->types(), &sink);
+    return sink;
+  }
+};
+
+std::map<std::string, int> CodeCounts(const DiagnosticSink& sink) {
+  std::map<std::string, int> counts;
+  for (const Diagnostic& d : sink.diagnostics()) ++counts[d.code];
+  return counts;
+}
+
+TEST(IlLintTest, JoinRuleLintsClean) {
+  // The recursive rule's join scan is keyed on y: nothing to report.
+  Compiled c(kTc);
+  DiagnosticSink sink = c.Lint();
+  EXPECT_TRUE(sink.empty());
+}
+
+TEST(IlLintTest, UnbindableJoinScanReportsL002) {
+  Compiled c(R"(
+    schema { relation R : [D, D]; relation S : [D, D]; relation T : [D, D]; }
+    input R, S; output T;
+    program { T(x, w) :- R(x, y), S(z, w). }
+  )");
+  auto counts = CodeCounts(c.Lint());
+  EXPECT_GE(counts["L002"], 1);
+}
+
+TEST(IlLintTest, StaticallyEmptyBodyReportsL003Warning) {
+  Compiled c(R"(
+    schema { relation R : D; relation S : D; }
+    input R; output S;
+    program { S(x) :- R(x), x = "a", x = "b". }
+  )");
+  DiagnosticSink sink = c.Lint();
+  auto counts = CodeCounts(sink);
+  EXPECT_EQ(counts["L003"], 1);
+  EXPECT_EQ(sink.max_severity(), Severity::kWarning);
+}
+
+TEST(IlLintTest, MalformedIlReportsL004Error) {
+  Compiled c(kTc);
+  auto cr = CompileRule(c.unit->program, c.rule(0, 1));
+  ASSERT_TRUE(cr.has_value());
+  cr->code[2].a = 40;  // corrupt: read of an out-of-range register
+  DiagnosticSink sink;
+  LintCompiledRule(*cr, c.rule(0, 1), c.u->symbols(), c.u->types(), &sink);
+  EXPECT_GE(CodeCounts(sink)["L004"], 1);
+  EXPECT_EQ(sink.max_severity(), Severity::kError);
+  // A malformed rule reports only L004: the other checks assume
+  // verifier-clean IL.
+  for (const Diagnostic& d : sink.diagnostics()) {
+    EXPECT_EQ(d.code, "L004") << d.message;
+  }
+}
+
+// The compiler binds a variable from a constant before any check on it,
+// so compiled rules rarely compare an unknown register against a
+// constant. Hand-built bodies pin what a successful check proves: each
+// scans E into the unknown r0, refines r0 with one check, then contradicts
+// the refinement.
+TEST(IlLintTest, SuccessfulChecksRefineUnknownValues) {
+  Compiled c(kTc);
+  Symbol e = c.u->Intern("E");
+  Symbol a = c.u->Intern("a");
+  Symbol b = c.u->Intern("b");
+  auto ins = [](Op op, uint16_t dst, uint16_t x, uint16_t y, Symbol sym) {
+    Instr in;
+    in.op = op;
+    in.dst = dst;
+    in.a = x;
+    in.b = y;
+    in.sym = sym;
+    return in;
+  };
+  const Instr scan = ins(Op::kScanRel, 0, 0, 0, e);
+  const Instr emit = ins(Op::kEmit, 0, 0, 0, kInvalidSymbol);
+  struct Body {
+    std::vector<Instr> code;
+    uint16_t num_regs;
+    const char* l003;
+  };
+  const Body bodies[] = {
+      // Equality with a constant makes r0 that constant.
+      {{scan, ins(Op::kLoadConst, 1, 0, 0, a), ins(Op::kCheckEq, 0, 0, 1, 0),
+        ins(Op::kLoadConst, 2, 0, 0, b), ins(Op::kCheckEq, 0, 0, 2, 0), emit},
+       3,
+       "equality of provably distinct values (%4: check_eq r0 == r2)"},
+      // A tuple match makes r0 a tuple, never equal to a constant.
+      {{scan, ins(Op::kMatchTuple, 0, 0, 0, 0),
+        ins(Op::kLoadConst, 1, 0, 0, a), ins(Op::kCmp, 0, 0, 1, 0), emit},
+       2,
+       "equality of provably distinct values (%3: cmp r0, r1)"},
+      // A set scan makes r0 a set, never a tuple.
+      {{scan, ins(Op::kScanSet, 1, 0, 0, 0), ins(Op::kMatchTuple, 0, 0, 0, 0),
+        emit},
+       2,
+       "tuple match over a value that is never a tuple (%2: match_tuple "
+       "r0 [#1])"},
+  };
+  for (const Body& body : bodies) {
+    SCOPED_TRACE(body.l003);
+    CompiledRule cr;
+    cr.code = body.code;
+    cr.num_regs = body.num_regs;
+    cr.shapes = {{c.u->Intern("#1")}};
+    DiagnosticSink sink;
+    LintCompiledRule(cr, c.rule(0, 0), c.u->symbols(), c.u->types(), &sink);
+    std::vector<std::string> found;
+    for (const Diagnostic& d : sink.diagnostics()) {
+      if (d.code == "L003") found.push_back(d.message);
+    }
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0], std::string("rule body is statically empty: ") +
+                            body.l003 + "; the rule can never fire");
+  }
+}
+
+// ---- L003 table -----------------------------------------------------------
+
+// Runs `source` (its instance block as input) and returns the output
+// instance as WriteFacts text.
+std::string RunToFacts(const std::string& source, const EvalOptions& options) {
+  Universe u;
+  auto unit = ParseUnit(&u, source);
+  EXPECT_TRUE(unit.ok()) << unit.status();
+  if (!unit.ok()) return "<parse error>";
+  std::shared_ptr<const Schema> input_schema;
+  if (unit->input_names.empty()) {
+    input_schema = std::make_shared<const Schema>(unit->schema);
+  } else {
+    auto projected = unit->schema.Project(unit->input_names);
+    EXPECT_TRUE(projected.ok()) << projected.status();
+    if (!projected.ok()) return "<projection error>";
+    input_schema = std::make_shared<const Schema>(std::move(*projected));
+  }
+  Instance input(input_schema, &u);
+  EXPECT_TRUE(ApplyFacts(*unit, &input).ok());
+  auto out = RunUnit(&u, &*unit, input, options);
+  EXPECT_TRUE(out.ok()) << out.status();
+  if (!out.ok()) return "<eval error>";
+  return WriteFacts(*out);
+}
+
+// A program whose first rule is `S(x) :- <body>.`, followed by `more`,
+// over an input on which every body below holds once its contradicting
+// literal is dropped.
+std::string TableProgram(const std::string& body, const std::string& more) {
+  return R"(
+    schema { relation R : D; relation T : D; relation E : [D, D];
+             relation S : D; }
+    input R, T, E; output S;
+    instance {
+      R("a"); R("b"); R("c"); T("a"); T("b"); E("a", "a"); E("a", "b");
+    }
+    program {
+      S(x) :- )" + body + ".\n" + more + "\n    }\n";
+}
+
+// Derivations the register VM enumerates for the program's first rule.
+uint64_t FirstRuleDerivations(const std::string& source) {
+  EvalMetrics metrics;
+  EvalOptions options;
+  options.metrics = &metrics;
+  RunToFacts(source, options);
+  EXPECT_FALSE(metrics.rules.empty());
+  return metrics.rules.empty() ? 0 : metrics.rules[0].derivations;
+}
+
+struct L003Case {
+  const char* body;
+  // The L003 detail and instruction, or nullptr when the body must lint
+  // clean.
+  const char* l003;
+  // The body without its contradicting literal (flagged rows only).
+  const char* satisfiable = nullptr;
+  // Further rules of the program.
+  const char* more = "";
+};
+
+// Lints the row's program, checks for exactly the expected L003 finding
+// (or none), that the flagged rule never fires while its satisfiable
+// variant does, and that the VM and the tree-walker write identical facts.
+void CheckL003Row(const L003Case& row) {
+  SCOPED_TRACE(row.body);
+  std::string source = TableProgram(row.body, row.more);
+  Compiled c(source);
+  ASSERT_TRUE(c.unit.has_value());
+  DiagnosticSink sink = c.Lint();
+  std::vector<std::string> found;
+  for (const Diagnostic& d : sink.diagnostics()) {
+    EXPECT_EQ(d.code, "L003") << d.message;
+    if (d.code != "L003") continue;
+    EXPECT_EQ(d.severity, Severity::kWarning);
+    found.push_back(d.message);
+  }
+  if (row.l003 == nullptr) {
+    EXPECT_TRUE(found.empty());
+    EXPECT_GT(FirstRuleDerivations(source), 0u);
+  } else {
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0], std::string("rule body is statically empty: ") +
+                            row.l003 + "; the rule can never fire");
+    EXPECT_EQ(FirstRuleDerivations(source), 0u);
+    EXPECT_GT(FirstRuleDerivations(TableProgram(row.satisfiable, row.more)),
+              0u);
+  }
+  EvalOptions options;
+  options.tree_walk_oracle = true;
+  std::string tree = RunToFacts(source, options);
+  options.tree_walk_oracle = false;
+  EXPECT_EQ(tree, RunToFacts(source, options));
+}
+
+TEST(IlLintTest, L003Table) {
+  const L003Case cases[] = {
+      {R"(R(x), T(y), x = y, x = "a", y = "b")",
+       "equality of provably distinct values (%6: check_eq r0 == r1)",
+       R"(R(x), T(y), x = y, x = "a")"},
+      {R"(E(x, y), x = "a", x = "b")",
+       "equality of provably distinct values (%3: check_eq r0 == r1)",
+       R"(E(x, y), x = "a")"},
+      {R"(R(x), x = "a", x != "a")",
+       "a value compared unequal to itself (%4: check_eq r0 != r1)",
+       R"(R(x), x = "a")"},
+      {R"(E(x, y), E(y, x), x = y, x = "a", y != "a")",
+       "a value compared unequal to itself (%8: check_eq r0 != r3)",
+       R"(E(x, y), E(y, x), x = y, x = "a")"},
+      {R"(R(x), x = "a")", nullptr},
+      {R"(R(x), x != "b")", nullptr},
+  };
+  for (const L003Case& row : cases) CheckL003Row(row);
+}
+
+// The cases below keep the names they had when the constant analysis was
+// an optimizer pass; they now pin the L003 lint that replaced it.
+
+TEST(IlOptTest, ContradictoryConstantsAreStaticallyEmpty) {
+  CheckL003Row({R"(R(x), x = "a", x = "b")",
+                "equality of provably distinct values (%4: check_eq r0 == r1)",
+                R"(R(x), x = "a")"});
+}
+
+TEST(IlOptTest, EqualityPropagationCollapsesDuplicateConstants) {
+  CheckL003Row({R"(R(x), x = "a", x = "a")", nullptr});
+}
+
+TEST(IlOptTest, InequalityOfDistinctConstantsIsTautological) {
+  CheckL003Row({R"(R(x), "a" != "b")", nullptr});
+}
+
+// A statically empty rule next to a live one: the program still runs
+// byte-identically on the VM and the tree-walker.
+TEST(IlOptDifferentialTest, StaticallyEmptyRuleStillRunsByteIdentical) {
+  CheckL003Row({R"(R(x), x = "a", x = "b")",
+                "equality of provably distinct values (%4: check_eq r0 == r1)",
+                R"(R(x), x = "a")", R"(S(x) :- R(x), x = "c".)"});
+}
+
+// ---- execution equivalence ------------------------------------------------
+
+// A join-heavy program with enough facts that hash buckets and candidate
+// lists are non-trivial.
+std::string JoinProgram() {
+  std::string source =
+      "schema { relation E : [D, D]; relation TC : [D, D]; }\n"
+      "input E;\noutput TC;\ninstance {\n";
+  uint64_t x = 11;
+  for (int i = 0; i < 90; ++i) {
+    x = x * 6364136223846793005u + 1442695040888963407u;
+    source += "  E(" + std::to_string((x >> 33) % 30) + ", " +
+              std::to_string((x >> 13) % 30) + ");\n";
+  }
+  source +=
+      "}\nprogram {\n"
+      "  TC(x, y) :- E(x, y).\n"
+      "  TC(x, z) :- TC(x, y), E(y, z).\n"
+      "}\n";
+  return source;
+}
+
+TEST(IlVmDifferentialTest, VmRunsMatchTheTreeWalker) {
+  std::string source = JoinProgram();
+  for (bool seminaive : {false, true}) {
+    for (bool indexing : {false, true}) {
+      EvalOptions options;
+      options.enable_seminaive = seminaive;
+      options.enable_indexing = indexing;
+      options.tree_walk_oracle = true;
+      std::string tree = RunToFacts(source, options);
+      options.tree_walk_oracle = false;
+      EXPECT_EQ(tree, RunToFacts(source, options))
+          << "seminaive " << seminaive << ", indexing " << indexing;
+    }
+  }
 }
 
 }  // namespace

@@ -501,6 +501,19 @@ TEST_F(StorageTest, UnwritableDirDegradesToInMemoryWithWarning) {
   EXPECT_TRUE(out.ok()) << out.status();
 }
 
+TEST_F(StorageTest, ReadFileBytesRejectsADirectory) {
+  // The tools read IQL sources through ReadFileBytes; a directory must fail
+  // with a Status, not read as an empty program.
+  std::string dir = TestDir("read_dir");
+  ASSERT_TRUE(storage::EnsureDir(dir).ok());
+  auto bytes = ReadFileBytes(dir);
+  ASSERT_FALSE(bytes.ok());
+  EXPECT_NE(bytes.status().message().find(dir), std::string::npos);
+  auto missing = ReadFileBytes(dir + "/absent.iql");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
 TEST_F(StorageTest, InjectedFaultModesLeaveRealTornState) {
   std::string dir = TestDir("faults");
   ASSERT_TRUE(storage::EnsureDir(dir).ok());

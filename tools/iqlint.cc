@@ -10,8 +10,8 @@
 //   --format=text|json   output format (default text)
 //   --no-hints           suppress O-level / L-level hints
 //   --il                 also compile every VM-eligible rule to the flat
-//                        IL and report the L-series IL diagnostics (dead
-//                        instructions, unbindable probes, statically empty
+//                        IL and report the L-series IL diagnostics
+//                        (unbindable join probes, statically empty
 //                        bodies, verifier violations) through the same
 //                        sink, so both formats cover them
 //   --il-dump            instead of linting, print the IL each VM-eligible
@@ -21,19 +21,18 @@
 // Exit status: 2 if any file has an error, 1 if any has a warning,
 // 0 otherwise (hints never fail a run).
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/diagnostic.h"
 #include "iql/il.h"
-#include "iql/ilopt.h"
+#include "iql/ilcheck.h"
 #include "iql/parser.h"
 #include "iql/typecheck.h"
 #include "model/universe.h"
+#include "storage/io.h"
 
 int main(int argc, char** argv) {
   using namespace iqlkit;
@@ -68,14 +67,12 @@ int main(int argc, char** argv) {
   }
   int exit_code = 0;
   for (const std::string& path : paths) {
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "iqlint: cannot open " << path << "\n";
+    Result<std::string> read = storage::ReadFileBytes(path);
+    if (!read.ok()) {
+      std::cerr << "iqlint: " << read.status() << "\n";
       return 2;
     }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    std::string source = buffer.str();
+    std::string source = std::move(*read);
 
     if (il_dump) {
       Universe u;

@@ -86,7 +86,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -97,6 +96,7 @@
 #include "base/flags.h"
 #include "server/scheduler.h"
 #include "server/serve_loop.h"
+#include "storage/io.h"
 
 namespace {
 
@@ -475,19 +475,17 @@ int main(int argc, char** argv) {
       std::cerr << "iqlserve: unknown flag " << arg << "\n";
       return Usage();
     } else {
-      std::ifstream in(arg);
-      if (!in) {
-        std::cerr << "iqlserve: cannot open " << arg << "\n";
+      auto source = iqlkit::storage::ReadFileBytes(arg);
+      if (!source.ok()) {
+        std::cerr << "iqlserve: " << source.status() << "\n";
         return 1;
       }
-      std::ostringstream source;
-      source << in.rdbuf();
       for (uint64_t k = 0; k < repeat; ++k) {
         Submission sub;
         sub.id = repeat == 1 ? arg : arg + "#" + std::to_string(k + 1);
         sub.request = profile;
         sub.request.id = sub.id;
-        sub.request.source = source.str();
+        sub.request.source = *source;
         submissions.push_back(std::move(sub));
       }
     }

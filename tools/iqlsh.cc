@@ -67,10 +67,8 @@
 // landed; the exit code stays 130.
 
 #include <csignal>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "analysis/analyzer.h"
@@ -85,6 +83,7 @@
 #include "model/dot.h"
 #include "model/universe.h"
 #include "storage/durable.h"
+#include "storage/io.h"
 #include "storage/snapshot.h"
 
 namespace {
@@ -211,15 +210,12 @@ int main(int argc, char** argv) {
     std::cerr << "usage: iqlsh [flags] <file.iql>\n";
     return 2;
   }
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "iqlsh: cannot open " << path << "\n";
+  Result<std::string> read = storage::ReadFileBytes(path);
+  if (!read.ok()) {
+    std::cerr << "iqlsh: " << read.status() << "\n";
     return 2;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-
-  std::string source = buffer.str();
+  std::string source = std::move(*read);
   Universe u;
 
   if (lint_flag) {
