@@ -37,6 +37,7 @@ class Compiler {
 
   void Emit(Instr in) {
     in.src = cur_src_;
+    if (NeverTuple(AbstractOf(in))) never_tuple_.insert(in.dst);
     out_.code.push_back(in);
   }
 
@@ -205,6 +206,13 @@ class Compiler {
         return;
       }
       case Term::Kind::kTuple: {
+        if (never_tuple_.count(c) != 0) {
+          // A constant or set can never match a tuple pattern, and the
+          // verifier rejects field projections of it: the tree-walker
+          // evaluates the rule (to no valuations) instead.
+          bailed_ = true;
+          return;
+        }
         Instr shape;
         shape.op = Op::kMatchTuple;
         shape.a = c;
@@ -394,6 +402,7 @@ class Compiler {
   CompiledRule out_;
   std::map<std::vector<Symbol>, uint32_t> shape_ids_;
   std::map<Symbol, uint16_t> var_reg_;  // bound variables -> register
+  std::set<uint16_t> never_tuple_;      // registers holding constants/sets
   uint32_t next_reg_ = 0;
   uint32_t cur_src_ = kNoSrc;  // literal being lowered, for Instr::src
   bool bailed_ = false;

@@ -385,31 +385,38 @@ void Session::PollQueries(uint64_t now_ms) {
     if (!result.has_value()) continue;
     live.result = std::move(*result);
     live.result_ready = true;
-    // Materialize pages: page_rows fact lines each, at least one page so
-    // the terminal frame always exists.
-    live.pages.clear();
-    const std::string& facts = live.result.facts;
-    size_t pos = 0;
-    std::string page;
-    size_t rows = 0;
-    while (pos < facts.size()) {
-      size_t eol = facts.find('\n', pos);
-      size_t end = eol == std::string::npos ? facts.size() : eol + 1;
-      page.append(facts, pos, end - pos);
-      pos = end;
-      if (++rows >= options_.page_rows) {
-        live.pages.push_back(std::move(page));
-        page.clear();
-        rows = 0;
-      }
-    }
-    if (!page.empty() || live.pages.empty()) {
-      live.pages.push_back(std::move(page));
-    }
+    live.pages = CutPages(live.result.facts, options_.page_rows);
     Trace(now_ms, "RESULT id=" + wire_id + " outcome=" +
                       QueryOutcomeName(live.result.outcome) + " pages=" +
                       std::to_string(live.pages.size()));
   }
+}
+
+std::vector<Session::PageSlice> Session::CutPages(const std::string& facts,
+                                                  size_t first_rows) {
+  std::vector<PageSlice> pages;
+  size_t rows_cap = std::max<size_t>(first_rows, 1);
+  size_t pos = 0;
+  while (pos < facts.size()) {
+    size_t end = pos;
+    for (size_t rows = 0; rows < rows_cap && end < facts.size(); ++rows) {
+      size_t eol = facts.find('\n', end);
+      size_t line_end = eol == std::string::npos ? facts.size() : eol + 1;
+      if (line_end - pos > kMaxPageBytes) {
+        // A line that fits a page of its own starts the next one; a line
+        // longer than any page is cut at the ceiling.
+        if (end == pos) end = pos + kMaxPageBytes;
+        break;
+      }
+      end = line_end;
+    }
+    pages.push_back({pos, end - pos});
+    pos = end;
+    if (rows_cap <= std::numeric_limits<size_t>::max() / 2) rows_cap *= 2;
+  }
+  // At least one page, so the terminal frame always exists.
+  if (pages.empty()) pages.push_back({0, 0});
+  return pages;
 }
 
 void Session::EmitPages(uint64_t now_ms) {
@@ -427,11 +434,13 @@ void Session::EmitPages(uint64_t now_ms) {
       seq = live.pending_want > last ? last : live.pending_want;
     }
     if (seq < 0) continue;
+    const PageSlice& slice = live.pages[static_cast<size_t>(seq)];
     Frame page;
     page.type = FrameType::kPage;
     page.body.SetString("id", live.wire_id)
         .SetInt("seq", seq)
-        .SetString("data", live.pages[static_cast<size_t>(seq)])
+        .SetString("data", std::string_view(live.result.facts)
+                               .substr(slice.offset, slice.length))
         .SetBool("done", seq == last);
     if (seq == last) {
       page.body.SetString("outcome", QueryOutcomeName(live.result.outcome))

@@ -38,11 +38,21 @@ struct SessionOptions {
   // class quotas: the session rejects excess QUERY frames locally (ERROR
   // OVERLOAD) without spending scheduler admission capacity.
   size_t max_inflight = 4;
-  // Fact lines per PAGE frame. The client requests pages one at a time
-  // (PAGE {"id","want"}), so this bounds both frame size and the burst a
-  // slow client must absorb.
+  // Fact lines in the first PAGE frame of a result; each later page holds
+  // twice the rows of the one before, and every page stops at
+  // kMaxPageBytes. The client requests pages one at a time (PAGE
+  // {"id","want"}), so a short result costs one small page and a long one
+  // a logarithmic number of round trips.
   size_t page_rows = 64;
 };
+
+// Raw fact bytes one PAGE carries at most. A fact line longer than this
+// is split across pages (clients concatenate `data`). Escaping turns a
+// byte into at most six (\u00XX), so a full page stays well inside
+// kMaxFramePayload with room for the frame's other fields.
+inline constexpr size_t kMaxPageBytes = 256u << 10;
+static_assert(6 * kMaxPageBytes <= kMaxFramePayload / 2,
+              "an escaped page must fit a frame with room to spare");
 
 // Why a session ended. Exactly one reason is set when Pump() starts
 // returning false.
@@ -174,12 +184,19 @@ class Session {
  private:
   enum class State : uint8_t { kAwaitHello, kReady, kDraining };
 
+  struct PageSlice {
+    size_t offset = 0;
+    size_t length = 0;
+  };
+  static std::vector<PageSlice> CutPages(const std::string& facts,
+                                         size_t first_rows);
+
   struct LiveQuery {
     uint64_t ticket = 0;
     std::string wire_id;           // client-chosen id (frame field)
     bool result_ready = false;
     QueryResult result;
-    std::vector<std::string> pages;  // materialized page payloads
+    std::vector<PageSlice> pages;    // byte ranges of result.facts
     int64_t next_seq = 0;            // next page index to send
     int64_t pending_want = -1;       // client-requested page, -1 = none
     bool push_terminal = false;      // cancel/drain: push final page unasked

@@ -1,6 +1,6 @@
 #include "server/wire.h"
 
-#include <cstdio>
+#include <array>
 
 #include "base/fault_injection.h"
 #include "storage/bytes.h"
@@ -104,36 +104,73 @@ bool WireObject::BoolOr(std::string_view key, bool fallback) const {
 
 namespace {
 
+constexpr size_t kFrameHeaderBytes = 4 + 1 + 4;  // len, type, crc
+
+// How each byte appears inside a JSON string: 0 = verbatim, 'u' = \u00XX,
+// anything else = the letter after a backslash.
+constexpr std::array<char, 256> kJsonEscape = [] {
+  std::array<char, 256> t{};
+  for (int c = 0; c < 0x20; ++c) t[c] = 'u';
+  t['"'] = '"';
+  t['\\'] = '\\';
+  t['\n'] = 'n';
+  t['\r'] = 'r';
+  t['\t'] = 't';
+  return t;
+}();
+
+// Sizes the escaped string first, so the output grows once and the bytes
+// are written in a single pass.
 void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
+  size_t width = 2;  // the quotes
   for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
+    char e = kJsonEscape[c];
+    width += e == 0 ? 1 : e == 'u' ? 6 : 2;
+  }
+  size_t at = out->size();
+  out->resize(at + width);
+  char* w = out->data() + at;
+  *w++ = '"';
+  for (unsigned char c : s) {
+    char e = kJsonEscape[c];
+    if (e == 0) {
+      *w++ = static_cast<char>(c);
+      continue;
+    }
+    *w++ = '\\';
+    *w++ = e;
+    if (e == 'u') {
+      static constexpr char kHex[] = "0123456789abcdef";
+      *w++ = '0';
+      *w++ = '0';
+      *w++ = kHex[c >> 4];
+      *w++ = kHex[c & 0xF];
     }
   }
-  out->push_back('"');
+  *w = '"';
+}
+
+void AppendObjectJson(std::string* out, const WireObject& obj) {
+  out->push_back('{');
+  bool first = true;
+  for (const auto& [key, value] : obj.fields()) {
+    if (!first) out->push_back(',');
+    first = false;
+    AppendJsonString(out, key);
+    out->push_back(':');
+    switch (value.kind) {
+      case WireValue::Kind::kString:
+        AppendJsonString(out, value.str);
+        break;
+      case WireValue::Kind::kInt:
+        out->append(std::to_string(value.num));
+        break;
+      case WireValue::Kind::kBool:
+        out->append(value.flag ? "true" : "false");
+        break;
+    }
+  }
+  out->push_back('}');
 }
 
 // Minimal recursive-descent scanner for the flat-object subset the
@@ -195,12 +232,15 @@ class JsonScanner {
     if (!Consume('"')) return Err("expected '\"'").status();
     out->clear();
     while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::Ok();
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
+      // Unescaped runs are appended whole.
+      size_t run = pos_;
+      while (run < text_.size() && text_[run] != '"' && text_[run] != '\\') {
+        ++run;
       }
+      out->append(text_.data() + pos_, run - pos_);
+      pos_ = run;
+      if (pos_ == text_.size()) break;
+      if (text_[pos_++] == '"') return Status::Ok();
       if (pos_ >= text_.size()) break;
       char e = text_[pos_++];
       switch (e) {
@@ -320,26 +360,8 @@ class JsonScanner {
 }  // namespace
 
 std::string WireObject::ToJson() const {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : fields_) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendJsonString(&out, key);
-    out.push_back(':');
-    switch (value.kind) {
-      case WireValue::Kind::kString:
-        AppendJsonString(&out, value.str);
-        break;
-      case WireValue::Kind::kInt:
-        out += std::to_string(value.num);
-        break;
-      case WireValue::Kind::kBool:
-        out += value.flag ? "true" : "false";
-        break;
-    }
-  }
-  out.push_back('}');
+  std::string out;
+  AppendObjectJson(&out, *this);
   return out;
 }
 
@@ -350,16 +372,20 @@ Result<WireObject> WireObject::FromJson(std::string_view json) {
 // ---- framing ---------------------------------------------------------------
 
 std::string EncodeFrame(const Frame& frame) {
-  std::string payload = frame.body.ToJson();
-  std::string crc_input;
-  crc_input.push_back(static_cast<char>(frame.type));
-  crc_input.append(payload);
-  storage::ByteWriter w;
-  w.U32(static_cast<uint32_t>(1 + 4 + payload.size()));
-  w.U8(static_cast<uint8_t>(frame.type));
-  w.U32(storage::Crc32(crc_input));
-  w.Bytes(payload);
-  return w.Take();
+  // The payload is written straight into the frame after a header
+  // placeholder; length and CRC are filled in once its size is known.
+  std::string out(kFrameHeaderBytes, '\0');
+  AppendObjectJson(&out, frame.body);
+  std::string_view payload(out);
+  payload.remove_prefix(kFrameHeaderBytes);
+  const char type_byte = static_cast<char>(frame.type);
+  storage::ByteWriter header;
+  header.U32(static_cast<uint32_t>(1 + 4 + payload.size()));
+  header.U8(static_cast<uint8_t>(type_byte));
+  header.U32(storage::Crc32(payload,
+                            storage::Crc32(std::string_view(&type_byte, 1))));
+  out.replace(0, kFrameHeaderBytes, header.bytes());
+  return out;
 }
 
 Result<std::optional<Frame>> FrameDecoder::Next() {
@@ -389,10 +415,7 @@ Result<std::optional<Frame>> FrameDecoder::Next() {
   storage::ByteReader crc_reader(body.substr(1, 4));
   uint32_t want_crc = crc_reader.U32();
   std::string_view payload = body.substr(5);
-  std::string crc_input;
-  crc_input.push_back(static_cast<char>(type_byte));
-  crc_input.append(payload);
-  if (storage::Crc32(crc_input) != want_crc) {
+  if (storage::Crc32(payload, storage::Crc32(body.substr(0, 1))) != want_crc) {
     poisoned_ = NetworkError("frame CRC mismatch (torn or corrupt frame)");
     return poisoned_;
   }

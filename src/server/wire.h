@@ -37,6 +37,13 @@ namespace server {
 //                  max_memory?, reserve?}
 //   PAGE    c->s  {id, want}                   request page `want` (credit)
 //           s->c  {id, seq, data, done, outcome?, status?, code?, attempts?}
+//                 `data` is a byte range of the result's fact listing;
+//                 the ranges of seq 0, 1, ... concatenate to the whole.
+//                 Page 0 holds `page_rows` fact lines, each later page
+//                 twice the lines of the one before, and no page more than
+//                 kMaxPageBytes (session.h) raw bytes: a page ends early
+//                 at that ceiling, at a line boundary when the line fits
+//                 and inside a longer line otherwise.
 //   CANCEL  c->s  {id}
 //   DRAIN   s->c  {reason}                     server stops accepting
 //   ERROR   both  {code, message, id?}         structured failure

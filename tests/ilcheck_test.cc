@@ -619,6 +619,37 @@ TEST(IlOptDifferentialTest, StaticallyEmptyRuleStillRunsByteIdentical) {
                 R"(R(x), x = "a")", R"(S(x) :- R(x), x = "c".)"});
 }
 
+// A tuple pattern matched against a register the compiler bound to a
+// constant: the body can never hold. The compiler must not emit field
+// projections of the constant (the verifier rejects them); it declines
+// the rule, so the program lints without L004 and the tree-walker runs it.
+TEST(IlLintTest, TupleMatchOnConstantBoundVariableVerifiesClean) {
+  const std::string source = R"(
+    schema { relation U : D | [D, D]; relation S : D; }
+    input U; output S;
+    instance { U("a"); U(["a", "b"]); }
+    program { S(y) :- U(x), x = "a", x = [y, z]. }
+  )";
+  Compiled c(source);
+  ASSERT_TRUE(c.unit.has_value());
+  const Rule& rule = c.rule(0, 0);
+  for (size_t delta : {kNoDelta, size_t{0}}) {
+    std::optional<CompiledRule> cr = CompileRule(c.unit->program, rule, delta);
+    if (cr.has_value()) {
+      EXPECT_TRUE(VerifyRule(*cr).empty()) << delta;
+    }
+  }
+  EXPECT_EQ(CodeCounts(c.Lint())["L004"], 0);
+
+  EvalOptions options;
+  options.tree_walk_oracle = true;
+  std::string tree = RunToFacts(source, options);
+  options.tree_walk_oracle = false;
+  std::string vm = RunToFacts(source, options);
+  EXPECT_EQ(tree, vm);
+  EXPECT_EQ(vm.find("S("), std::string::npos) << vm;
+}
+
 // ---- execution equivalence ------------------------------------------------
 
 // A join-heavy program with enough facts that hash buckets and candidate

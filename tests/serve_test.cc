@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <initializer_list>
@@ -446,25 +447,184 @@ TEST_F(SessionTest, ClosedSessionRetiresItsRunningQuery) {
             c.completed + c.tripped_partial + c.failed + c.cancelled);
 }
 
-// Sends one query and pages it to completion; returns the paged facts.
-std::string QueryAndPage(Session* session, TestClient* client,
-                         Scheduler* scheduler, uint64_t* now,
-                         const std::string& id, const std::string& source) {
+// Sends one query and requests its pages in order until the terminal one;
+// returns every PAGE frame received.
+std::vector<Frame> PageFrames(Session* session, TestClient* client,
+                              Scheduler* scheduler, uint64_t* now,
+                              const std::string& id,
+                              const std::string& source) {
   client->SendQuery(id, source);
   client->SendWant(id, 0);
   session->Pump((*now)++);
   scheduler->RunUntilIdle();
-  std::string data;
+  std::vector<Frame> pages;
   for (int round = 0; round < 64; ++round) {
     session->Pump((*now)++);
-    for (const Frame& frame : client->Drain()) {
-      data += frame.body.StringOr("data", "");
-      if (frame.body.BoolOr("done", true)) return data;
-      client->SendWant(id, frame.body.GetInt("seq").value() + 1);
+    for (Frame& frame : client->Drain()) {
+      pages.push_back(std::move(frame));
+      const Frame& page = pages.back();
+      if (page.body.BoolOr("done", true)) return pages;
+      client->SendWant(id, page.body.GetInt("seq").value() + 1);
     }
   }
   ADD_FAILURE() << "query " << id << " never delivered its last page";
+  return pages;
+}
+
+// Sends one query and pages it to completion; returns the paged facts.
+std::string QueryAndPage(Session* session, TestClient* client,
+                         Scheduler* scheduler, uint64_t* now,
+                         const std::string& id, const std::string& source) {
+  std::string data;
+  for (const Frame& frame :
+       PageFrames(session, client, scheduler, now, id, source)) {
+    data += frame.body.StringOr("data", "");
+  }
   return data;
+}
+
+// The facts a standalone evaluation of `source` writes.
+std::string StandaloneFacts(const std::string& source) {
+  Scheduler scheduler(DetScheduler());
+  QueryRequest request;
+  request.id = "ref";
+  request.source = source;
+  auto ticket = scheduler.Submit(std::move(request));
+  return ticket.ok() ? scheduler.Wait(*ticket).facts : std::string();
+}
+
+// Transitive closure over the chain 1 -> 2 -> ... -> nodes:
+// nodes * (nodes - 1) / 2 TC rows.
+std::string ChainTcSource(int nodes) {
+  std::string source =
+      "schema { relation E : [D, D]; relation TC : [D, D]; }\n"
+      "input E;\noutput TC;\ninstance {\n";
+  for (int i = 1; i < nodes; ++i) {
+    source += "  E(" + std::to_string(i) + ", " + std::to_string(i + 1) +
+              ");\n";
+  }
+  source +=
+      "}\nprogram {\n"
+      "  TC(x, y) :- E(x, y).\n"
+      "  TC(x, z) :- TC(x, y), E(y, z).\n"
+      "}\n";
+  return source;
+}
+
+// Fact lines in a page's data.
+size_t Rows(const std::string& data) {
+  return static_cast<size_t>(std::count(data.begin(), data.end(), '\n'));
+}
+
+TEST_F(SessionTest, PagesDoubleFromPageRows) {
+  Scheduler scheduler(DetScheduler());
+  MemoryDuplex duplex;
+  MemoryStream server_end(&duplex, /*server_side=*/true);
+  SessionOptions options;
+  options.page_rows = 2;
+  Session session(1, &server_end, &scheduler, options, nullptr);
+  TestClient client(&duplex);
+  client.SendHello();
+  uint64_t now = 0;
+  session.Pump(now++);
+  client.Drain();
+
+  // 21 TC rows between the `instance {` and `}` lines: 23 lines.
+  const std::string source = ChainTcSource(7);
+  std::vector<Frame> pages =
+      PageFrames(&session, &client, &scheduler, &now, "q", source);
+  std::vector<size_t> rows;
+  std::string data;
+  for (const Frame& page : pages) {
+    EXPECT_EQ(page.body.GetInt("seq").value(),
+              static_cast<int64_t>(rows.size()));
+    rows.push_back(Rows(page.body.StringOr("data", "")));
+    data += page.body.StringOr("data", "");
+  }
+  EXPECT_EQ(rows, (std::vector<size_t>{2, 4, 8, 9}));
+  EXPECT_EQ(session.counters().pages_sent, pages.size());
+  EXPECT_EQ(session.counters().delivered_completed, 1u);
+  EXPECT_EQ(data, StandaloneFacts(source));
+}
+
+TEST_F(SessionTest, CancelMidStreamPushesOneTerminalPage) {
+  Scheduler scheduler(DetScheduler());
+  MemoryDuplex duplex;
+  MemoryStream server_end(&duplex, /*server_side=*/true);
+  SessionOptions options;
+  options.page_rows = 2;
+  Session session(1, &server_end, &scheduler, options, nullptr);
+  TestClient client(&duplex);
+  client.SendHello();
+  session.Pump(0);
+  client.Drain();
+  client.SendQuery("q", ChainTcSource(7));
+  client.SendWant("q", 0);
+  session.Pump(1);
+  scheduler.RunUntilIdle();
+  session.Pump(2);
+  auto first = client.Drain();
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].body.GetInt("seq").value(), 0);
+  EXPECT_FALSE(first[0].body.GetBool("done").value());
+
+  Frame cancel;
+  cancel.type = FrameType::kCancel;
+  cancel.body.SetString("id", "q");
+  client.Send(cancel);
+  session.Pump(3);
+  session.Pump(4);
+  auto rest = client.Drain();
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].type, FrameType::kPage);
+  EXPECT_EQ(rest[0].body.GetInt("seq").value(), 3);  // the last page
+  EXPECT_TRUE(rest[0].body.GetBool("done").value());
+  EXPECT_EQ(session.counters().pages_sent, 2u);
+  EXPECT_EQ(session.live_queries(), 0u);
+  EXPECT_EQ(session.counters().delivered_completed +
+                session.counters().delivered_cancelled,
+            1u);
+}
+
+TEST_F(SessionTest, LongFactLinesAreCutAtThePageCeiling) {
+  // Lines of 0.4 and 1.2 page ceilings: no page of 64 rows may carry
+  // them whole, and the longest must be split inside the line.
+  std::string source =
+      "schema { relation R : D; }\ninput R;\noutput R;\ninstance {\n";
+  for (char c : {'a', 'b', 'c', 'd'}) {
+    source += "  R(\"" + std::string(kMaxPageBytes * 2 / 5, c) + "\");\n";
+  }
+  source += "  R(\"" + std::string(kMaxPageBytes * 6 / 5, 'z') + "\");\n";
+  source += "  R(\"short\");\n}\n";
+
+  Scheduler scheduler(DetScheduler());
+  MemoryDuplex duplex;
+  MemoryStream server_end(&duplex, /*server_side=*/true);
+  Session session(1, &server_end, &scheduler, SessionOptions{}, nullptr);
+  TestClient client(&duplex);
+  client.SendHello();
+  uint64_t now = 0;
+  session.Pump(now++);
+  client.Drain();
+
+  std::vector<Frame> pages =
+      PageFrames(&session, &client, &scheduler, &now, "q", source);
+  ASSERT_FALSE(pages.empty());
+  EXPECT_TRUE(pages.back().body.GetBool("done").value());
+  std::string data;
+  bool split_line = false;
+  for (const Frame& page : pages) {
+    std::string part = page.body.StringOr("data", "");
+    // The client's decoder accepted the frame, so it is inside
+    // kMaxFramePayload; its facts are inside the page ceiling.
+    EXPECT_LE(part.size(), kMaxPageBytes);
+    if (!part.empty() && part.back() != '\n') split_line = true;
+    data += part;
+  }
+  EXPECT_TRUE(split_line);
+  EXPECT_GE(pages.size(), 4u);
+  EXPECT_EQ(data, StandaloneFacts(source));
+  EXPECT_EQ(session.counters().delivered_completed, 1u);
 }
 
 TEST_F(SessionTest, ReusedWireIdWithOtherFactsIsEvaluatedAfresh) {
@@ -486,16 +646,8 @@ program {
 )";
   std::string dir = ::testing::TempDir() + "/iqlkit_serve_reuse";
   std::filesystem::remove_all(dir);
-  auto standalone = [](const char* source) {
-    Scheduler scheduler(DetScheduler());
-    QueryRequest request;
-    request.id = "ref";
-    request.source = source;
-    auto ticket = scheduler.Submit(std::move(request));
-    return ticket.ok() ? scheduler.Wait(*ticket).facts : std::string();
-  };
-  std::string long_facts = standalone(kTcSource);
-  std::string short_facts = standalone(kShortTc);
+  std::string long_facts = StandaloneFacts(kTcSource);
+  std::string short_facts = StandaloneFacts(kShortTc);
   ASSERT_NE(long_facts, short_facts);
 
   SchedulerOptions sched = DetScheduler();

@@ -78,6 +78,59 @@ TEST(Framing, LayoutIsLengthTypeCrcPayload) {
   EXPECT_EQ(bytes.substr(9), payload);
 }
 
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+// Exact frame bytes: a change to the codec must not move a single byte on
+// the wire (every escape class, a negative integer and a boolean).
+TEST(Framing, EncodedFramesArePinned) {
+  Frame page;
+  page.type = FrameType::kPage;
+  page.body.SetString("id", "q1")
+      .SetInt("seq", 2)
+      .SetString("data", std::string("TC([\"1\", \"2\"]);\nx\t\\") +
+                             std::string("\x01\x7f\xff\x00", 4))
+      .SetBool("done", true)
+      .SetString("outcome", "completed")
+      .SetInt("attempts", -1);
+  EXPECT_EQ(Hex(EncodeFrame(page)),
+            "7a0000000279fda0637b226964223a227131222c22736571223a322c226461"
+            "7461223a225443285b5c22315c222c205c22325c225d293b5c6e785c745c5c"
+            "5c75303030317fff5c7530303030222c22646f6e65223a747275652c226f75"
+            "74636f6d65223a22636f6d706c65746564222c22617474656d707473223a2d"
+            "317d");
+  Frame hello;
+  hello.type = FrameType::kHello;
+  hello.body.SetInt("version", 1).SetString("tenant", "t");
+  EXPECT_EQ(Hex(EncodeFrame(hello)),
+            "1f0000000096bff1f07b2276657273696f6e223a312c2274656e616e74223a"
+            "2274227d");
+}
+
+TEST(Framing, EveryByteValueRoundTrips) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) all.push_back(static_cast<char>(c));
+  Frame page;
+  page.type = FrameType::kPage;
+  page.body.SetString("data", all).SetString(all, "key");
+  FrameDecoder decoder;
+  decoder.Feed(EncodeFrame(page));
+  auto next = decoder.Next();
+  ASSERT_TRUE(next.ok()) << next.status();
+  ASSERT_TRUE(next->has_value());
+  EXPECT_EQ((*next)->type, FrameType::kPage);
+  EXPECT_EQ((*next)->body.GetString("data").value(), all);
+  EXPECT_EQ((*next)->body.GetString(all).value(), "key");
+  EXPECT_EQ(decoder.buffered(), 0u);
+}
+
 TEST(Framing, DecoderReassemblesByteAtATime) {
   std::string bytes = EncodeFrame(MakeQuery("q1", "a")) +
                       EncodeFrame(MakeQuery("q2", "b"));
@@ -144,6 +197,47 @@ TEST(Framing, UnknownTypeByteIsRejected) {
   ASSERT_FALSE(next.ok());
   EXPECT_NE(next.status().message().find("unknown frame type"),
             std::string::npos);
+}
+
+// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+// table-driven Crc32 must agree with.
+uint32_t BitwiseCrc32(std::string_view data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (unsigned char b : data) {
+    crc ^= b;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32, KnownAnswer) {
+  EXPECT_EQ(storage::Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(storage::Crc32(""), 0u);
+  EXPECT_EQ(storage::Crc32("6789", storage::Crc32("12345")), 0xCBF43926u);
+}
+
+TEST(Crc32, MatchesTheBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::string buffer(64 + 8, '\0');
+  uint32_t x = 0x9E3779B9u;
+  for (char& c : buffer) {
+    x = x * 1664525u + 1013904223u;
+    c = static_cast<char>(x >> 24);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 64; ++len) {
+      std::string_view range(buffer.data() + align, len);
+      ASSERT_EQ(storage::Crc32(range), BitwiseCrc32(range))
+          << "align " << align << ", length " << len;
+      // Chaining at any split point gives the same value.
+      size_t half = len / 2;
+      ASSERT_EQ(storage::Crc32(range.substr(half),
+                               storage::Crc32(range.substr(0, half))),
+                BitwiseCrc32(range))
+          << "align " << align << ", length " << len;
+    }
+  }
 }
 
 TEST(MemoryStreams, DuplexMovesBytesAndSignalsEof) {

@@ -67,7 +67,9 @@
 //   --tenant=NAME          tenant id sent in HELLO (client/sim)
 //   --max-sessions=N       concurrent-connection ceiling (default 64)
 //   --max-inflight=N       per-session in-flight query quota (default 4)
-//   --page-rows=N          fact lines per PAGE frame (default 64)
+//   --page-rows=N          fact lines in a result's first PAGE frame
+//                          (default 64); each later page holds twice the
+//                          lines of the one before, up to 256 KiB of facts
 //   --idle-timeout=MS --read-timeout=MS --write-timeout=MS
 //   --drain-grace=MS       grace window before preempting (default 2000)
 //
