@@ -762,10 +762,8 @@ class HeadSatisfiability {
       const Term& lhs = prog_.term(head.lhs);
       switch (lhs.kind) {
         case Term::Kind::kRelName:
-          // A side-store value is structurally new, so it cannot occur in
-          // any relation of the frozen instance; asking the instance (whose
-          // comparator only reads the shared store) would be ill-formed.
-          if (values_->IsSide(*rv)) return false;
+          // By id, so a side-store value (structurally new) is simply not
+          // found.
           return inst_.RelationContains(lhs.name, *rv);
         case Term::Kind::kClassName: {
           const ValueNode& rn = values_->node(*rv);
@@ -947,6 +945,7 @@ class StageRunner {
       auto step_start = std::chrono::steady_clock::now();
       uint64_t added_before = stats_->facts_added;
       step_partitions_ = 0;
+      apply_seconds_ = 0;
       // A naive step reads its frozen step-start instance, so fresh
       // per-step machinery needs no invalidation. A semi-naive stage only
       // ever adds relation facts, so its one stage-long index stays valid
@@ -966,7 +965,7 @@ class StageRunner {
       if (metrics_ != nullptr) {
         metrics_->rounds.push_back(RoundMetrics{
             stage_index_, step, seminaive, stats_->facts_added - added_before,
-            work->GroundFactCount(), Seconds(step_start)});
+            work->GroundFactCount(), Seconds(step_start), apply_seconds_});
       }
       if (options_.trace != nullptr) {
         std::ostream& trace = *options_.trace;
@@ -1208,6 +1207,7 @@ class StageRunner {
         IQL_RETURN_IF_ERROR(solve(d, &it->second));
       }
     }
+    auto apply_start = std::chrono::steady_clock::now();
     Delta next;
     for (const auto& [rel, v, rm] : pending) {
       if (work->RelationContains(rel, v)) continue;
@@ -1220,6 +1220,7 @@ class StageRunner {
       }
       next[rel].push_back(v);
     }
+    apply_seconds_ += Seconds(apply_start);
     *delta = std::move(next);
     return StepOutcome{true, delta->empty(), 0};
   }
@@ -1604,6 +1605,7 @@ class StageRunner {
                                           pending.rm);
     }
 
+    auto apply_start = std::chrono::steady_clock::now();
     bool changed = false;
     uint64_t committed_before = stats_->facts_added;
     for (const auto& [cls, o, rm] : oid_adds) {
@@ -1669,6 +1671,7 @@ class StageRunner {
     // next step boundary still observes a completed step.
     governor_->accountant()->Charge(
         (stats_->facts_added - committed_before) * kFactBytes);
+    apply_seconds_ += Seconds(apply_start);
     return changed;
   }
 
@@ -1703,6 +1706,7 @@ class StageRunner {
   Governor* governor_ = nullptr;  // owned by EvaluateProgram, never null
   std::vector<bool> rule_parallel_;  // per rule: may its solver fan out?
   uint64_t step_partitions_ = 0;     // partitions used by the current step
+  double apply_seconds_ = 0;         // the current step's commit time
   // The coordinator's enumeration machinery: per naive step, stage-long
   // for a semi-naive stage.
   std::optional<Slice> coordinator_;
@@ -1912,7 +1916,7 @@ std::string EvalMetrics::ToJson() const {
        << ",\"seminaive\":" << (r.seminaive ? "true" : "false")
        << ",\"delta_facts\":" << r.delta_facts
        << ",\"total_facts\":" << r.total_facts << ",\"seconds\":" << r.seconds
-       << "}";
+       << ",\"apply_seconds\":" << r.apply_seconds << "}";
   }
   os << "],\"index_builds\":" << index_builds
      << ",\"index_probes\":" << index_probes

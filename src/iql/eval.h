@@ -46,6 +46,9 @@ struct RoundMetrics {
   uint64_t delta_facts = 0;  // facts added by this round
   uint64_t total_facts = 0;  // ground facts after the round
   double seconds = 0.0;
+  // The part of `seconds` spent committing the round's derived facts:
+  // membership tests, inserts and index upkeep.
+  double apply_seconds = 0.0;
 };
 
 // Where fixpoint time goes: filled when EvalOptions::metrics is set.
@@ -110,7 +113,7 @@ struct EvalOptions {
   ChoosePolicy choose_policy = ChoosePolicy::kMinOid;
   uint64_t choose_seed = 0;
 
-  // Ablation switch for bench_ablation: disables the bound-head O(log n)
+  // Ablation switch for bench_ablation: disables the bound-head O(1)
   // membership fast path in the valuation-domain filter, falling back to
   // the literal scan-and-match formulation. Semantics are identical.
   bool disable_head_fast_path = false;

@@ -47,7 +47,7 @@ bool RelationIndex::ElementKey(ValueId elem,
   for (Symbol attr : attrs) {
     while (field != n.fields.end() && field->first < attr) ++field;
     if (field == n.fields.end() || field->first != attr) return false;
-    h = HashCombine(h, field->second);
+    h = KeyHash(h, field->second);
   }
   *out = h;
   return true;
@@ -59,32 +59,43 @@ void RelationIndex::InsertElement(Index* index, ValueId elem) {
   index->buckets[h].push_back(elem);
 }
 
-const std::vector<ValueId>* RelationIndex::Probe(
-    Container c, const std::vector<Symbol>& attrs,
-    const std::vector<ValueId>& key) {
-  IndexKey ik{Key(c), attrs};
-  auto it = indexes_.find(ik);
-  if (it == indexes_.end()) {
-    Index index;
-    index.attrs = attrs;
-    it = indexes_.emplace(std::move(ik), std::move(index)).first;
-    for (ValueId elem : Elems(c)) InsertElement(&it->second, elem);
-    if (c.kind == Container::Kind::kRelation) {
-      by_relation_[static_cast<Symbol>(c.id)].push_back(&it->second);
-    }
-    ++counters_.builds;
+RelationIndex::Index* RelationIndex::Resolve(
+    Container c, const std::vector<Symbol>& attrs) {
+  std::vector<std::unique_ptr<Index>>& built = indexes_[Key(c)];
+  for (const std::unique_ptr<Index>& index : built) {
+    if (index->attrs == attrs) return index.get();
   }
+  Index* index = built.emplace_back(std::make_unique<Index>()).get();
+  index->attrs = attrs;
+  for (ValueId elem : Elems(c)) InsertElement(index, elem);
+  if (c.kind == Container::Kind::kRelation) {
+    by_relation_[static_cast<Symbol>(c.id)].push_back(index);
+  }
+  ++counters_.builds;
+  return index;
+}
+
+const std::vector<ValueId>* RelationIndex::Lookup(Index* index,
+                                                  uint64_t key_hash) {
   ++counters_.probes;
   // Buckets are keyed by the hash of the keyed-field values; a collision
   // merely enlarges a bucket (the caller re-matches every candidate), it
   // cannot lose matches.
-  uint64_t h = HashRange(key.begin(), key.end());
-  auto bucket = it->second.buckets.find(h);
-  if (bucket == it->second.buckets.end() || bucket->second.empty()) {
+  auto bucket = index->buckets.find(key_hash);
+  if (bucket == index->buckets.end() || bucket->second.empty()) {
     return nullptr;
   }
   ++counters_.hits;
   return &bucket->second;
+}
+
+const std::vector<ValueId>* RelationIndex::Probe(
+    Container c, const std::vector<Symbol>& attrs,
+    const std::vector<ValueId>& key) {
+  Index* index = Resolve(c, attrs);
+  uint64_t h = 0;
+  for (ValueId v : key) h = KeyHash(h, v);
+  return Lookup(index, h);
 }
 
 void RelationIndex::AddRelationFact(Symbol r, ValueId fact) {

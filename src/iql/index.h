@@ -2,6 +2,7 @@
 #define IQLKIT_IQL_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -23,13 +24,20 @@ namespace iqlkit {
 //                       candidates a tuple pattern with those fields bound
 //                       can match.
 //
-// Indexes are built lazily (one scan of the extent on the first probe of a
-// (container, attrs) pair) and keyed by the attribute set actually bound at
-// generator time, so a rule body probing R on #1 and later on #2 gets two
-// independent indexes. Correctness does not depend on the index being
-// selective: a probe only *prefilters* by equality on the keyed fields, and
-// the caller still pattern-matches every candidate, so elements whose arity
-// or remaining fields disagree are rejected exactly as in a full scan.
+// A probe is two steps, which callers may also take apart: Resolve(c,
+// attrs) finds (or builds) the index of one (container, attrs) pair, and
+// Lookup(index, h) returns its bucket for the key hash h. The register VM
+// resolves a scan instruction's index once and then hashes each key
+// straight from its registers, so a probe there allocates nothing.
+//
+// Indexes are built lazily (one scan of the extent when a (container,
+// attrs) pair is first resolved) and keyed by the attribute set actually
+// bound at generator time, so a rule body probing R on #1 and later on #2
+// gets two independent indexes. Correctness does not depend on the index
+// being selective: a probe only *prefilters* by equality on the keyed
+// fields, and the caller still pattern-matches every candidate, so elements
+// whose arity or remaining fields disagree are rejected exactly as in a
+// full scan.
 //
 // Lifetime and invalidation: the naive evaluator builds a fresh
 // RelationIndex per fixpoint step (the step reads a frozen snapshot). The
@@ -73,11 +81,34 @@ class RelationIndex {
   // via AddRelationFact but are stored node-stably).
   const std::vector<ValueId>& Elems(Container c);
 
-  // The bucket of elements of `c` whose top-level tuple fields at `attrs`
-  // (ascending, nonempty) equal `key` (parallel to `attrs`). Returns
-  // nullptr for an empty bucket. Elements that are not tuples, or lack one
-  // of the attributes, match no bucket -- they could not match a tuple
-  // pattern binding those fields either.
+  // One (container, attrs) index: a bucket per distinct combination of
+  // keyed-field values. Outside this class it is only a handle.
+  struct Index {
+    std::vector<Symbol> attrs;  // the keyed attributes, ascending
+    std::unordered_map<uint64_t, std::vector<ValueId>> buckets;
+  };
+
+  // The index of `c` keyed on `attrs` (ascending, nonempty), built by one
+  // scan of the container the first time the pair is resolved (counted as
+  // a build). The handle stays valid, and follows AddRelationFact, until
+  // destruction. Allocates only when it builds.
+  Index* Resolve(Container c, const std::vector<Symbol>& attrs);
+
+  // Folds one keyed-field value into a key hash. A key's hash starts at 0
+  // and folds its values in the order of the index's attrs.
+  static uint64_t KeyHash(uint64_t h, ValueId value) {
+    return HashCombine(h, value);
+  }
+
+  // The bucket of `index` for the key hash `key_hash`, or nullptr for an
+  // empty bucket. Counted as a probe, and as a hit when non-empty.
+  const std::vector<ValueId>* Lookup(Index* index, uint64_t key_hash);
+
+  // Resolve + Lookup: the bucket of elements of `c` whose top-level tuple
+  // fields at `attrs` equal `key` (parallel to `attrs`). Returns nullptr
+  // for an empty bucket. Elements that are not tuples, or lack one of the
+  // attributes, match no bucket -- they could not match a tuple pattern
+  // binding those fields either.
   const std::vector<ValueId>* Probe(Container c,
                                     const std::vector<Symbol>& attrs,
                                     const std::vector<ValueId>& key);
@@ -101,26 +132,6 @@ class RelationIndex {
       return static_cast<size_t>(Mix64((uint64_t{k.kind} << 32) | k.id));
     }
   };
-  struct IndexKey {
-    ContainerKey container;
-    std::vector<Symbol> attrs;
-    bool operator==(const IndexKey& o) const {
-      return container == o.container && attrs == o.attrs;
-    }
-  };
-  struct IndexKeyHash {
-    size_t operator()(const IndexKey& k) const {
-      return static_cast<size_t>(HashRange(
-          k.attrs.begin(), k.attrs.end(),
-          ContainerKeyHash{}(k.container)));
-    }
-  };
-  // One index: bucket per distinct combination of keyed-field values.
-  struct Index {
-    std::unordered_map<uint64_t, std::vector<ValueId>> buckets;
-    std::vector<Symbol> attrs;  // the keyed attributes, ascending
-  };
-
   static ContainerKey Key(Container c) {
     return {static_cast<uint8_t>(c.kind), c.id};
   }
@@ -136,7 +147,11 @@ class RelationIndex {
   ValueArena* arena_;
   std::unordered_map<ContainerKey, std::vector<ValueId>, ContainerKeyHash>
       elems_;
-  std::unordered_map<IndexKey, Index, IndexKeyHash> indexes_;
+  // The indexes built over each container, one per attrs set; a container
+  // is probed on few distinct attrs sets, so Resolve scans them linearly.
+  std::unordered_map<ContainerKey, std::vector<std::unique_ptr<Index>>,
+                     ContainerKeyHash>
+      indexes_;
   // Indexes built per relation symbol, for incremental maintenance.
   std::unordered_map<Symbol, std::vector<Index*>> by_relation_;
   Counters counters_;

@@ -63,7 +63,8 @@ VmSolver::VmSolver(const il::CompiledRule& cr, const Instance& inst,
       inst_(inst),
       ctx_(ctx),
       delta_facts_(delta_facts),
-      membership_(&inst.universe()->types(), ctx.values, &inst) {
+      membership_(&inst.universe()->types(), ctx.values, &inst),
+      resolved_(cr.code.size(), nullptr) {
   assert(ctx.prepared == nullptr ||
          ctx.prepared->at.size() == cr.code.size());
 }
@@ -176,10 +177,9 @@ Status VmSolver::Solve(const Callback& cb) {
         fail = regs_[in.a] != regs_[in.b];
         break;
       case il::Op::kCheckRel: {
-        // A side-store id is structurally new, hence never in a shared
-        // relation extent; otherwise raw-id membership is structural.
-        ValueId v = regs_[in.b];
-        bool contains = !values.IsSide(v) && inst_.RelationContains(in.sym, v);
+        // Membership by id: a side-store id is structurally new, so it is
+        // never a member of the frozen instance's extents.
+        bool contains = inst_.RelationContains(in.sym, regs_[in.b]);
         fail = contains != in.pol;
         break;
       }
@@ -248,16 +248,25 @@ Status VmSolver::Solve(const Callback& cb) {
             c = RelationIndex::Container::SetValue(regs_[in.a]);
           }
           if (ctx_.index != nullptr && in.naux > 0) {
-            std::vector<Symbol> attrs;
-            std::vector<ValueId> key;
-            attrs.reserve(in.naux / 2);
-            key.reserve(in.naux / 2);
+            // aux holds (attr, key register) pairs. The index is resolved
+            // on the instruction's first execution; a kScanSet container
+            // is a register, so it resolves on every execution.
+            RelationIndex::Index* index = resolved_[pc];
+            if (index == nullptr) {
+              attrs_.clear();
+              for (uint32_t k = 0; k + 1 < in.naux; k += 2) {
+                attrs_.push_back(static_cast<Symbol>(cr_.aux[in.aux + k]));
+              }
+              index = ctx_.index->Resolve(c, attrs_);
+              if (in.op != il::Op::kScanSet) resolved_[pc] = index;
+            }
+            uint64_t key_hash = 0;
             for (uint32_t k = 0; k + 1 < in.naux; k += 2) {
-              attrs.push_back(static_cast<Symbol>(cr_.aux[in.aux + k]));
-              key.push_back(regs_[cr_.aux[in.aux + k + 1]]);
+              key_hash = RelationIndex::KeyHash(
+                  key_hash, regs_[cr_.aux[in.aux + k + 1]]);
             }
             const std::vector<ValueId>* bucket =
-                ctx_.index->Probe(c, attrs, key);
+                ctx_.index->Lookup(index, key_hash);
             if (ctx_.rule_metrics != nullptr) {
               ++ctx_.rule_metrics->index_probes;
             }

@@ -120,6 +120,12 @@ class VmSolver {
   const std::vector<ValueId>* delta_facts_;
   TypeMembership membership_;
 
+  // By pc: the index a keyed scan resolved on its first execution (null
+  // until then, and always for kScanSet), so later probes only hash the
+  // key registers and look up.
+  std::vector<RelationIndex::Index*> resolved_;
+  std::vector<Symbol> attrs_;  // Resolve argument, reused across scans
+
   std::vector<ValueId> regs_;
   std::vector<Frame> frames_;
   Valuation theta_;

@@ -1,6 +1,7 @@
 #include "model/instance.h"
 
 #include <string>
+#include <utility>
 
 #include "base/logging.h"
 
@@ -12,12 +13,11 @@ const ValueIdSet kEmptyValueSet{ValueLess{nullptr}};
 const std::set<Oid> kEmptyOidSet;
 }  // namespace
 
-ValueIdSet& Instance::MutableRelation(Symbol relation) {
+Instance::RelationExtent& Instance::MutableRelation(Symbol relation) {
   auto it = relations_.find(relation);
   if (it == relations_.end()) {
-    it = relations_
-             .emplace(relation, ValueIdSet(ValueLess{&universe_->values()}))
-             .first;
+    RelationExtent fresh{ValueIdSet(ValueLess{&universe_->values()}), {}};
+    it = relations_.emplace(relation, std::move(fresh)).first;
   }
   return it->second;
 }
@@ -27,8 +27,12 @@ Status Instance::AddToRelation(Symbol relation, ValueId v) {
     return NotFoundError("unknown relation '" +
                          std::string(universe_->Name(relation)) + "'");
   }
-  auto [it, inserted] = MutableRelation(relation).insert(v);
-  if (inserted && journal_ != nullptr) {
+  // A duplicate is caught by the id probe and never reaches the ordered
+  // set's structural compares.
+  RelationExtent& extent = MutableRelation(relation);
+  if (!extent.members.insert(v)) return Status::Ok();
+  extent.ordered.insert(v);
+  if (journal_ != nullptr) {
     journal_->push_back({FactOp::Kind::kRelationAdd, relation, Oid{}, v, {}});
   }
   return Status::Ok();
@@ -131,7 +135,8 @@ void Instance::NameOid(Oid o, std::string_view name) {
 bool Instance::RemoveFromRelation(Symbol relation, ValueId v) {
   auto it = relations_.find(relation);
   if (it == relations_.end()) return false;
-  bool removed = it->second.erase(v) > 0;
+  bool removed = it->second.members.erase(v);
+  if (removed) it->second.ordered.erase(v);
   if (removed && journal_ != nullptr) {
     journal_->push_back(
         {FactOp::Kind::kRelationRemove, relation, Oid{}, v, {}});
@@ -210,9 +215,15 @@ size_t Instance::DeleteOidCascade(Oid seed) {
     nu_.erase(o);
     oid_names_.erase(o);
     // Erase relation tuples mentioning any deleted oid.
-    for (auto& [rel, tuples] : relations_) {
+    for (auto& [rel, extent] : relations_) {
+      ValueIdSet& tuples = extent.ordered;
       for (auto it = tuples.begin(); it != tuples.end();) {
-        it = mentions(*it) ? tuples.erase(it) : std::next(it);
+        if (mentions(*it)) {
+          extent.members.erase(*it);
+          it = tuples.erase(it);
+        } else {
+          ++it;
+        }
       }
     }
     // Strip deleted oids out of set values; cascade through non-set values.
@@ -240,7 +251,7 @@ size_t Instance::DeleteOidCascade(Oid seed) {
 
 const ValueIdSet& Instance::Relation(Symbol name) const {
   auto it = relations_.find(name);
-  return it == relations_.end() ? kEmptyValueSet : it->second;
+  return it == relations_.end() ? kEmptyValueSet : it->second.ordered;
 }
 
 const std::set<Oid>& Instance::ClassExtent(Symbol name) const {
@@ -250,7 +261,7 @@ const std::set<Oid>& Instance::ClassExtent(Symbol name) const {
 
 bool Instance::RelationContains(Symbol name, ValueId v) const {
   auto it = relations_.find(name);
-  return it != relations_.end() && it->second.count(v) > 0;
+  return it != relations_.end() && it->second.members.contains(v);
 }
 
 std::optional<ValueId> Instance::ValueOf(Oid o) const {
@@ -276,8 +287,8 @@ std::set<Oid> Instance::Objects() const {
   for (const auto& [cls, oids] : classes_) {
     out.insert(oids.begin(), oids.end());
   }
-  for (const auto& [rel, tuples] : relations_) {
-    for (ValueId v : tuples) values.CollectOids(v, &out);
+  for (const auto& [rel, extent] : relations_) {
+    for (ValueId v : extent.ordered) values.CollectOids(v, &out);
   }
   for (const auto& [o, v] : nu_) {
     out.insert(o);
@@ -289,8 +300,8 @@ std::set<Oid> Instance::Objects() const {
 std::set<Symbol> Instance::ConstantAtoms() const {
   std::set<Symbol> out;
   const ValueStore& values = universe_->values();
-  for (const auto& [rel, tuples] : relations_) {
-    for (ValueId v : tuples) values.CollectConsts(v, &out);
+  for (const auto& [rel, extent] : relations_) {
+    for (ValueId v : extent.ordered) values.CollectConsts(v, &out);
   }
   for (const auto& [o, v] : nu_) values.CollectConsts(v, &out);
   return out;
@@ -307,9 +318,9 @@ Status Instance::Validate() const {
   const ValueStore& values = universe_->values();
 
   // Condition (1): rho(R) subset of T(R)'s interpretation.
-  for (const auto& [rel, tuples] : relations_) {
+  for (const auto& [rel, extent] : relations_) {
     TypeId t = schema_->RelationType(rel);
-    for (ValueId v : tuples) {
+    for (ValueId v : extent.ordered) {
       if (!membership.Contains(t, v)) {
         return TypeError("value " + values.ToString(v) + " in relation '" +
                          std::string(universe_->Name(rel)) +
@@ -380,8 +391,14 @@ Status Instance::Absorb(const Instance& src) {
       return NotFoundError("relation '" + std::string(universe_->Name(r)) +
                            "' not in target schema");
     }
-    const auto& tuples = src.Relation(r);
-    MutableRelation(r).insert(tuples.begin(), tuples.end());
+    RelationExtent& extent = MutableRelation(r);
+    for (ValueId v : src.Relation(r)) {
+      // `src` iterates in the same order, so the end hint is exact
+      // whenever its facts sort after this extent's.
+      if (extent.members.insert(v)) {
+        extent.ordered.insert(extent.ordered.end(), v);
+      }
+    }
   }
   for (Symbol p : src.schema_->class_names()) {
     if (!schema_->HasClass(p)) {
@@ -424,7 +441,7 @@ bool Instance::EqualGroundFacts(const Instance& other) const {
 
 size_t Instance::GroundFactCount() const {
   size_t n = 0;
-  for (const auto& [rel, tuples] : relations_) n += tuples.size();
+  for (const auto& [rel, extent] : relations_) n += extent.ordered.size();
   for (const auto& [cls, oids] : classes_) n += oids.size();
   const ValueStore& values = universe_->values();
   for (const auto& [o, v] : nu_) {

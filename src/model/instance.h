@@ -75,8 +75,14 @@ class StepCommitSink {
 // Disjointness of pi is enforced structurally: each oid records the single
 // class it belongs to, and AddOid rejects a second class.
 //
-// Instances are cheap-ish to copy (sets of 32/64-bit ids); the evaluator
-// copies its working instance only at stage boundaries.
+// A relation's extent is held twice over the same ids: an ordered set that
+// every reader iterates in canonical structural order, and a hash set that
+// answers membership by id in O(1) (hash-consing makes id equality
+// structural equality). Every mutator keeps the two equal.
+//
+// Instances are cheap-ish to copy (sets of 32/64-bit ids, both views of
+// each relation copied together); the evaluator copies its working
+// instance only at stage boundaries.
 class Instance : public ClassResolver {
  public:
   // Non-owning: `schema` must outlive the instance.
@@ -196,6 +202,11 @@ class Instance : public ClassResolver {
   // strategies and thread counts.
   const ValueIdSet& Relation(Symbol name) const;
   const std::set<Oid>& ClassExtent(Symbol name) const;
+  // Whether `v` is in relation `name`: one hash probe on the id, never a
+  // structural compare or a read of v's node. Equal to
+  // Relation(name).count(v) > 0 for an id of this universe's store; an id
+  // a snapshot arena minted in its side store is structurally new, and so
+  // (correctly) never a member.
   bool RelationContains(Symbol name, ValueId v) const;
 
   // nu(o); nullopt when undefined. Unknown oids are an internal error.
@@ -250,13 +261,24 @@ class Instance : public ClassResolver {
   std::string GroundFactsToString() const;
 
  private:
-  // Returns the (possibly fresh) mutable extent of `relation`, constructed
-  // with a comparator bound to this universe's value store.
-  ValueIdSet& MutableRelation(Symbol relation);
+  // One relation's extent: `ordered` is what Relation() hands out,
+  // `members` the same ids for O(1) membership.
+  struct RelationExtent {
+    ValueIdSet ordered;
+    ValueIdHashSet members;
+
+    bool operator==(const RelationExtent& other) const {
+      return ordered == other.ordered;
+    }
+  };
+
+  // Returns the (possibly fresh) mutable extent of `relation`, its ordered
+  // set constructed with a comparator bound to this universe's store.
+  RelationExtent& MutableRelation(Symbol relation);
 
   std::shared_ptr<const Schema> schema_;
   Universe* universe_;
-  std::map<Symbol, ValueIdSet> relations_;
+  std::map<Symbol, RelationExtent> relations_;
   std::map<Symbol, std::set<Oid>> classes_;
   std::unordered_map<Oid, ValueId, OidHash> nu_;
   std::unordered_map<Oid, Symbol, OidHash> class_of_;

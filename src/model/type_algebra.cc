@@ -9,25 +9,32 @@
 namespace iqlkit {
 
 bool TypeMembership::Contains(TypeId t, ValueId v) {
+  // Leaf types cost one node read (and, for a class, one lookup in the
+  // oid assignment): answered directly, never memoized.
+  const TypeNode& tn = types_->node(t);
+  switch (tn.kind) {
+    case TypeKind::kEmpty:
+      return false;
+    case TypeKind::kBase:
+      return NodeOf(v).kind == ValueKind::kConst;
+    case TypeKind::kClass: {
+      const ValueNode& vn = NodeOf(v);
+      return vn.kind == ValueKind::kOid &&
+             classes_->OidInClass(vn.oid, tn.class_name);
+    }
+    default:
+      break;
+  }
   uint64_t key = (static_cast<uint64_t>(t) << 32) | v;
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
-  // Insert a tentative value to cut (impossible, since values are finite
-  // trees, but cheap) recursion; overwritten below.
-  const TypeNode& tn = types_->node(t);
   const ValueNode& vn = NodeOf(v);
   bool result = false;
   switch (tn.kind) {
     case TypeKind::kEmpty:
-      result = false;
-      break;
     case TypeKind::kBase:
-      result = vn.kind == ValueKind::kConst;
-      break;
     case TypeKind::kClass:
-      result = vn.kind == ValueKind::kOid &&
-               classes_->OidInClass(vn.oid, tn.class_name);
-      break;
+      break;  // answered above
     case TypeKind::kTuple: {
       if (vn.kind != ValueKind::kTuple) {
         result = false;

@@ -25,8 +25,10 @@ class ClassResolver {
 // *-interpretation of §6 instead, under which a tuple type describes all
 // tuples having *at least* its attributes (Cardelli-style width subtyping).
 //
-// Memoizes (type, value) pairs, so validating a large instance touches each
-// distinct subvalue/subtype pair once.
+// Base, empty and class types are answered directly from the value node;
+// structured types (tuple, set, union, intersection) memoize (type, value)
+// pairs, so validating a large instance touches each distinct structured
+// subvalue/subtype pair once.
 class TypeMembership {
  public:
   TypeMembership(const TypePool* types, const ValueStore* values,

@@ -46,12 +46,61 @@ bool SameValueNode(const ValueNode& a, const ValueNode& b) {
   return false;
 }
 
+// -- IdHashTable ----------------------------------------------------------
+
+void IdHashTable::Place(uint32_t tag, ValueId id) {
+  size_t i = tag & mask_;
+  while (slots_[i].id != kInvalidValue) i = (i + 1) & mask_;
+  slots_[i] = Slot{tag, id};
+}
+
+void IdHashTable::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+  mask_ = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.id != kInvalidValue) Place(slot.tag, slot.id);
+  }
+}
+
+void IdHashTable::Insert(uint64_t h, ValueId id) {
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  Place(Tag(h), id);
+  ++size_;
+}
+
+bool IdHashTable::Erase(uint64_t h, ValueId id) {
+  if (slots_.empty()) return false;
+  uint32_t tag = Tag(h);
+  size_t i = tag & mask_;
+  while (slots_[i].id != id || slots_[i].tag != tag) {
+    if (slots_[i].id == kInvalidValue) return false;
+    i = (i + 1) & mask_;
+  }
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole when its home slot does not lie strictly between the hole and
+  // its own slot, so every remaining entry stays reachable from its home
+  // without tombstones.
+  size_t hole = i;
+  for (size_t j = (hole + 1) & mask_; slots_[j].id != kInvalidValue;
+       j = (j + 1) & mask_) {
+    size_t home = slots_[j].tag & mask_;
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --size_;
+  return true;
+}
+
+// -- ValueStore -------------------------------------------------------------
+
 ValueId ValueStore::InternNode(ValueNode node) {
   uint64_t h = HashValueNode(node);
-  auto [begin, end] = index_.equal_range(h);
-  for (auto it = begin; it != end; ++it) {
-    if (SameValueNode(nodes_[it->second], node)) return it->second;
-  }
+  ValueId found = FindNode(h, node);
+  if (found != kInvalidValue) return found;
   IQL_CHECK(nodes_.size() < kInvalidValue) << "value store overflow";
   ValueId id = static_cast<ValueId>(nodes_.size());
   if (accountant_ != nullptr) {
@@ -63,7 +112,7 @@ ValueId ValueStore::InternNode(ValueNode node) {
     }
   }
   nodes_.push_back(std::move(node));
-  index_.emplace(h, id);
+  index_.Insert(h, id);
   return id;
 }
 
@@ -151,11 +200,8 @@ bool ValueStore::SetContains(ValueId set, ValueId elem) const {
 }
 
 ValueId ValueStore::FindNode(uint64_t h, const ValueNode& n) const {
-  auto [begin, end] = index_.equal_range(h);
-  for (auto it = begin; it != end; ++it) {
-    if (SameValueNode(nodes_[it->second], n)) return it->second;
-  }
-  return kInvalidValue;
+  return index_.Find(
+      h, [&](ValueId id) { return SameValueNode(nodes_[id], n); });
 }
 
 const ValueNode& ValueStore::node(ValueId id) const {
@@ -209,12 +255,10 @@ ValueId ValueArena::InternSide(ValueNode n) {
   // Values already in the frozen base keep their base ids.
   ValueId in_base = base_->FindNode(h, n);
   if (in_base != kInvalidValue && in_base < base_limit_) return in_base;
-  auto [begin, end] = side_index_.equal_range(h);
-  for (auto it = begin; it != end; ++it) {
-    if (SameValueNode(side_nodes_[it->second - base_limit_], n)) {
-      return it->second;
-    }
-  }
+  ValueId in_side = side_index_.Find(h, [&](ValueId id) {
+    return SameValueNode(side_nodes_[id - base_limit_], n);
+  });
+  if (in_side != kInvalidValue) return in_side;
   IQL_CHECK(base_limit_ + side_nodes_.size() < kInvalidValue)
       << "value arena overflow";
   ValueId id = static_cast<ValueId>(base_limit_ + side_nodes_.size());
@@ -227,7 +271,7 @@ ValueId ValueArena::InternSide(ValueNode n) {
     }
   }
   side_nodes_.push_back(std::move(n));
-  side_index_.emplace(h, id);
+  side_index_.Insert(h, id);
   return id;
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "base/governor.h"
+#include "base/hash.h"
 #include "base/interner.h"
 #include "model/oid.h"
 
@@ -19,6 +20,80 @@ namespace iqlkit {
 // Handle to an interned o-value inside a ValueStore.
 using ValueId = uint32_t;
 inline constexpr ValueId kInvalidValue = 0xFFFFFFFFu;
+
+// A flat open-addressing hash table of (hash, id) entries: one array of
+// 8-byte slots, linear probing, at most half full. It stores a 32-bit tag
+// of each entry's 64-bit hash and no keys; a lookup walks the probe run of
+// the tag and asks the caller which candidate id is the one it wants. That
+// makes one table type serve both as the interning index of a value store
+// (candidates compared by node content) and as a set of ids (candidates
+// compared by id; see ValueIdHashSet). Ids and tags stay put until the
+// table grows or an entry is erased, and `Find` never writes, so any
+// number of threads may read a table no thread is writing.
+class IdHashTable {
+ public:
+  // The first id among the entries of hash `h` for which `match(id)`
+  // holds, or kInvalidValue.
+  template <typename Match>
+  ValueId Find(uint64_t h, const Match& match) const {
+    if (slots_.empty()) return kInvalidValue;
+    uint32_t tag = Tag(h);
+    for (size_t i = tag & mask_;; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kInvalidValue) return kInvalidValue;
+      if (slot.tag == tag && match(slot.id)) return slot.id;
+    }
+  }
+
+  // Adds the entry (h, id); the caller has checked it is absent.
+  void Insert(uint64_t h, ValueId id);
+
+  // Removes the entry (h, id); false when it is absent.
+  bool Erase(uint64_t h, ValueId id);
+
+  size_t size() const { return size_; }
+  size_t capacity() const { return slots_.size(); }
+
+ private:
+  struct Slot {
+    uint32_t tag = 0;
+    ValueId id = kInvalidValue;  // kInvalidValue: empty slot
+  };
+  // The slot position derives from the tag alone, so growing rehashes
+  // without the entries' full hashes.
+  static uint32_t Tag(uint64_t h) {
+    return static_cast<uint32_t>(h) ^ static_cast<uint32_t>(h >> 32);
+  }
+  void Place(uint32_t tag, ValueId id);
+  void Grow();
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
+};
+
+// An unordered set of ValueIds with O(1) insert, erase and membership.
+// Hash-consing makes id equality structural equality, so membership by id
+// is membership of the o-value.
+class ValueIdHashSet {
+ public:
+  bool contains(ValueId v) const {
+    return table_.Find(Mix64(v), [v](ValueId id) { return id == v; }) !=
+           kInvalidValue;
+  }
+  // True when `v` was not yet a member.
+  bool insert(ValueId v) {
+    if (contains(v)) return false;
+    table_.Insert(Mix64(v), v);
+    return true;
+  }
+  // True when `v` was a member.
+  bool erase(ValueId v) { return table_.Erase(Mix64(v), v); }
+  size_t size() const { return table_.size(); }
+
+ private:
+  IdHashTable table_;
+};
 
 // The four o-value constructors of Definition 2.1.1: constants d in D,
 // oids o in O, finite tuples [A1: v1, ..., Ak: vk], and finite sets
@@ -105,8 +180,12 @@ int CompareValues(const Store& s, ValueId a, ValueId b) {
 
 // Hash-consed store of o-values. Every distinct o-value is materialized at
 // most once, so *structural equality of o-values is equality of ValueIds*.
-// This is what makes set semantics (duplicate elimination in relations and
-// set values) and the evaluator's fixpoint test O(1) per fact.
+// This is what lets a relation answer "is this fact new?" with one hash
+// probe on its id (Instance::RelationContains), so the evaluator's
+// fixpoint test costs O(1) per derived fact; the structural compare is
+// needed only to order an extent, never to identify a value. The interning
+// index is one IdHashTable keyed by HashValueNode; a probe compares node
+// contents only on a tag match.
 //
 // o-values are finite trees (Def 2.1.1); cyclic data is representable only
 // through oids plus the instance's nu mapping, exactly as in the paper.
@@ -193,8 +272,7 @@ class ValueStore {
   SymbolTable* symbols_;
   MemoryAccountant* accountant_ = nullptr;
   std::vector<ValueNode> nodes_;
-  // hash -> candidate ids; content compared on collision.
-  std::unordered_multimap<uint64_t, ValueId> index_;
+  IdHashTable index_;  // HashValueNode -> id; content compared on a match
 };
 
 // Comparator adapting the canonical structural order to STL containers.
@@ -293,13 +371,6 @@ class ValueArena {
   // True when the (sorted) element list of a set node contains `elem`.
   bool ElemsContain(const std::vector<ValueId>& elems, ValueId elem) const;
 
-  // True when `id` lives in the arena's private side store; side values are
-  // by construction not structurally equal to any base value, so e.g. they
-  // cannot occur in any relation of the frozen base instance.
-  bool IsSide(ValueId id) const {
-    return mutable_base_ == nullptr && id >= base_limit_;
-  }
-
   // Re-interns `v` (and transitively its children) into `dst`, which must be
   // the arena's base store. Base ids pass through unchanged; side values are
   // rebuilt bottom-up and memoized. Only meaningful after workers have
@@ -321,7 +392,7 @@ class ValueArena {
   MemoryAccountant* accountant_ = nullptr;
   uint64_t charged_bytes_ = 0;  // released on destruction
   std::vector<ValueNode> side_nodes_;
-  std::unordered_multimap<uint64_t, ValueId> side_index_;
+  IdHashTable side_index_;  // as ValueStore::index_, over side ids
   std::unordered_map<ValueId, ValueId> rehome_memo_;
 };
 

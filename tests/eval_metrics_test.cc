@@ -1,15 +1,22 @@
 // EvalMetrics: per-rule and per-round counters on small fixed programs
 // where every number is checkable by hand.
 
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "iql/eval.h"
 #include "iql/parser.h"
 #include "model/instance.h"
 #include "model/universe.h"
+
+#ifndef IQLKIT_SOURCE_DIR
+#error "IQLKIT_SOURCE_DIR must point at the source tree"
+#endif
 
 namespace iqlkit {
 namespace {
@@ -53,6 +60,92 @@ struct ChainRun {
   std::shared_ptr<const Schema> input_schema;
   std::unique_ptr<Instance> input;
 };
+
+// The run-wide index counters and each rule's probe/derivation/fact counts.
+struct PinnedCounters {
+  uint64_t index_builds = 0;  // 0: not pinned (see ExpectCounters)
+  uint64_t index_probes = 0;
+  uint64_t index_hits = 0;
+  std::vector<uint64_t> rule_probes;
+  std::vector<uint64_t> rule_derivations;
+  std::vector<uint64_t> rule_facts;
+};
+
+PinnedCounters CountersOf(const EvalMetrics& m) {
+  PinnedCounters c{m.index_builds, m.index_probes, m.index_hits, {}, {}, {}};
+  for (const RuleMetrics& r : m.rules) {
+    c.rule_probes.push_back(r.index_probes);
+    c.rule_derivations.push_back(r.derivations);
+    c.rule_facts.push_back(r.facts_added);
+  }
+  return c;
+}
+
+void ExpectCounters(const EvalMetrics& m, const PinnedCounters& want) {
+  PinnedCounters got = CountersOf(m);
+  if (want.index_builds != 0) EXPECT_EQ(got.index_builds, want.index_builds);
+  EXPECT_EQ(got.index_probes, want.index_probes);
+  EXPECT_EQ(got.index_hits, want.index_hits);
+  EXPECT_EQ(got.rule_probes, want.rule_probes);
+  EXPECT_EQ(got.rule_derivations, want.rule_derivations);
+  EXPECT_EQ(got.rule_facts, want.rule_facts);
+}
+
+// Exact counters for examples/iql/tc.iql at one and two threads. The index
+// is an optimization, so these numbers are what tells a change to its
+// lookup path (resolve a (container, attrs) index once, then look keys up)
+// from a change to what is looked up: the former must keep every count.
+TEST(EvalMetricsTest, TcExampleCountersArePinned) {
+  std::ifstream in(std::string(IQLKIT_SOURCE_DIR) + "/examples/iql/tc.iql");
+  ASSERT_TRUE(in.good());
+  std::stringstream source;
+  source << in.rdbuf();
+  for (uint32_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Universe universe;
+    auto unit = ParseUnit(&universe, source.str());
+    ASSERT_TRUE(unit.ok()) << unit.status();
+    auto in_schema = unit->schema.Project(unit->input_names);
+    ASSERT_TRUE(in_schema.ok());
+    Instance input(std::make_shared<const Schema>(std::move(*in_schema)),
+                   &universe);
+    ASSERT_TRUE(ApplyFacts(*unit, &input).ok());
+    EvalMetrics metrics;
+    EvalOptions options;
+    options.metrics = &metrics;
+    options.num_threads = threads;
+    auto out = RunUnit(&universe, &*unit, input, options);
+    ASSERT_TRUE(out.ok()) << out.status();
+    ExpectCounters(metrics, {1, 6, 3, {0, 6}, {3, 3}, {3, 3}});
+  }
+}
+
+// The same pin on a 24-node cycle split into partitions of one candidate.
+// At two threads each worker that claims a chunk of a solve builds its own
+// index, so the build count depends on scheduling and is only bounded;
+// probes, hits and per-rule counts match the serial run exactly.
+TEST(EvalMetricsTest, PartitionedCycleCountersArePinned) {
+  for (uint32_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ChainRun run(/*nodes=*/24, /*cycle=*/true);
+    EvalMetrics metrics;
+    EvalOptions options;
+    options.metrics = &metrics;
+    options.num_threads = threads;
+    options.parallel_min_candidates = 1;
+    auto out = RunUnit(&run.universe, run.unit.get(), *run.input, options);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(out->Relation(run.universe.Intern("TC")).size(), 576u);
+    ExpectCounters(metrics, {threads == 1 ? 1u : 0u, 576, 576, {0, 576},
+                             {24, 576}, {24, 552}});
+    if (threads == 2) {
+      // 24 partitioned solves of the recursive rule, one or two workers
+      // each.
+      EXPECT_GE(metrics.index_builds, 24u);
+      EXPECT_LE(metrics.index_builds, 48u);
+    }
+  }
+}
 
 TEST(EvalMetricsTest, SemiNaiveRoundsAndPerRuleCounts) {
   ChainRun run;
@@ -98,6 +191,28 @@ TEST(EvalMetricsTest, SemiNaiveRoundsAndPerRuleCounts) {
   std::string json = metrics.ToJson();
   EXPECT_NE(json.find("\"rules\":["), std::string::npos);
   EXPECT_NE(json.find("\"delta_facts\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"apply_seconds\":"), std::string::npos);
+}
+
+// A round that adds facts spends part of its time committing them; that
+// part is timed on its own, naive and semi-naive.
+TEST(EvalMetricsTest, ApplySecondsIsPositiveAndWithinTheRound) {
+  for (bool seminaive : {false, true}) {
+    SCOPED_TRACE(seminaive ? "semi-naive" : "naive");
+    ChainRun run(/*nodes=*/16);
+    EvalMetrics metrics;
+    EvalOptions options;
+    options.metrics = &metrics;
+    options.enable_seminaive = seminaive;
+    auto out = RunUnit(&run.universe, run.unit.get(), *run.input, options);
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_FALSE(metrics.rounds.empty());
+    for (const RoundMetrics& round : metrics.rounds) {
+      SCOPED_TRACE("round " + std::to_string(round.round));
+      EXPECT_LE(round.apply_seconds, round.seconds);
+      if (round.delta_facts > 0) EXPECT_GT(round.apply_seconds, 0.0);
+    }
+  }
 }
 
 TEST(EvalMetricsTest, NaiveRoundsWhenSemiNaiveDisabled) {
