@@ -1,13 +1,14 @@
 // Durability overhead: the same serial transitive-closure evaluation with
-// no durability, with a snapshot + per-step WAL frames (fsync off: the
-// process-crash guarantee, the mode benchmarks and tests run), and with
-// full fsync (the power-failure guarantee). bench/run_all.sh records the
+// no durability, with its one-file log (the input as the base, a frame
+// per step, then the output as the base; fsync off: the process-crash
+// guarantee, the mode benchmarks and tests run), and with full fsync (the
+// power-failure guarantee). bench/run_all.sh records the
 // mean Durable(no-fsync)/Plain real-time ratio into BENCH_RESULTS.json as
 // `.durability` (target: < 1.5x on these small fixpoints -- one frame
 // encode + append per committed step); the fsync series is reported for
 // the absolute numbers but kept out of the ratio, since it measures the
 // disk, not the encoder. The recovery series times Recover itself: decode
-// the input snapshot and replay every WAL frame of a crashed run.
+// the input base and replay every frame of a crashed run.
 
 #include <benchmark/benchmark.h>
 
@@ -73,8 +74,9 @@ void DurableRun(benchmark::State& state, bool fsync) {
   for (auto _ : state) {
     QueryDurability durable = QueryDurability::Open(dir, config);
     IQL_CHECK(durable.active()) << durable.warning();
-    // The full durable lifecycle one scheduler attempt pays: input
-    // snapshot, one WAL frame per committed step, final snapshot + DONE.
+    // The full durable lifecycle one scheduler attempt pays: a log with
+    // the input as its base, one frame per committed step, then the log
+    // replaced by one with the output as its base.
     Instance base(&run.unit->schema, &run.universe);
     IQL_CHECK(base.Absorb(*run.input).ok());
     IQL_CHECK(durable.BeginRun(base).ok());
@@ -101,8 +103,8 @@ void BM_Durability_DurableFsync(benchmark::State& state) {
 }
 BENCHMARK(BM_Durability_DurableFsync)->Arg(32)->Arg(128);
 
-// Crash recovery cost: decode the input snapshot and replay a full run's
-// worth of WAL frames. Setup runs one durable evaluation and keeps the
+// Crash recovery cost: decode the input base and replay a full run's
+// worth of frames. Setup runs one durable evaluation and keeps the
 // directory; each iteration recovers from it into a fresh universe.
 void BM_Durability_Recover(benchmark::State& state) {
   PreparedRun run(kTcSource);
@@ -120,7 +122,7 @@ void BM_Durability_Recover(benchmark::State& state) {
     options.durability.sink = &durable;
     auto out = run.Run(options);
     IQL_CHECK(out.ok()) << out.status();
-    // No Finalize: the directory holds a snapshot plus every frame, the
+    // No Finalize: the log holds the input base plus every frame, the
     // state a crash at the last committed step leaves behind.
   }
   uint64_t frames = 0;

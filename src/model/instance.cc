@@ -11,6 +11,24 @@ namespace {
 // Only ever handed out empty, so the null-store comparator is never called.
 const ValueIdSet kEmptyValueSet{ValueLess{nullptr}};
 const std::set<Oid> kEmptyOidSet;
+
+// Map equality up to empty entries: removals leave an emptied relation's or
+// class's key in place, and that holds the same facts as no key at all.
+template <typename Map>
+bool EqualIgnoringEmpty(const Map& a, const Map& b) {
+  auto skip = [](auto it, auto end) {
+    while (it != end && it->second.empty()) ++it;
+    return it;
+  };
+  auto i = skip(a.begin(), a.end());
+  auto j = skip(b.begin(), b.end());
+  while (i != a.end() && j != b.end()) {
+    if (i->first != j->first || !(i->second == j->second)) return false;
+    i = skip(++i, a.end());
+    j = skip(++j, b.end());
+  }
+  return i == a.end() && j == b.end();
+}
 }  // namespace
 
 Instance::RelationExtent& Instance::MutableRelation(Symbol relation) {
@@ -435,8 +453,8 @@ Status Instance::Absorb(const Instance& src) {
 bool Instance::EqualGroundFacts(const Instance& other) const {
   IQL_CHECK(universe_ == other.universe_)
       << "ground-fact equality requires a shared universe";
-  return relations_ == other.relations_ && classes_ == other.classes_ &&
-         nu_ == other.nu_;
+  return EqualIgnoringEmpty(relations_, other.relations_) &&
+         EqualIgnoringEmpty(classes_, other.classes_) && nu_ == other.nu_;
 }
 
 size_t Instance::GroundFactCount() const {

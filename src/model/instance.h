@@ -270,6 +270,7 @@ class Instance : public ClassResolver {
     bool operator==(const RelationExtent& other) const {
       return ordered == other.ordered;
     }
+    bool empty() const { return ordered.empty(); }
   };
 
   // Returns the (possibly fresh) mutable extent of `relation`, its ordered

@@ -341,7 +341,7 @@ Scheduler::AttemptEnd Scheduler::ExecuteAttempt(Entry* entry) {
     }
   }
   if (recovered.has_value() && recovered->complete) {
-    // A finished run's final snapshot: serve it without evaluating.
+    // A finished run's output: serve it without evaluating.
     end.status = Status::Ok();
     end.facts = WriteFacts(recovered->instance);
     end.resumed = true;
@@ -362,11 +362,6 @@ Scheduler::AttemptEnd Scheduler::ExecuteAttempt(Entry* entry) {
       if (!begun.ok()) {
         end.status = begun;  // kUnavailable: transient, retried
         return end;
-      }
-      if (!durable->active()) {
-        // degrade_on_write_error tolerated a failure: in-memory from here.
-        end.storage_warning = durable->warning().message();
-        durable.reset();
       }
     }
   }
@@ -392,12 +387,6 @@ Scheduler::AttemptEnd Scheduler::ExecuteAttempt(Entry* entry) {
   std::optional<Instance> partial;
   options.partial = &partial;
   auto result = RunUnit(&universe, &*unit, input, options, &end.stats);
-  if (durable.has_value() && !durable->active()) {
-    // A mid-run write error was tolerated (degrade_on_write_error); the
-    // evaluation finished in memory, but the directory is stale.
-    end.storage_warning = durable->warning().message();
-    durable.reset();
-  }
   if (result.ok()) {
     end.facts = WriteFacts(*result);
     if (durable.has_value()) {
@@ -411,10 +400,10 @@ Scheduler::AttemptEnd Scheduler::ExecuteAttempt(Entry* entry) {
     if (partial.has_value()) {
       end.facts = WriteFacts(*partial);
       if (durable.has_value()) {
-        // Snapshot-on-trip: fold the WAL into a snapshot of the rollback
-        // partial so the retry (or a later re-submission) replays nothing.
+        // Checkpoint-on-trip: rewrite the log with the rollback partial as
+        // its base so the retry (or a later re-submission) replays nothing.
         Status s = durable->Checkpoint(*partial);
-        if (!s.ok() && durable->active()) end.storage_warning = s.message();
+        if (!s.ok()) end.storage_warning = s.message();
       }
     }
   }

@@ -43,7 +43,7 @@ struct QueryRequest {
   // id may be reused once its previous ticket has been collected (Wait or
   // TryWait returned its result) or abandoned and retired. Re-submitting a
   // durable query's id after a restart relies on this -- the new ticket is
-  // served from the finished run's final snapshot, provided its source is
+  // served from the finished run's final output, provided its source is
   // the one that wrote it (see SchedulerOptions::data_dir).
   std::string id;
   std::string source;  // IQL source unit (schema/instance/program blocks)
@@ -94,7 +94,7 @@ struct QueryResult {
   uint32_t resume_stage = 0;
   uint64_t resume_step = 0;
   // Non-empty when durable storage degraded to in-memory evaluation (dir
-  // unwritable, or a tolerated write error): the structured warning text.
+  // unwritable) or persisted state was unusable: the warning text.
   std::string storage_warning;
   uint64_t submit_tick = 0;
   uint64_t finish_tick = 0;
@@ -135,12 +135,13 @@ struct SchedulerOptions {
   // PREEMPT/TRIP/RETRY/COMPLETE/FAIL), each stamped with the tick.
   std::ostream* trace = nullptr;
   // Durable evaluation root. When non-empty, every query gets a directory
-  // `<data_dir>/q-<id>` holding a checksummed snapshot of its input, a WAL
-  // frame per committed fixpoint step, and a final snapshot of its output.
+  // `<data_dir>/q-<id>` holding one log, wal.iqw: a checksummed snapshot of
+  // its input, then a frame per committed fixpoint step; a finished run's
+  // log is a snapshot of its output alone.
   // Each attempt recovers from that directory before evaluating, so a
   // retried (preempted, degraded, crashed, storage-faulted) query resumes
   // from its last committed step instead of re-deriving, and a finished
-  // query re-submitted after a restart is served from its final snapshot.
+  // query re-submitted after a restart is served from its final output.
   // That state is keyed by the digest of the query's source: an id
   // re-submitted with another program finds a fingerprint mismatch, gets a
   // storage_warning, and is evaluated afresh. Storage write failures
@@ -148,7 +149,7 @@ struct SchedulerOptions {
   // transient; an unwritable dir degrades that query to plain in-memory
   // evaluation with QueryResult::storage_warning set.
   std::string data_dir;
-  // Policy knobs (fsync, degrade-on-write-error) for the directories above.
+  // Policy (fsync) for the directories above.
   storage::DurabilityConfig durability;
 };
 

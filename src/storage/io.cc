@@ -88,18 +88,6 @@ Status EnsureDir(const std::string& path) {
   return Status::Ok();
 }
 
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-Status RemoveFileIfExists(const std::string& path) {
-  if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
-    return ErrnoError("unlink failed for", path);
-  }
-  return Status::Ok();
-}
-
 Result<std::string> ReadFileBytes(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {

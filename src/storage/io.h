@@ -21,12 +21,6 @@ namespace storage {
 // Creates `path` (and missing parents) as a directory. EEXIST is success.
 Status EnsureDir(const std::string& path);
 
-// True if `path` exists (any file type).
-bool FileExists(const std::string& path);
-
-// Removes `path` if present; missing is success.
-Status RemoveFileIfExists(const std::string& path);
-
 // Whole-file read. NotFound when the file does not exist.
 Result<std::string> ReadFileBytes(const std::string& path);
 

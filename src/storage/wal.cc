@@ -17,6 +17,25 @@ namespace {
 constexpr char kMagic[4] = {'I', 'Q', 'W', '1'};
 constexpr size_t kHeaderBytes = 16;
 
+// Appends `payload` as one record: length, CRC-32, bytes.
+void PutRecord(std::string_view payload, ByteWriter* out) {
+  out->U32(static_cast<uint32_t>(payload.size()));
+  out->U32(Crc32(payload));
+  out->Bytes(payload);
+}
+
+// The payload of the record at `pos`, or false when the bytes from `pos`
+// do not hold a whole record with a matching CRC (a torn or corrupt tail).
+bool GetRecord(std::string_view bytes, size_t pos, std::string_view* payload) {
+  if (bytes.size() - pos < 8) return false;  // torn length/crc prefix
+  uint32_t len, crc;
+  std::memcpy(&len, bytes.data() + pos, 4);
+  std::memcpy(&crc, bytes.data() + pos + 4, 4);
+  if (bytes.size() - pos - 8 < len) return false;  // torn payload
+  *payload = bytes.substr(pos + 8, len);
+  return Crc32(*payload) == crc;
+}
+
 Status ApplyOp(Instance* inst, FactOp::Kind kind, Symbol name, Oid oid,
                ValueId value, std::string_view text) {
   switch (kind) {
@@ -49,13 +68,15 @@ Status ApplyOp(Instance* inst, FactOp::Kind kind, Symbol name, Oid oid,
 
 }  // namespace
 
-std::string EncodeWalHeader(uint64_t schema_fingerprint) {
+std::string EncodeWalBase(uint64_t schema_fingerprint,
+                          std::string_view snapshot) {
   ByteWriter w;
   w.Bytes(std::string_view(kMagic, 4));
   w.U8(kWalVersion);
   w.U8(0);
   w.U16(0);
   w.U64(schema_fingerprint);
+  PutRecord(snapshot, &w);
   return w.Take();
 }
 
@@ -82,15 +103,12 @@ std::string EncodeWalFrame(const StepCommit& commit) {
   payload.Bytes(ops.bytes());
 
   ByteWriter frame;
-  frame.U32(static_cast<uint32_t>(payload.size()));
-  frame.U32(Crc32(payload.bytes()));
-  frame.Bytes(payload.bytes());
+  PutRecord(payload.bytes(), &frame);
   return frame.Take();
 }
 
-Result<WalRecovery> ReplayWal(std::string_view bytes,
-                              uint64_t expected_fingerprint,
-                              Instance* instance) {
+Result<WalBase> ReadWalBase(std::string_view bytes,
+                            uint64_t expected_fingerprint) {
   if (bytes.size() < kHeaderBytes) {
     return InvalidArgumentError("wal header truncated");
   }
@@ -113,19 +131,24 @@ Result<WalRecovery> ReplayWal(std::string_view bytes,
         "wal was written under a different schema or program (fingerprint "
         "mismatch)");
   }
+  // The base is written with the header in one atomic replace, so unlike a
+  // step frame it is never legitimately torn.
+  WalBase base;
+  if (!GetRecord(bytes, kHeaderBytes, &base.snapshot)) {
+    return InvalidArgumentError("wal base record is torn or corrupt");
+  }
+  base.frames_offset = kHeaderBytes + 8 + base.snapshot.size();
+  return base;
+}
 
+Result<WalRecovery> ReplayWal(std::string_view bytes, const WalBase& base,
+                              Instance* instance) {
   WalRecovery out;
-  out.valid_bytes = kHeaderBytes;
+  out.valid_bytes = base.frames_offset;
   Universe* universe = instance->universe();
-  size_t pos = kHeaderBytes;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < 8) break;  // torn length/crc prefix
-    uint32_t len, crc;
-    std::memcpy(&len, bytes.data() + pos, 4);
-    std::memcpy(&crc, bytes.data() + pos + 4, 4);
-    if (bytes.size() - pos - 8 < len) break;  // torn payload
-    std::string_view payload = bytes.substr(pos + 8, len);
-    if (Crc32(payload) != crc) break;  // corrupt tail
+  size_t pos = base.frames_offset;
+  std::string_view payload;
+  while (GetRecord(bytes, pos, &payload)) {
     ByteReader r(payload);
     uint32_t stage = r.U32();
     uint64_t step = r.U64();
@@ -159,7 +182,7 @@ Result<WalRecovery> ReplayWal(std::string_view bytes,
     if (!r.AtEnd()) {
       return InvalidArgumentError("wal frame has trailing bytes");
     }
-    pos += 8 + len;
+    pos += 8 + payload.size();
     out.valid_bytes = pos;
     ++out.frames_replayed;
     out.last_stage = stage;

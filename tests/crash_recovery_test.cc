@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <random>
@@ -442,6 +443,33 @@ TEST_F(SchedulerDurabilityTest, UnwritableDataDirDegradesWithWarning) {
   EXPECT_EQ(result.facts, reference);
   EXPECT_FALSE(result.storage_warning.empty());
   EXPECT_FALSE(result.resumed);
+}
+
+TEST_F(SchedulerDurabilityTest, VersionOneLogIsEvaluatedAfreshWithWarning) {
+  uint64_t full_steps = 0;
+  std::string reference = SerialFacts(kChain, &full_steps);
+  SchedulerOptions options;
+  options.deterministic = true;
+  options.data_dir = TestDir("sched_v1");
+  // A version-1 log (a bare header; its base lived in a snapshot file of
+  // its own) where the query's directory will be.
+  std::string dir = options.data_dir + "/q-tc";
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream v1(dir + "/wal.iqw", std::ios::binary);
+    v1.write("IQW1\x01\0\0\0" "\0\0\0\0\0\0\0\0", 16);
+  }
+  Scheduler scheduler(options);
+  auto ticket = scheduler.Submit(MakeRequest("tc", kChain));
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  QueryResult result = scheduler.Wait(*ticket);
+  EXPECT_EQ(result.outcome, QueryOutcome::kCompleted);
+  EXPECT_FALSE(result.resumed);
+  EXPECT_EQ(result.stats.steps, full_steps);
+  EXPECT_EQ(result.facts, reference);
+  EXPECT_NE(result.storage_warning.find("unsupported wal format version 1"),
+            std::string::npos)
+      << result.storage_warning;
 }
 
 }  // namespace

@@ -149,6 +149,30 @@ void ExpectMembershipAgrees(const Instance& inst,
 // DeleteOidCascade, Absorb, Project, and copy/move construction and
 // assignment -- checking after each step that membership by id and the
 // ordered extent agree, and that a duplicate add journals nothing.
+TEST_F(InstanceExtraTest, EmptiedRelationAndClassEqualAbsentOnes) {
+  // Removals keep an emptied relation's and class's entry; ground-fact
+  // equality must not see it.
+  Instance emptied(schema_.get(), &u_);
+  ASSERT_TRUE(emptied.AddToRelation("R", u_.values().Const("x")).ok());
+  ASSERT_TRUE(emptied.RemoveFromRelation(u_.Intern("R"),
+                                         u_.values().Const("x")));
+  auto o = emptied.CreateOid("P");
+  ASSERT_TRUE(o.ok());
+  ASSERT_TRUE(emptied.SetOidValue(*o, u_.values().Const("v")).ok());
+  EXPECT_GT(emptied.DeleteOidCascade(*o), 0u);
+  Instance fresh(schema_.get(), &u_);
+  EXPECT_TRUE(emptied.EqualGroundFacts(fresh));
+  EXPECT_TRUE(fresh.EqualGroundFacts(emptied));
+
+  // Facts elsewhere still count, on either side of an emptied entry.
+  ASSERT_TRUE(fresh.AddOid(u_.Intern("Q"), Oid{900}).ok());
+  EXPECT_FALSE(emptied.EqualGroundFacts(fresh));
+  ASSERT_TRUE(emptied.AddOid(u_.Intern("Q"), Oid{900}).ok());
+  EXPECT_TRUE(emptied.EqualGroundFacts(fresh));
+  ASSERT_TRUE(emptied.AddToRelation("R", u_.values().Const("y")).ok());
+  EXPECT_FALSE(emptied.EqualGroundFacts(fresh));
+}
+
 TEST(InstanceMembershipTest, HashMembershipTracksEveryMutator) {
   Universe u;
   TypePool& t = u.types();

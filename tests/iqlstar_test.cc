@@ -72,6 +72,33 @@ TEST_F(IqlStarTest, DeleteWinsOverInsertInSameStep) {
   EXPECT_TRUE(out->Relation(u_.Intern("S")).empty());
 }
 
+TEST(IqlStarStepsTest, InsertDeleteOfAFreshFactIsAFixpointInOneStep) {
+  // S is absent from the input and empty after the first step: J = I, so
+  // that step is already the fixpoint. The emptied S entry the step leaves
+  // behind must not read as a change and cost an extra step.
+  Universe u;
+  auto unit = ParseUnit(&u, R"(
+    schema { relation R : D; relation S : D; }
+    input R;
+    program {
+      S(x) :- R(x).
+      !S(x) :- R(x).
+    }
+  )");
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  auto in_schema = unit->schema.Project(unit->input_names);
+  ASSERT_TRUE(in_schema.ok()) << in_schema.status();
+  Instance input(&*in_schema, &u);
+  ASSERT_TRUE(input.AddToRelation("R", u.values().Const("a")).ok());
+  EvalOptions options;
+  options.allow_deletions = true;
+  EvalStats stats;
+  auto out = RunUnit(&u, &*unit, input, options, &stats);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_TRUE(out->Relation(u.Intern("S")).empty());
+  EXPECT_EQ(stats.steps, 1u);
+}
+
 TEST_F(IqlStarTest, SetElementRemoval) {
   auto out = Run(R"(
     schema { class P : {D}; relation Holder : P; relation Kill : D; }

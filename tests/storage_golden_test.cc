@@ -1,12 +1,14 @@
-// Golden snapshot corpus: canonical-mode snapshot images of fixed
-// instances, compared byte-for-byte against tests/golden_storage/. The
+// Golden storage corpus, compared byte-for-byte against
+// tests/golden_storage/: canonical-mode snapshot images of fixed instances,
+// and one durable query log (header, exact-mode base, two step frames). The
 // canonical encoder is a pure function of the abstract instance (dense oid
-// renumbering, name-ordered symbols and values), so these images pin the
-// on-disk format itself -- magic, version byte, header layout, table
-// encodings. Any byte drift here is a format change: bump
-// storage::kSnapshotVersion and teach DecodeSnapshot the old version, or
-// existing data directories stop loading. Pass --regen to rewrite the
-// corpus after an intentional format change (then review the diff).
+// renumbering, name-ordered symbols and values), and a serial run in a
+// fresh universe makes the same log every time, so these images pin the
+// on-disk formats themselves -- magic, version byte, header layout, table
+// encodings, framing. Any byte drift here is a format change: bump
+// storage::kSnapshotVersion (or kWalVersion) and decide what the old
+// version's data directories do. Pass --regen to rewrite the corpus after
+// an intentional format change (then review the diff).
 
 #include <filesystem>
 #include <fstream>
@@ -19,7 +21,10 @@
 #include "iql/eval.h"
 #include "iql/parser.h"
 #include "model/universe.h"
+#include "storage/durable.h"
+#include "storage/io.h"
 #include "storage/snapshot.h"
+#include "storage/wal.h"
 
 namespace iqlkit::golden_storage {
 
@@ -124,6 +129,24 @@ std::string SnapshotBytes(const char* source, bool evaluate) {
   return EncodeSnapshot(*out, options);
 }
 
+// Pins `bytes` as tests/golden_storage/<name>.expected (or rewrites it).
+void CompareGolden(const std::string& name, const std::string& bytes) {
+  std::string dump = HexDump(bytes);
+  fs::path golden = GoldenDir() / (name + ".expected");
+  if (regen) {
+    fs::create_directories(GoldenDir());
+    std::ofstream out(golden);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden;
+    out << dump;
+    return;
+  }
+  ASSERT_TRUE(fs::exists(golden))
+      << golden << " is missing; run storage_golden_test --regen";
+  EXPECT_EQ(ReadFile(golden), dump)
+      << "storage format drift for " << name
+      << "; an intentional change needs a version bump and a --regen";
+}
+
 void RunGolden(const std::string& name, const char* source, bool evaluate) {
   std::string bytes = SnapshotBytes(source, evaluate);
   ASSERT_FALSE(bytes.empty());
@@ -144,27 +167,59 @@ void RunGolden(const std::string& name, const char* source, bool evaluate) {
                                     &unit->schema),
       &u);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-
-  std::string dump = HexDump(bytes);
-  fs::path golden = GoldenDir() / (name + ".expected");
-  if (regen) {
-    fs::create_directories(GoldenDir());
-    std::ofstream out(golden);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden;
-    out << dump;
-    return;
-  }
-  ASSERT_TRUE(fs::exists(golden))
-      << golden << " is missing; run storage_golden_test --regen";
-  EXPECT_EQ(ReadFile(golden), dump)
-      << "snapshot format drift for " << name
-      << "; an intentional change needs a kSnapshotVersion bump and a "
-         "--regen (old images must still decode)";
+  CompareGolden(name, bytes);
 }
 
 TEST(StorageGoldenTest, Relational) { RunGolden("relational", kRelational, false); }
 TEST(StorageGoldenTest, Objects) { RunGolden("objects", kObjects, false); }
 TEST(StorageGoldenTest, Invention) { RunGolden("invention", kInvention, true); }
+
+// A durable query's log after two committed steps of kInvention: the
+// version-2 header, the input as the exact-mode base, then one frame per
+// step (the invented oids, then their set-valued nu).
+TEST(StorageGoldenTest, WalLog) {
+  std::string dir = ::testing::TempDir() + "/iqlkit_golden_wal";
+  fs::remove_all(dir);
+  Universe u;
+  auto unit = ParseUnit(&u, kInvention);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  Instance input(&unit->schema, &u);
+  ASSERT_TRUE(ApplyFacts(*unit, &input).ok());
+  storage::QueryDurability durable =
+      storage::QueryDurability::Open(dir, storage::DurabilityConfig());
+  ASSERT_TRUE(durable.active()) << durable.warning();
+  ASSERT_TRUE(durable.BeginRun(input).ok());
+  EvalOptions eval;
+  eval.num_threads = 1;
+  eval.durability.sink = &durable;
+  eval.limits.max_steps_per_stage = 2;  // trip after two committed steps
+  auto out = EvaluateProgram(&u, unit->schema, &unit->program, input, eval);
+  ASSERT_FALSE(out.ok());
+  ASSERT_EQ(durable.frames_appended(), 2u);
+  auto bytes = storage::ReadFileBytes(durable.WalPath());
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+
+  ASSERT_GE(bytes->size(), 24u);
+  EXPECT_EQ(bytes->substr(0, 4), "IQW1");
+  EXPECT_EQ(static_cast<uint8_t>((*bytes)[4]), storage::kWalVersion);
+  EXPECT_EQ(bytes->substr(24, 4), "IQS1");  // the base's snapshot image
+
+  // The log must recover to both frames (self-check before pinning it).
+  Universe u2;
+  auto unit2 = ParseUnit(&u2, kInvention);
+  ASSERT_TRUE(unit2.ok());
+  std::shared_ptr<const Schema> schema(std::shared_ptr<const Schema>(),
+                                       &unit2->schema);
+  storage::QueryDurability reopened =
+      storage::QueryDurability::Open(dir, storage::DurabilityConfig());
+  auto rec = reopened.Recover(schema, schema, &u2);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  ASSERT_TRUE(rec->has_value());
+  EXPECT_EQ((*rec)->frames_replayed, 2u);
+  EXPECT_FALSE((*rec)->tail_truncated);
+  CompareGolden("wal_log", *bytes);
+  fs::remove_all(dir);
+}
 
 // The version gate itself is part of the pinned contract: a future-version
 // image must be refused, never half-decoded.

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/fault_injection.h"
@@ -20,10 +22,11 @@
 #include "transform/isomorphism.h"
 
 // The durability layer: checksummed snapshot round-trips (exact and
-// canonical), the WAL of committed fixpoint steps, torn-tail recovery,
-// crash-safe resume-from-partial with byte-identical output, graceful
-// degradation on unwritable directories, and the seeded kStorage fault
-// modes (short write, fsync failure, crash before rename).
+// canonical), the one-file query log (a base snapshot, then a frame per
+// committed fixpoint step), torn-tail recovery, crash-safe
+// resume-from-partial with byte-identical output, graceful degradation on
+// unwritable directories, and the seeded kStorage fault modes (short
+// write, fsync failure, crash before rename) at every log write.
 namespace iqlkit {
 namespace {
 
@@ -32,8 +35,6 @@ using storage::AtomicWriteFile;
 using storage::DecodeSnapshot;
 using storage::DurabilityConfig;
 using storage::EncodeSnapshot;
-using storage::EncodeWalHeader;
-using storage::FileExists;
 using storage::QueryDurability;
 using storage::ReadFileBytes;
 using storage::RecoveredRun;
@@ -140,6 +141,30 @@ std::string TestDir(const std::string& name) {
   std::string dir = ::testing::TempDir() + "/iqlkit_storage_" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+// Names of the files in `dir`, sorted.
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+const std::vector<std::string> kOnlyLog = {"wal.iqw"};
+
+// Checks that `dir` holds only its log and that no frame follows the
+// log's base (kChain's schema, source key 0).
+void ExpectBaseOnly(const std::string& dir) {
+  EXPECT_EQ(DirEntries(dir), kOnlyLog);
+  auto log = ReadFileBytes(dir + "/wal.iqw");
+  ASSERT_TRUE(log.ok()) << log.status();
+  LoadedUnit l = Load(kChain);
+  auto base = storage::ReadWalBase(*log, SchemaFingerprint(l.unit->schema));
+  ASSERT_TRUE(base.ok()) << base.status();
+  EXPECT_EQ(base->frames_offset, log->size());
 }
 
 // The injector is process-global; every test restores the disabled state.
@@ -428,8 +453,8 @@ TEST_F(StorageTest, CheckpointFoldsWalIntoSnapshotAndResumes) {
     ASSERT_TRUE(d.Checkpoint(*partial).ok());
     resume_stage = d.resume_stage();
     resume_step = d.resume_step();
-    // The log was folded into the snapshot: header only.
-    EXPECT_EQ(std::filesystem::file_size(dir + "/wal.iqw"), 16u);
+    // The logged steps were folded into the base: no frame follows it.
+    ExpectBaseOnly(dir);
   }
   {
     LoadedUnit l = Load(kChain);
@@ -466,8 +491,8 @@ TEST_F(StorageTest, FinalizeServesCompleteRunWithoutReEvaluating) {
     ASSERT_TRUE(out.ok()) << out.status();
     reference = WriteFacts(*out);
     ASSERT_TRUE(d.Finalize(*out).ok());
-    EXPECT_TRUE(FileExists(dir + "/DONE"));
-    EXPECT_FALSE(FileExists(dir + "/wal.iqw"));
+    // The output alone is the log's base: no marker file, no frames.
+    ExpectBaseOnly(dir);
   }
   {
     LoadedUnit l = Load(kChain);
@@ -529,7 +554,7 @@ TEST_F(StorageTest, InjectedFaultModesLeaveRealTornState) {
   ASSERT_FALSE(s1.ok());
   EXPECT_EQ(s1.code(), StatusCode::kUnavailable);
   EXPECT_NE(s1.message().find("short write"), std::string::npos);
-  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(std::filesystem::exists(path));
   auto torn = ReadFileBytes(path + ".tmp");
   ASSERT_TRUE(torn.ok());
   EXPECT_EQ(torn->size(), payload.size() / 2);
@@ -538,14 +563,14 @@ TEST_F(StorageTest, InjectedFaultModesLeaveRealTornState) {
   Status s2 = AtomicWriteFile(path, payload, true);
   ASSERT_FALSE(s2.ok());
   EXPECT_NE(s2.message().find("fsync"), std::string::npos);
-  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(std::filesystem::exists(path));
 
   // Injection 3: crash between write and rename -- the tmp file is complete
   // but the publish never happened.
   Status s3 = AtomicWriteFile(path, payload, true);
   ASSERT_FALSE(s3.ok());
   EXPECT_NE(s3.message().find("rename"), std::string::npos);
-  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(std::filesystem::exists(path));
   auto tmp = ReadFileBytes(path + ".tmp");
   ASSERT_TRUE(tmp.ok());
   EXPECT_EQ(*tmp, payload);
@@ -614,29 +639,6 @@ TEST_F(StorageTest, FailedFrameAppendPoisonsTheWal) {
   EXPECT_EQ(d.frames_appended(), 1u);
 }
 
-TEST_F(StorageTest, DegradeOnWriteErrorTurnsFaultsIntoWarnings) {
-  std::string dir = TestDir("degrade");
-  LoadedUnit l = Load(kChain);
-  DurabilityConfig config;
-  config.degrade_on_write_error = true;
-  QueryDurability d = QueryDurability::Open(dir, config);
-  ASSERT_TRUE(d.BeginRun(*l.input).ok());
-
-  FaultInjector::Config faults;
-  faults.p_storage = 1.0;
-  FaultInjector::Global().Configure(faults);
-
-  EvalOptions options = SerialOptions();
-  options.durability.sink = &d;
-  auto out = Evaluate(&l, options);
-  // The run completes in memory; the failure is a structured warning.
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_FALSE(d.active());
-  EXPECT_EQ(d.warning().code(), StatusCode::kUnavailable);
-  EXPECT_NE(d.warning().message().find("degraded to in-memory"),
-            std::string::npos);
-}
-
 TEST_F(StorageTest, RecoverRejectsCrcValidButMalformedWal) {
   std::string dir = TestDir("malformed");
   LoadedUnit l = Load(kChain);
@@ -699,6 +701,217 @@ TEST_F(StorageTest, SourceKeyGatesRecoveryOfPartialAndFinishedRuns) {
   // So does a finished one.
   EXPECT_EQ(recover(key), StatusCode::kOk);
   EXPECT_EQ(recover(other), StatusCode::kFailedPrecondition);
+}
+
+// Forwards each committed step and checks the directory right after it.
+class OneFileSink : public StepCommitSink {
+ public:
+  OneFileSink(QueryDurability* d, std::string dir)
+      : d_(d), dir_(std::move(dir)) {}
+  Status OnStepCommit(const StepCommit& commit) override {
+    Status s = d_->OnStepCommit(commit);
+    EXPECT_EQ(DirEntries(dir_), kOnlyLog)
+        << "after stage " << commit.stage << " step " << commit.step;
+    return s;
+  }
+
+ private:
+  QueryDurability* d_;
+  std::string dir_;
+};
+
+TEST_F(StorageTest, QueryDirectoryHoldsOnlyTheLogAtEveryPoint) {
+  std::string reference = ReferenceFacts();
+  std::string dir = TestDir("one_file");
+  {
+    // A tripped run and its checkpoint.
+    LoadedUnit l = Load(kChain);
+    QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
+    ASSERT_TRUE(d.BeginRun(*l.input).ok());
+    EXPECT_EQ(DirEntries(dir), kOnlyLog);
+    OneFileSink sink(&d, dir);
+    std::optional<Instance> partial;
+    EvalOptions options = SerialOptions();
+    options.durability.sink = &sink;
+    options.partial = &partial;
+    options.limits.max_steps_per_stage = 2;
+    ASSERT_FALSE(Evaluate(&l, options).ok());
+    ASSERT_TRUE(partial.has_value());
+    ASSERT_TRUE(d.Checkpoint(*partial).ok());
+    EXPECT_EQ(DirEntries(dir), kOnlyLog);
+  }
+  {
+    // Resumed to the end and finalized.
+    LoadedUnit l = Load(kChain);
+    QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
+    auto rec = d.Recover(l.schema(), l.schema(), l.u.get());
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    ASSERT_TRUE(rec->has_value());
+    OneFileSink sink(&d, dir);
+    EvalOptions options = SerialOptions();
+    options.durability.sink = &sink;
+    options.durability.resume = true;
+    options.durability.resume_stage = (*rec)->resume_stage;
+    options.durability.resume_step = (*rec)->resume_step;
+    auto out = EvaluateProgram(l.u.get(), l.unit->schema, &l.unit->program,
+                               (*rec)->instance, options);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(WriteFacts(*out), reference);
+    ASSERT_TRUE(d.Finalize(*out).ok());
+    EXPECT_EQ(DirEntries(dir), kOnlyLog);
+  }
+}
+
+TEST_F(StorageTest, VersionOneLogIsRefused) {
+  std::string dir = TestDir("v1");
+  LoadedUnit l = Load(kChain);
+  QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
+  ASSERT_TRUE(d.active()) << d.warning();
+  // The version-1 layout: the input snapshot in a file of its own, and a
+  // log of a bare header with no base record.
+  ASSERT_TRUE(AtomicWriteFile(dir + "/snapshot.iqs",
+                              EncodeSnapshot(*l.input, SnapshotOptions()),
+                              false)
+                  .ok());
+  storage::ByteWriter v1;
+  v1.Bytes("IQW1");
+  v1.U8(1);
+  v1.U8(0);
+  v1.U16(0);
+  v1.U64(SchemaFingerprint(l.unit->schema));
+  ASSERT_TRUE(AtomicWriteFile(dir + "/wal.iqw", v1.bytes(), false).ok());
+
+  LoadedUnit l2 = Load(kChain);
+  auto rec = d.Recover(l2.schema(), l2.schema(), l2.u.get());
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rec.status().message().find("unsupported wal format version 1"),
+            std::string::npos);
+}
+
+// The three calls that replace the whole log.
+enum class LogWrite { kBeginRun, kCheckpoint, kFinalize };
+
+// Where a resumed or served run would start from, as recovery reports it.
+struct RecoveredState {
+  bool present = false;
+  bool complete = false;
+  std::string facts;
+  uint32_t resume_stage = 0;
+  uint64_t resume_step = 0;
+  uint64_t next_oid_raw = 0;
+
+  bool operator==(const RecoveredState& o) const {
+    return std::tie(present, complete, facts, resume_stage, resume_step,
+                    next_oid_raw) ==
+           std::tie(o.present, o.complete, o.facts, o.resume_stage,
+                    o.resume_step, o.next_oid_raw);
+  }
+};
+
+RecoveredState RecoverState(const std::string& dir) {
+  LoadedUnit l = Load(kChain);
+  QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
+  auto rec = d.Recover(l.schema(), l.schema(), l.u.get());
+  EXPECT_TRUE(rec.ok()) << rec.status();
+  RecoveredState state;
+  if (!rec.ok() || !rec->has_value()) return state;
+  const RecoveredRun& run = **rec;
+  state.present = true;
+  state.complete = run.complete;
+  state.facts = WriteFacts(run.instance);
+  state.resume_stage = run.resume_stage;
+  state.resume_step = run.resume_step;
+  state.next_oid_raw = run.next_oid_raw;
+  return state;
+}
+
+// Brings `dir` to the state just before `write` -- a run that crashed
+// after two frames (BeginRun restarts it), a tripped run (Checkpoint), a
+// finished run (Finalize) -- and, with `make_write`, makes the write.
+// `fault` in 0..2 arms that storage fault mode (short write, fsync
+// failure, crash before rename) for the write alone; -1 arms none.
+Status PrepareAndWrite(LogWrite write, const std::string& dir,
+                       bool make_write, int fault) {
+  LoadedUnit l = Load(kChain);
+  QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
+  Status begun = d.BeginRun(*l.input);
+  if (!begun.ok()) return begun;
+  CrashAfter crash(&d, 2);
+  std::optional<Instance> partial;
+  EvalOptions options = SerialOptions();
+  options.partial = &partial;
+  options.durability.sink = &d;
+  if (write == LogWrite::kBeginRun) options.durability.sink = &crash;
+  if (write == LogWrite::kCheckpoint) options.limits.max_steps_per_stage = 2;
+  auto out = Evaluate(&l, options);
+  EXPECT_EQ(out.ok(), write == LogWrite::kFinalize) << out.status();
+  if (write == LogWrite::kCheckpoint && !partial.has_value()) {
+    return InternalError("the tripped run left no partial");
+  }
+  if (write == LogWrite::kFinalize && !out.ok()) return out.status();
+  if (!make_write) return Status::Ok();
+  if (fault >= 0) {
+    FaultInjector::Config faults;
+    faults.p_storage = 1.0;
+    FaultInjector::Global().Configure(faults);
+    // The n-th injected storage fault takes mode n % 3 (1: short write,
+    // 2: fsync failure, 0: crash before rename); spend `fault` injections
+    // so the write draws the wanted one.
+    for (int i = 0; i < fault; ++i) {
+      FaultInjector::Global().ShouldFail(FaultSite::kStorage);
+    }
+  }
+  Status s;
+  switch (write) {
+    case LogWrite::kBeginRun:
+      s = d.BeginRun(*l.input);
+      break;
+    case LogWrite::kCheckpoint:
+      s = d.Checkpoint(*partial);
+      break;
+    case LogWrite::kFinalize:
+      s = d.Finalize(*out);
+      break;
+  }
+  FaultInjector::Global().Reset();
+  return s;
+}
+
+TEST_F(StorageTest, FaultInEveryLogWriteLeavesTheStateBeforeOrAfterIt) {
+  const std::pair<LogWrite, const char*> kWrites[] = {
+      {LogWrite::kBeginRun, "begin"},
+      {LogWrite::kCheckpoint, "checkpoint"},
+      {LogWrite::kFinalize, "finalize"}};
+  const char* kFaultText[] = {"short write", "fsync", "rename"};
+  for (const auto& [write, name] : kWrites) {
+    std::string before_dir = TestDir(std::string("fault_before_") + name);
+    ASSERT_TRUE(PrepareAndWrite(write, before_dir, false, -1).ok()) << name;
+    RecoveredState before = RecoverState(before_dir);
+    std::string after_dir = TestDir(std::string("fault_after_") + name);
+    ASSERT_TRUE(PrepareAndWrite(write, after_dir, true, -1).ok()) << name;
+    RecoveredState after = RecoverState(after_dir);
+    ASSERT_TRUE(before.present && after.present) << name;
+    EXPECT_EQ(after.complete, write == LogWrite::kFinalize) << name;
+
+    for (int fault = 0; fault < 3; ++fault) {
+      std::string label = std::string(name) + " / " + kFaultText[fault];
+      std::string dir =
+          TestDir(std::string("fault_") + name + "_" + std::to_string(fault));
+      Status s = PrepareAndWrite(write, dir, true, fault);
+      ASSERT_FALSE(s.ok()) << label;
+      EXPECT_EQ(s.code(), StatusCode::kUnavailable) << label;
+      EXPECT_NE(s.message().find(kFaultText[fault]), std::string::npos)
+          << label << ": " << s;
+      // The log and at most the write's stale tmp file, nothing else.
+      std::vector<std::string> entries = DirEntries(dir);
+      std::vector<std::string> expected = kOnlyLog;
+      if (entries.size() == 2) expected.push_back("wal.iqw.tmp");
+      EXPECT_EQ(entries, expected) << label;
+      RecoveredState state = RecoverState(dir);
+      EXPECT_TRUE(state == before || state == after) << label;
+    }
+  }
 }
 
 }  // namespace

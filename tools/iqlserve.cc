@@ -29,14 +29,15 @@
 //                          (tightens) or preempts running queries
 //   --max-retries=N        retry budget for transient failures (default 2)
 //   --retry-base=SECONDS   backoff base (default 0.05)
-//   --data-dir=DIR         durable evaluation: per-query snapshot + WAL
-//                          under DIR/q-<id>; retried queries resume from
-//                          their last committed step, finished queries are
-//                          served from their final snapshot after a
-//                          restart, tripped partials are snapshotted on
+//   --data-dir=DIR         durable evaluation: one log per query,
+//                          DIR/q-<id>/wal.iqw (a base snapshot, then a
+//                          frame per committed step); retried queries
+//                          resume from their last committed step, finished
+//                          queries are served from their output after a
+//                          restart, tripped partials are checkpointed on
 //                          drain. An unwritable DIR degrades to in-memory
 //                          with a warning (exit status unaffected).
-//   --no-fsync             skip fsync on snapshots/WAL frames (crash-only
+//   --no-fsync             skip fsync on log writes (crash-only
 //                          durability, for tests and benchmarks)
 //   --seed=N               seed for backoff jitter (and the trace, in
 //                          deterministic mode)

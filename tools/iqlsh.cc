@@ -43,15 +43,15 @@
 //   --max-memory=BYTES   evaluation memory ceiling (interned values +
 //                        derived facts, as metered by the governor's
 //                        accountant)
-//   --data-dir=DIR       durable evaluation: DIR holds a checksummed
-//                        snapshot plus a WAL frame per committed fixpoint
+//   --data-dir=DIR       durable evaluation: DIR/wal.iqw holds a checksummed
+//                        base snapshot plus a frame per committed fixpoint
 //                        step. A re-run with the same DIR resumes a
 //                        partial (tripped/interrupted/crashed) run from
 //                        its last committed step and serves a finished
-//                        run's output straight from its final snapshot.
+//                        run's output straight from the log.
 //                        An unwritable DIR degrades to plain in-memory
 //                        evaluation with a warning on stderr.
-//   --no-fsync           skip fsync on snapshots/WAL frames (crash-only
+//   --no-fsync           skip fsync on log writes (crash-only
 //                        durability, for tests and benchmarks)
 //
 // A malformed or out-of-range numeric flag value (trailing characters, a
@@ -62,8 +62,8 @@
 // completed fixpoint step, iqlsh prints a partial-evaluation report, and
 // exits 130. Any other governor trip (deadline, memory, step/derivation
 // budgets) prints the same report and exits 3. With --data-dir, the
-// rolled-back partial is additionally flushed as a durable snapshot before
-// exiting (the WAL folds into it), so the next run resumes where Ctrl-C
+// rolled-back partial is additionally flushed as the log's new base before
+// exiting (the logged steps fold into it), so the next run resumes where Ctrl-C
 // landed; the exit code stays 130.
 
 #include <csignal>
@@ -293,14 +293,14 @@ int main(int argc, char** argv) {
 
   // Durable state (--data-dir): recover a previous run of this unit from
   // the directory before evaluating. A finished run is served straight
-  // from its final snapshot; a partial resumes from its last committed
+  // from its logged output; a partial resumes from its last committed
   // step; anything unusable (corrupt, another schema or program) is
   // discarded with a warning and the run starts over.
   std::shared_ptr<const Schema> full_schema(std::shared_ptr<const Schema>(),
                                             &unit->schema);
   std::optional<storage::QueryDurability> durable;
   std::optional<storage::RecoveredRun> recovered;
-  std::optional<Instance> served;  // complete run recovered from snapshot
+  std::optional<Instance> served;  // complete run recovered from the log
   if (!data_dir.empty()) {
     storage::DurabilityConfig dconfig;
     dconfig.fsync = !no_fsync;
@@ -328,7 +328,7 @@ int main(int argc, char** argv) {
     } else if (rec->has_value()) {
       if ((*rec)->complete) {
         std::cerr << "iqlsh: serving finished run from " << data_dir
-                  << "/snapshot.iqs\n";
+                  << "/wal.iqw\n";
         served = std::move((*rec)->instance);
       } else {
         std::cerr << "iqlsh: resuming from " << data_dir << " at stage "
@@ -368,9 +368,9 @@ int main(int argc, char** argv) {
       options.durability.resume_stage = recovered->resume_stage;
       options.durability.resume_step = recovered->resume_step;
     } else {
-      // The durable base snapshot covers the input as absorbed into the
-      // full schema -- the state evaluation actually starts from, and the
-      // schema every later WAL frame and partial snapshot is keyed to.
+      // The log's base covers the input as absorbed into the full schema
+      // -- the state evaluation actually starts from, and the schema every
+      // later frame and checkpoint is keyed to.
       Instance base(full_schema, &u);
       Status absorbed = base.Absorb(input);
       if (!absorbed.ok()) return Fail(absorbed);
@@ -403,8 +403,8 @@ int main(int argc, char** argv) {
               << "  peak memory:     " << stats.peak_memory_bytes << "\n";
     if (partial.has_value()) {
       if (durable.has_value()) {
-        // Flush the rolled-back partial as a durable snapshot (the WAL
-        // folds into it) so the next --data-dir run resumes right here.
+        // Flush the rolled-back partial as the log's new base (the logged
+        // steps fold into it) so the next --data-dir run resumes right here.
         // The partial report and exit code are unchanged either way.
         Status flushed = durable->Checkpoint(*partial);
         if (flushed.ok()) {
