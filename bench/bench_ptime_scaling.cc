@@ -75,8 +75,8 @@ void RunScaling(benchmark::State& state, std::string_view source,
     Status tc = TypeCheck(&run.universe, run.unit->schema,
                           &run.unit->program);
     IQL_CHECK(tc.ok()) << tc;
-    RestrictionReport report = AnalyzeRestrictions(
-        &run.universe, run.unit->schema, run.unit->program);
+    RestrictionReport report =
+        AnalyzeRestrictions(&run.universe, run.unit->program);
     IQL_CHECK(report.in_iql_pr);
     IQL_CHECK(report.in_iql_rr == expect_rr);
     for (auto [a, b] : RandomGraph(n, 2 * n, 7)) run.AddEdge("E", a, b);

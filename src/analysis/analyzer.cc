@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -19,137 +17,6 @@
 namespace iqlkit {
 
 namespace {
-
-// The head predicate node ("leftmost symbol"): the relation or class name
-// of a membership head, or the class of x for x^-heads. Mirrors the
-// dependency-graph construction of restrict.cc (§5).
-Symbol HeadNodeOf(Universe* universe, const Program& program,
-                  const Rule& rule) {
-  const Term& lhs = program.term(rule.head.lhs);
-  if (lhs.kind == Term::Kind::kRelName ||
-      lhs.kind == Term::Kind::kClassName) {
-    return lhs.name;
-  }
-  IQL_CHECK(lhs.kind == Term::Kind::kDeref);
-  const TypeNode& t = universe->types().node(rule.var_types.at(lhs.name));
-  IQL_CHECK(t.kind == TypeKind::kClass);
-  return t.class_name;
-}
-
-void CollectPredicates(const Program& program, TermId id,
-                       std::set<Symbol>* out) {
-  std::vector<TermId> stack = {id};
-  while (!stack.empty()) {
-    const Term& term = program.term(stack.back());
-    stack.pop_back();
-    if (term.kind == Term::Kind::kRelName ||
-        term.kind == Term::Kind::kClassName) {
-      out->insert(term.name);
-    }
-    for (const auto& [attr, child] : term.fields) stack.push_back(child);
-    for (TermId child : term.elems) stack.push_back(child);
-  }
-}
-
-// Per-rule slice of the stage dependency graph G(Gamma): `sources` are the
-// body predicate names plus the classes in body-variable types; `targets`
-// are the head node plus the classes of invented variables.
-struct RuleInfo {
-  const Rule* rule = nullptr;
-  std::set<Symbol> sources;
-  std::set<Symbol> targets;
-  std::set<Symbol> body_vars;
-};
-
-std::vector<RuleInfo> BuildStageInfos(Universe* universe,
-                                      const Program& program,
-                                      const std::vector<Rule>& stage) {
-  std::vector<RuleInfo> infos;
-  infos.reserve(stage.size());
-  for (const Rule& rule : stage) {
-    RuleInfo info;
-    info.rule = &rule;
-    for (const Literal& lit : rule.body) {
-      if (lit.kind == Literal::Kind::kChoose) continue;
-      program.CollectVars(lit, &info.body_vars);
-      CollectPredicates(program, lit.lhs, &info.sources);
-      CollectPredicates(program, lit.rhs, &info.sources);
-    }
-    for (Symbol v : info.body_vars) {
-      universe->types().CollectClasses(rule.var_types.at(v), &info.sources);
-    }
-    info.targets.insert(HeadNodeOf(universe, program, rule));
-    for (Symbol v : rule.invented_vars) {
-      const TypeNode& t = universe->types().node(rule.var_types.at(v));
-      info.targets.insert(t.class_name);
-    }
-    infos.push_back(std::move(info));
-  }
-  return infos;
-}
-
-// Tarjan strongly connected components over the stage graph. A component
-// is *cyclic* when it has more than one member or a self-loop.
-struct SccResult {
-  std::map<Symbol, int> component;
-  std::vector<std::vector<Symbol>> members;
-  std::vector<bool> cyclic;
-};
-
-SccResult FindSccs(const std::map<Symbol, std::set<Symbol>>& edges) {
-  SccResult result;
-  std::map<Symbol, int> index, lowlink;
-  std::vector<Symbol> stack;
-  std::map<Symbol, bool> on_stack;
-  int next_index = 0;
-  std::function<void(Symbol)> strongconnect = [&](Symbol v) {
-    index[v] = lowlink[v] = next_index++;
-    stack.push_back(v);
-    on_stack[v] = true;
-    auto it = edges.find(v);
-    if (it != edges.end()) {
-      for (Symbol w : it->second) {
-        if (!index.count(w)) {
-          strongconnect(w);
-          lowlink[v] = std::min(lowlink[v], lowlink[w]);
-        } else if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-      }
-    }
-    if (lowlink[v] == index[v]) {
-      int comp = static_cast<int>(result.members.size());
-      result.members.emplace_back();
-      Symbol w;
-      do {
-        w = stack.back();
-        stack.pop_back();
-        on_stack[w] = false;
-        result.component[w] = comp;
-        result.members[comp].push_back(w);
-      } while (w != v);
-    }
-  };
-  std::set<Symbol> nodes;
-  for (const auto& [src, dsts] : edges) {
-    nodes.insert(src);
-    nodes.insert(dsts.begin(), dsts.end());
-  }
-  for (Symbol n : nodes) {
-    if (!index.count(n)) strongconnect(n);
-  }
-  result.cyclic.assign(result.members.size(), false);
-  for (size_t c = 0; c < result.members.size(); ++c) {
-    if (result.members[c].size() > 1) {
-      result.cyclic[c] = true;
-      continue;
-    }
-    Symbol only = result.members[c][0];
-    auto it = edges.find(only);
-    result.cyclic[c] = it != edges.end() && it->second.count(only) > 0;
-  }
-  return result;
-}
 
 // Is the (intersection-free, normalized) type uninhabited? Set types are
 // always inhabited (by the empty set), classes only emptily so at runtime,
@@ -222,27 +89,20 @@ void CheckUnsafeVars(Universe* universe, const Program& program,
 // graph -- the pattern Theorem 5.4 forbids because the inflationary
 // fixpoint can mint fresh oids forever.
 void CheckInventionInRecursion(Universe* universe,
-                               const std::vector<std::vector<RuleInfo>>& infos,
+                               const std::vector<StageGraph>& graphs,
                                DiagnosticSink* sink) {
-  for (const auto& stage_infos : infos) {
-    std::map<Symbol, std::set<Symbol>> edges;
-    for (const RuleInfo& info : stage_infos) {
-      for (Symbol src : info.sources) {
-        for (Symbol dst : info.targets) edges[src].insert(dst);
-      }
-    }
-    SccResult sccs = FindSccs(edges);
-    for (const RuleInfo& info : stage_infos) {
+  for (const StageGraph& g : graphs) {
+    for (const StageGraph::RuleArcs& info : g.rules) {
       if (info.rule->invented_vars.empty()) continue;
       // The invention feeds back into itself iff some body source and some
       // target share a cyclic SCC.
       int cycle_comp = -1;
       for (Symbol s : info.sources) {
-        auto sc = sccs.component.find(s);
-        if (sc == sccs.component.end() || !sccs.cyclic[sc->second]) continue;
+        auto sc = g.component.find(s);
+        if (sc == g.component.end() || !g.cyclic[sc->second]) continue;
         for (Symbol t : info.targets) {
-          auto tc = sccs.component.find(t);
-          if (tc != sccs.component.end() && tc->second == sc->second) {
+          auto tc = g.component.find(t);
+          if (tc != g.component.end() && tc->second == sc->second) {
             cycle_comp = sc->second;
             break;
           }
@@ -263,13 +123,13 @@ void CheckInventionInRecursion(Universe* universe,
               ") inside a recursive cycle; each round of the inflationary "
               "fixpoint can mint fresh oids, so evaluation may not "
               "terminate (§5)");
-      std::vector<Symbol> members = sccs.members[cycle_comp];
+      std::vector<Symbol> members = g.members[cycle_comp];
       std::sort(members.begin(), members.end(), [&](Symbol a, Symbol b) {
         return universe->Name(a) < universe->Name(b);
       });
       for (Symbol m : members) {
         const Rule* definer = nullptr;
-        for (const RuleInfo& other : stage_infos) {
+        for (const StageGraph::RuleArcs& other : g.rules) {
           if (other.targets.count(m)) {
             definer = other.rule;
             break;
@@ -300,7 +160,7 @@ void CheckInventionInRecursion(Universe* universe,
 // PTIME guarantee. Reported per offending rule / stage, with the IQLrr
 // verdict as a note.
 void CheckRestrictions(Universe* universe, const Program& program,
-                       const std::vector<std::vector<RuleInfo>>& infos,
+                       const std::vector<StageGraph>& graphs,
                        DiagnosticSink* sink) {
   for (size_t s = 0; s < program.stages.size(); ++s) {
     const auto& stage = program.stages[s];
@@ -318,12 +178,9 @@ void CheckRestrictions(Universe* universe, const Program& program,
              "so the program also leaves IQLrr"});
       }
     }
-    if (IsInventionFreeStage(stage) ||
-        IsRecursionFreeStage(universe, program, stage)) {
-      continue;
-    }
+    if (IsInventionFreeStage(stage) || !graphs[s].HasCycle()) continue;
     // Uncontrolled stage: report at the first inventing rule.
-    for (const RuleInfo& info : infos[s]) {
+    for (const StageGraph::RuleArcs& info : graphs[s].rules) {
       if (info.rule->invented_vars.empty()) continue;
       sink->Warning(
           "W003", info.rule->span,
@@ -357,8 +214,7 @@ void CheckUnusedDeclarations(Universe* universe, const Program& program,
 }
 
 // W005: a rule whose derivations cannot reach any declared output.
-void CheckDeadRules(Universe* universe,
-                    const std::vector<std::vector<RuleInfo>>& infos,
+void CheckDeadRules(Universe* universe, const std::vector<StageGraph>& graphs,
                     const std::vector<std::string>& output_names,
                     DiagnosticSink* sink) {
   if (output_names.empty()) return;
@@ -369,8 +225,8 @@ void CheckDeadRules(Universe* universe,
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const auto& stage_infos : infos) {
-      for (const RuleInfo& info : stage_infos) {
+    for (const StageGraph& g : graphs) {
+      for (const StageGraph::RuleArcs& info : g.rules) {
         bool feeds = false;
         for (Symbol t : info.targets) {
           if (needed.count(t)) {
@@ -385,8 +241,8 @@ void CheckDeadRules(Universe* universe,
       }
     }
   }
-  for (const auto& stage_infos : infos) {
-    for (const RuleInfo& info : stage_infos) {
+  for (const StageGraph& g : graphs) {
+    for (const StageGraph::RuleArcs& info : g.rules) {
       bool live = false;
       for (Symbol t : info.targets) {
         if (needed.count(t)) {
@@ -432,14 +288,14 @@ void CheckEmptyVarTypes(Universe* universe, const Program& program,
 // evaluation freezes each literal's truth per round, so the negation is
 // order-sensitive: it may hold early in the fixpoint and fail later.
 void CheckSameStageNegation(Universe* universe, const Program& program,
-                            const std::vector<std::vector<RuleInfo>>& infos,
+                            const std::vector<StageGraph>& graphs,
                             DiagnosticSink* sink) {
-  for (const auto& stage_infos : infos) {
+  for (const StageGraph& g : graphs) {
     std::set<Symbol> derived;
-    for (const RuleInfo& info : stage_infos) {
+    for (const StageGraph::RuleArcs& info : g.rules) {
       derived.insert(info.targets.begin(), info.targets.end());
     }
-    for (const RuleInfo& info : stage_infos) {
+    for (const StageGraph::RuleArcs& info : g.rules) {
       for (const Literal& lit : info.rule->body) {
         if (lit.kind != Literal::Kind::kMembership || lit.positive) continue;
         const Term& lhs = program.term(lit.lhs);
@@ -449,7 +305,7 @@ void CheckSameStageNegation(Universe* universe, const Program& program,
         }
         if (!derived.count(lhs.name)) continue;
         const Rule* definer = nullptr;
-        for (const RuleInfo& other : stage_infos) {
+        for (const StageGraph::RuleArcs& other : g.rules) {
           if (other.targets.count(lhs.name)) {
             definer = other.rule;
             break;
@@ -473,9 +329,9 @@ void CheckSameStageNegation(Universe* universe, const Program& program,
   }
 }
 
-// O001: a rule whose greedy join schedule is forced through a generator
-// sharing no variable with anything bound so far -- an unavoidable cross
-// product. Mirrors the scheduler simulation of ExplainSchedule (eval.cc).
+// O001: a rule whose body literals are not connected: once every generator
+// reachable through shared variables (and equalities) is joined, one is left
+// sharing no variable with them -- a cross product under any join order.
 void CheckCrossProducts(Universe* universe, const Program& program,
                         const AnalyzerOptions& options,
                         DiagnosticSink* sink) {
@@ -604,25 +460,23 @@ std::set<std::string> ParseLintPragmas(std::string_view source) {
   return codes;
 }
 
-void AnalyzeProgram(Universe* universe, const Schema& schema,
-                    const Program& program,
+void AnalyzeProgram(Universe* universe, const Program& program,
                     const std::vector<std::string>& output_names,
                     const AnalyzerOptions& options, DiagnosticSink* sink) {
-  (void)schema;
   IQL_CHECK(program.type_checked)
       << "AnalyzeProgram requires a type-checked program";
-  std::vector<std::vector<RuleInfo>> infos;
-  infos.reserve(program.stages.size());
+  std::vector<StageGraph> graphs;
+  graphs.reserve(program.stages.size());
   for (const auto& stage : program.stages) {
-    infos.push_back(BuildStageInfos(universe, program, stage));
+    graphs.push_back(BuildStageGraph(universe, program, stage));
   }
   CheckUnsafeVars(universe, program, sink);
-  CheckInventionInRecursion(universe, infos, sink);
-  CheckRestrictions(universe, program, infos, sink);
+  CheckInventionInRecursion(universe, graphs, sink);
+  CheckRestrictions(universe, program, graphs, sink);
   CheckUnusedDeclarations(universe, program, sink);
-  CheckDeadRules(universe, infos, output_names, sink);
+  CheckDeadRules(universe, graphs, output_names, sink);
   CheckEmptyVarTypes(universe, program, sink);
-  CheckSameStageNegation(universe, program, infos, sink);
+  CheckSameStageNegation(universe, program, graphs, sink);
   if (options.hints) CheckCrossProducts(universe, program, options, sink);
 }
 
@@ -650,8 +504,7 @@ void AnalyzeUnit(Universe* universe, const ParsedUnit& unit,
     check_decl(p, unit.schema.ClassType(p), "class");
   }
   if (unit.program.type_checked) {
-    AnalyzeProgram(universe, unit.schema, unit.program, unit.output_names,
-                   options, sink);
+    AnalyzeProgram(universe, unit.program, unit.output_names, options, sink);
   }
 }
 

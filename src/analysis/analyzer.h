@@ -37,8 +37,7 @@ std::set<std::string> ParseLintPragmas(std::string_view source);
 // (dead rule); pass an empty vector when the program has no declared
 // outputs, which disables that pass. Diagnostics are appended to `sink` in
 // source order.
-void AnalyzeProgram(Universe* universe, const Schema& schema,
-                    const Program& program,
+void AnalyzeProgram(Universe* universe, const Program& program,
                     const std::vector<std::string>& output_names,
                     const AnalyzerOptions& options, DiagnosticSink* sink);
 

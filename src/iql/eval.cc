@@ -1933,141 +1933,122 @@ Result<std::string> ExplainSchedule(Universe* universe, const Schema& schema,
     IQL_RETURN_IF_ERROR(TypeCheck(universe, schema, program));
   }
   const Program& prog = *program;
+  const SymbolTable& syms = universe->symbols();
   CardinalityEstimator estimator(&input);
+  // The container a membership literal ranges over, the key fields a probe
+  // fixes, and the input's size figures as annotations.
+  auto describe = [&](const Term& lhs, const std::vector<Symbol>& keys) {
+    std::ostringstream d;
+    if (lhs.kind == Term::Kind::kRelName) {
+      d << "relation " << universe->Name(lhs.name);
+    } else if (lhs.kind == Term::Kind::kClassName) {
+      d << "class " << universe->Name(lhs.name);
+    } else {
+      d << "set value";
+    }
+    for (size_t k = 0; k < keys.size(); ++k) {
+      d << (k == 0 ? " on {" : ", ") << universe->Name(keys[k]);
+    }
+    if (!keys.empty()) d << "}";
+    if (lhs.kind == Term::Kind::kRelName) {
+      d << " (|extent| " << estimator.RelationSize(lhs.name);
+      if (!keys.empty()) {
+        d << ", est. " << estimator.EstimateMatches(lhs.name, keys)
+          << " per probe";
+      }
+      d << ")";
+    } else if (lhs.kind == Term::Kind::kClassName) {
+      d << " (|extent| " << estimator.ClassSize(lhs.name) << ")";
+    } else {
+      d << " (size unknown)";
+    }
+    return d.str();
+  };
   std::ostringstream os;
   for (const Rule* rule_ptr : program->AllRules()) {
     const Rule& rule = *rule_ptr;
     os << "rule " << rule.stage << "." << rule.index << ": "
-       << prog.RuleToString(rule, universe->symbols()) << "\n";
-    std::set<Symbol> bound;
-    std::vector<bool> done(rule.body.size(), false);
-    size_t remaining = 0;
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      if (rule.body[i].kind == Literal::Kind::kChoose) {
-        done[i] = true;
-      } else {
-        ++remaining;
+       << prog.RuleToString(rule, syms) << "\n";
+    std::optional<il::CompiledRule> cr = il::CompileRule(prog, rule);
+    if (cr.has_value()) {
+      // The VM runs the compiled full variant: one step per loop head or
+      // check, in code order. A literal lowered to neither (an equality
+      // that binds) is one step at its first instruction.
+      os << "  engine: VM, full variant in compiled order\n";
+      std::vector<bool> stepped(rule.body.size(), false);
+      for (const il::Instr& in : cr->code) {
+        // The kCheck* and kScan* ops are contiguous in il::Op.
+        if (in.src != il::kNoSrc && in.op >= il::Op::kCheckRel &&
+            in.op <= il::Op::kScanExtent) {
+          stepped[in.src] = true;
+        }
       }
-    }
-    auto covered = [&](const std::set<Symbol>& vars) {
-      return std::includes(bound.begin(), bound.end(), vars.begin(),
-                           vars.end());
-    };
-    auto literal_vars = [&](size_t i) {
-      std::set<Symbol> vars;
-      prog.CollectVars(rule.body[i], &vars);
-      return vars;
-    };
-    int step = 0;
-    while (remaining > 0) {
-      // 1. Fully-bound literals are pure filters.
-      bool progressed = false;
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (done[i] || !covered(literal_vars(i))) continue;
-        done[i] = true;
-        --remaining;
-        os << "  " << ++step << ". check literal #" << (i + 1) << "\n";
-        progressed = true;
+      int step = 0;
+      for (const il::Instr& in : cr->code) {
+        const Literal* lit =
+            in.src == il::kNoSrc ? nullptr : &rule.body[in.src];
+        switch (in.op) {
+          case il::Op::kScanRel:
+          case il::Op::kScanClass:
+          case il::Op::kScanSet:
+          case il::Op::kScanDelta: {
+            std::vector<Symbol> keys;
+            for (uint32_t k = 0; k + 1 < in.naux; k += 2) {
+              keys.push_back(static_cast<Symbol>(cr->aux[in.aux + k]));
+            }
+            os << "  " << ++step << ". " << (keys.empty() ? "scan" : "probe")
+               << " literal #" << (in.src + 1) << ": "
+               << describe(prog.term(lit->lhs), keys) << "\n";
+            break;
+          }
+          case il::Op::kScanExtent: {
+            Symbol var = kInvalidSymbol;
+            for (const auto& [v, reg] : cr->theta) {
+              if (reg == in.dst) var = v;
+            }
+            os << "  " << ++step << ". range " << universe->Name(var)
+               << " over the extent of " << universe->types().ToString(in.imm)
+               << "\n";
+            break;
+          }
+          case il::Op::kCheckRel:
+          case il::Op::kCheckClass:
+          case il::Op::kCheckIn:
+          case il::Op::kCheckEq:
+          case il::Op::kCheckDelta:
+            os << "  " << ++step << ". check literal #" << (in.src + 1)
+               << ": " << prog.LiteralToString(*lit, syms) << "\n";
+            break;
+          default:
+            if (lit == nullptr || stepped[in.src]) break;
+            stepped[in.src] = true;
+            os << "  " << ++step << ". bind literal #" << (in.src + 1)
+               << " through equality: " << prog.LiteralToString(*lit, syms)
+               << "\n";
+        }
       }
-      if (progressed) continue;
-      // 2. The cheapest eligible generator, scored as the solver scores it
-      //    from an empty valuation.
-      struct Candidate {
-        size_t literal = 0;
-        double estimate = 0;
-        std::string describe;
-      };
-      std::optional<Candidate> best;
+    } else {
+      // The tree-walker plans again at every choice point, from the values
+      // bound so far, so there is no static order to print.
+      os << "  engine: tree-walk (" << il::FallbackReason(rule) << ")\n";
       for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (done[i]) continue;
         const Literal& lit = rule.body[i];
         if (!lit.positive) continue;
-        Candidate c;
-        c.literal = i;
         if (lit.kind == Literal::Kind::kEquality) {
-          std::set<Symbol> lv, rv;
-          prog.CollectVars(lit.lhs, &lv);
-          prog.CollectVars(lit.rhs, &rv);
-          if (!covered(lv) && !covered(rv)) continue;
-          c.estimate = 0.5;
-          c.describe = "bind via equality";
+          os << "  generator literal #" << (i + 1)
+             << ": equality " << prog.LiteralToString(lit, syms) << "\n";
         } else if (lit.kind == Literal::Kind::kMembership) {
           const Term& lhs = prog.term(lit.lhs);
-          std::vector<Symbol> attrs;
-          const Term& rhs = prog.term(lit.rhs);
-          if (rhs.kind == Term::Kind::kTuple) {
-            for (const auto& [attr, child] : rhs.fields) {
-              std::set<Symbol> vs;
-              prog.CollectVars(child, &vs);
-              if (covered(vs)) attrs.push_back(attr);
-            }
+          if (lhs.kind == Term::Kind::kTuple || lhs.kind == Term::Kind::kSet ||
+              lhs.kind == Term::Kind::kConst) {
+            continue;  // constructed containers never generate
           }
-          std::ostringstream d;
-          if (lhs.kind == Term::Kind::kRelName) {
-            size_t size = estimator.RelationSize(lhs.name);
-            c.estimate = attrs.empty()
-                             ? static_cast<double>(size)
-                             : estimator.EstimateMatches(lhs.name, attrs);
-            d << (attrs.empty() ? "scan relation " : "probe relation ")
-              << universe->Name(lhs.name) << " (|extent| " << size;
-          } else if (lhs.kind == Term::Kind::kClassName) {
-            size_t size = estimator.ClassSize(lhs.name);
-            c.estimate = static_cast<double>(size);
-            for (size_t k = 0; k < attrs.size() && c.estimate > 1.0; ++k) {
-              c.estimate = std::max(1.0, c.estimate / 4.0);
-            }
-            d << (attrs.empty() ? "scan class " : "probe class ")
-              << universe->Name(lhs.name) << " (|extent| " << size;
-          } else if (lhs.kind == Term::Kind::kVar ||
-                     lhs.kind == Term::Kind::kDeref) {
-            std::set<Symbol> lv;
-            prog.CollectVars(lit.lhs, &lv);
-            if (!covered(lv)) continue;  // container not evaluable yet
-            c.estimate = 8.0;  // set sizes are unknowable statically
-            d << "enumerate set value (size unknown";
-          } else {
-            continue;
-          }
-          if (!attrs.empty()) {
-            d << ", keyed on {";
-            for (size_t k = 0; k < attrs.size(); ++k) {
-              if (k > 0) d << ", ";
-              d << universe->Name(attrs[k]);
-            }
-            d << "}";
-          }
-          d << ")";
-          c.describe = d.str();
-        } else {
-          continue;
-        }
-        if (!best.has_value() || c.estimate < best->estimate) best = c;
-      }
-      if (best.has_value()) {
-        done[best->literal] = true;
-        --remaining;
-        std::set<Symbol> vars = literal_vars(best->literal);
-        bound.insert(vars.begin(), vars.end());
-        os << "  " << ++step << ". generate from literal #"
-           << (best->literal + 1) << ": " << best->describe << " -- est. "
-           << best->estimate << " branches\n";
-        continue;
-      }
-      // 3. No literal processable: the solver ranges an unbound variable
-      //    over its type extent.
-      std::optional<Symbol> unbound;
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (done[i]) continue;
-        for (Symbol v : literal_vars(i)) {
-          if (!bound.count(v) && (!unbound.has_value() || v < *unbound)) {
-            unbound = v;
-          }
+          os << "  generator literal #" << (i + 1) << ": "
+             << describe(lhs, {}) << "\n";
         }
       }
-      if (!unbound.has_value()) break;  // unreachable: all-bound is a check
-      bound.insert(*unbound);
-      os << "  " << ++step << ". range " << universe->Name(*unbound)
-         << " over its type extent\n";
+      os << "  order: chosen at run time; the tree-walker picks among the "
+            "generators at each choice point\n";
     }
     // Parallel eligibility (EvalOptions::num_threads): with workers
     // available, step 1's candidate list is partitioned across them when

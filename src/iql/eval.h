@@ -57,6 +57,8 @@ struct RoundMetrics {
 struct EvalMetrics {
   std::vector<RuleMetrics> rules;
   std::vector<RoundMetrics> rounds;
+  // Above one thread each worker that claims a chunk of a solve builds its
+  // own index, so this count varies with which workers claim chunks.
   uint64_t index_builds = 0;
   uint64_t index_probes = 0;
   uint64_t index_hits = 0;  // probes that returned a non-empty bucket
@@ -260,12 +262,15 @@ Result<Instance> RunUnit(Universe* universe, ParsedUnit* unit,
                          const EvalOptions& options = {},
                          EvalStats* stats = nullptr);
 
-// A static scheduling report against `input`: for each rule, the greedy
-// generator order the solver would choose from an empty valuation, with
-// extent cardinalities and the fields each probe can be indexed on. Type
-// checks the program if needed. This is the `:explain` view -- estimates
-// come from the *input* instance, so they describe the first round; the
-// solver re-plans dynamically as extents grow.
+// The `:explain` view: for each rule, the plan evaluation runs. A rule
+// il::CompileRule accepts runs on the VM in its compiled order; the report
+// lists one step per loop head or check of the full variant, in code order,
+// each naming the body literal it lowers (scan, keyed probe, binding
+// equality) or the variable a synthesized extent range binds. A rule the
+// compiler declines is listed with the fallback reason and its generator
+// literals but no order: the tree-walker picks among them at every choice
+// point. Extent sizes and probe estimates come from `input`, so they
+// describe the first round only. Type checks the program if needed.
 Result<std::string> ExplainSchedule(Universe* universe, const Schema& schema,
                                     Program* program, const Instance& input);
 

@@ -646,6 +646,12 @@ std::optional<CompiledRule> CompileRule(const Program& prog, const Rule& rule,
   return out;
 }
 
+const char* FallbackReason(const Rule& rule) {
+  return !rule.invented_vars.empty() ? "oid invention"
+         : rule.has_choose           ? "choose"
+                                     : "planner bail";
+}
+
 std::string Disassemble(const CompiledRule& cr, const SymbolTable& syms,
                         const TypePool& types, const std::string& indent) {
   return Render(cr, syms, types, indent);
@@ -678,10 +684,7 @@ std::string DumpProgramIl(const Program& prog, const SymbolTable& syms,
       out << "  rule " << r << ": " << prog.RuleToString(rule, syms) << "\n";
       std::optional<CompiledRule> cr = CompileRule(prog, rule);
       if (!cr.has_value()) {
-        const char* why = !rule.invented_vars.empty() ? "oid invention"
-                          : rule.has_choose          ? "choose"
-                                                     : "planner bail";
-        out << "    fallback (tree-walk): " << why << "\n";
+        out << "    fallback (tree-walk): " << FallbackReason(rule) << "\n";
         continue;
       }
       out << Render(*cr, syms, types, "    ");

@@ -121,6 +121,10 @@ inline constexpr size_t kNoDelta = static_cast<size_t>(-1);
 std::optional<CompiledRule> CompileRule(const Program& prog, const Rule& rule,
                                         size_t delta_literal = kNoDelta);
 
+// Why CompileRule declines `rule`, for a rule it declined: "oid
+// invention", "choose", or "planner bail".
+const char* FallbackReason(const Rule& rule);
+
 // Deterministic textual rendering of one compiled rule, used by the
 // `:il` dump and the golden IL corpus.
 std::string Disassemble(const CompiledRule& cr, const SymbolTable& syms,

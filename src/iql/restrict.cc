@@ -1,5 +1,6 @@
 #include "iql/restrict.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <set>
@@ -53,21 +54,6 @@ bool AllBodyVarsRestricted(const Program& program, const Rule& rule,
   return restricted.size() == body_vars.size();
 }
 
-// The head predicate node ("leftmost symbol"): the relation or class name
-// of a membership head, or the class of x for x^-heads.
-Symbol HeadNode(Universe* universe, const Program& program,
-                const Rule& rule) {
-  const Term& lhs = program.term(rule.head.lhs);
-  if (lhs.kind == Term::Kind::kRelName ||
-      lhs.kind == Term::Kind::kClassName) {
-    return lhs.name;
-  }
-  IQL_CHECK(lhs.kind == Term::Kind::kDeref);
-  const TypeNode& t = universe->types().node(rule.var_types.at(lhs.name));
-  IQL_CHECK(t.kind == TypeKind::kClass);
-  return t.class_name;
-}
-
 }  // namespace
 
 bool IsPtimeRestrictedRule(Universe* universe, const Program& program,
@@ -93,74 +79,110 @@ bool IsInventionFreeStage(const std::vector<Rule>& stage) {
   return true;
 }
 
-bool IsRecursionFreeStage(Universe* universe, const Program& program,
-                          const std::vector<Rule>& stage) {
-  // Build G(Gamma) and test acyclicity by DFS.
-  std::map<Symbol, std::set<Symbol>> edges;
+bool StageGraph::HasCycle() const {
+  return std::find(cyclic.begin(), cyclic.end(), true) != cyclic.end();
+}
+
+StageGraph BuildStageGraph(Universe* universe, const Program& program,
+                           const std::vector<Rule>& stage) {
+  StageGraph g;
   for (const Rule& rule : stage) {
-    // Sources: predicate names in the body and classes in the types of
-    // body variables.
-    std::set<Symbol> sources;
+    StageGraph::RuleArcs arcs;
+    arcs.rule = &rule;
     std::set<Symbol> body_vars;
     for (const Literal& lit : rule.body) {
       if (lit.kind == Literal::Kind::kChoose) continue;
       program.CollectVars(lit, &body_vars);
-      for (TermId t : {lit.lhs, lit.rhs}) {
-        // Walk the term for predicate names.
-        std::vector<TermId> stack = {t};
-        while (!stack.empty()) {
-          const Term& term = program.term(stack.back());
-          stack.pop_back();
-          if (term.kind == Term::Kind::kRelName ||
-              term.kind == Term::Kind::kClassName) {
-            sources.insert(term.name);
-          }
-          for (const auto& [attr, child] : term.fields) {
-            stack.push_back(child);
-          }
-          for (TermId child : term.elems) stack.push_back(child);
+      std::vector<TermId> stack = {lit.lhs, lit.rhs};
+      while (!stack.empty()) {
+        const Term& term = program.term(stack.back());
+        stack.pop_back();
+        if (term.kind == Term::Kind::kRelName ||
+            term.kind == Term::Kind::kClassName) {
+          arcs.sources.insert(term.name);
         }
+        for (const auto& [attr, child] : term.fields) stack.push_back(child);
+        for (TermId child : term.elems) stack.push_back(child);
       }
     }
     for (Symbol v : body_vars) {
-      universe->types().CollectClasses(rule.var_types.at(v), &sources);
+      universe->types().CollectClasses(rule.var_types.at(v), &arcs.sources);
     }
-    // Targets: the head predicate and the classes of invented variables.
-    std::set<Symbol> targets = {HeadNode(universe, program, rule)};
+    // The head node ("leftmost symbol"): the relation or class name of a
+    // membership head, or the class of x for x^-heads.
+    const Term& lhs = program.term(rule.head.lhs);
+    if (lhs.kind == Term::Kind::kRelName ||
+        lhs.kind == Term::Kind::kClassName) {
+      arcs.targets.insert(lhs.name);
+    } else {
+      IQL_CHECK(lhs.kind == Term::Kind::kDeref);
+      const TypeNode& t = universe->types().node(rule.var_types.at(lhs.name));
+      IQL_CHECK(t.kind == TypeKind::kClass);
+      arcs.targets.insert(t.class_name);
+    }
     for (Symbol v : rule.invented_vars) {
-      const TypeNode& t = universe->types().node(rule.var_types.at(v));
-      targets.insert(t.class_name);
+      arcs.targets.insert(
+          universe->types().node(rule.var_types.at(v)).class_name);
     }
-    for (Symbol src : sources) {
-      for (Symbol dst : targets) edges[src].insert(dst);
+    for (Symbol src : arcs.sources) {
+      g.edges[src].insert(arcs.targets.begin(), arcs.targets.end());
     }
+    g.rules.push_back(std::move(arcs));
   }
-  // DFS cycle detection.
-  std::map<Symbol, int> state;  // 0 unseen, 1 on stack, 2 done
-  std::function<bool(Symbol)> has_cycle = [&](Symbol n) -> bool {
-    int& s = state[n];
-    if (s == 1) return true;
-    if (s == 2) return false;
-    s = 1;
-    auto it = edges.find(n);
-    if (it != edges.end()) {
-      for (Symbol next : it->second) {
-        if (has_cycle(next)) return true;
+
+  // Tarjan's strongly connected components, visiting nodes in symbol order.
+  std::map<Symbol, int> index, lowlink;
+  std::set<Symbol> on_stack;
+  std::vector<Symbol> stack;
+  std::function<void(Symbol)> strongconnect = [&](Symbol v) {
+    int v_index = static_cast<int>(index.size());
+    index[v] = lowlink[v] = v_index;
+    stack.push_back(v);
+    on_stack.insert(v);
+    auto it = g.edges.find(v);
+    if (it != g.edges.end()) {
+      for (Symbol w : it->second) {
+        if (!index.count(w)) {
+          strongconnect(w);
+          lowlink[v] = std::min(lowlink[v], lowlink[w]);
+        } else if (on_stack.count(w)) {
+          lowlink[v] = std::min(lowlink[v], index[w]);
+        }
       }
     }
-    s = 2;
-    return false;
+    if (lowlink[v] != index[v]) return;
+    int comp = static_cast<int>(g.members.size());
+    g.members.emplace_back();
+    Symbol w;
+    do {
+      w = stack.back();
+      stack.pop_back();
+      on_stack.erase(w);
+      g.component[w] = comp;
+      g.members[comp].push_back(w);
+    } while (w != v);
+    auto self = g.edges.find(v);
+    g.cyclic.push_back(g.members[comp].size() > 1 ||
+                       (self != g.edges.end() && self->second.count(v) > 0));
   };
-  for (const auto& [n, outs] : edges) {
-    if (has_cycle(n)) return false;
+  std::set<Symbol> nodes;
+  for (const auto& [src, dsts] : g.edges) {
+    nodes.insert(src);
+    nodes.insert(dsts.begin(), dsts.end());
   }
-  return true;
+  for (Symbol n : nodes) {
+    if (!index.count(n)) strongconnect(n);
+  }
+  return g;
+}
+
+bool IsRecursionFreeStage(Universe* universe, const Program& program,
+                          const std::vector<Rule>& stage) {
+  return !BuildStageGraph(universe, program, stage).HasCycle();
 }
 
 RestrictionReport AnalyzeRestrictions(Universe* universe,
-                                      const Schema& schema,
                                       const Program& program) {
-  (void)schema;
   IQL_CHECK(program.type_checked)
       << "AnalyzeRestrictions requires a type-checked program";
   RestrictionReport report;

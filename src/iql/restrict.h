@@ -1,11 +1,12 @@
 #ifndef IQLKIT_IQL_RESTRICT_H_
 #define IQLKIT_IQL_RESTRICT_H_
 
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "iql/ast.h"
-#include "model/schema.h"
 #include "model/universe.h"
 
 namespace iqlkit {
@@ -35,7 +36,6 @@ struct RestrictionReport {
 // Analyzes a type-checked program (TypeCheck must have run, so that
 // var_types and invented_vars are filled).
 RestrictionReport AnalyzeRestrictions(Universe* universe,
-                                      const Schema& schema,
                                       const Program& program);
 
 // Definition 5.1: every body variable is ptime-restricted. Base case:
@@ -52,11 +52,34 @@ bool IsRangeRestrictedRule(Universe* universe, const Program& program,
 // A stage is invention-free if no rule has a head-only variable.
 bool IsInventionFreeStage(const std::vector<Rule>& stage);
 
-// A stage is recursion-free if its dependency graph G(Gamma) is acyclic
-// (§5): nodes are relation/class names; there is an arc n -> n' when some
-// rule mentions n in its body (as a predicate, or as a class in the type of
-// a body variable) and n' is the rule's head predicate, or n' is the class
-// of an invented head-only variable.
+// The dependency graph G(Gamma) of one stage (§5) and its strongly
+// connected components. Nodes are relation/class names. Each rule has
+// `sources` -- the predicate names in its body and the classes in the
+// types of its body variables (`choose` literals skipped) -- and `targets`
+// -- its head node (the relation or class of a membership head, the class
+// of x for x^-heads) and the classes of its invented variables. There is
+// an arc from each source to each target of the same rule.
+struct StageGraph {
+  struct RuleArcs {
+    const Rule* rule = nullptr;
+    std::set<Symbol> sources;
+    std::set<Symbol> targets;
+  };
+  std::vector<RuleArcs> rules;  // in stage order
+  std::map<Symbol, std::set<Symbol>> edges;
+  // Tarjan SCCs: each node's component, each component's members, and
+  // whether it is cyclic (more than one member, or a self-loop).
+  std::map<Symbol, int> component;
+  std::vector<std::vector<Symbol>> members;
+  std::vector<bool> cyclic;
+
+  bool HasCycle() const;
+};
+
+StageGraph BuildStageGraph(Universe* universe, const Program& program,
+                           const std::vector<Rule>& stage);
+
+// A stage is recursion-free if G(Gamma) has no cyclic component.
 bool IsRecursionFreeStage(Universe* universe, const Program& program,
                           const std::vector<Rule>& stage);
 

@@ -334,7 +334,7 @@ class SimClient {
       done_ = true;
       return;
     }
-    ReadFrames(now_ms);
+    ReadFrames();
     if (done_) return;
     if (hello_acked_ && !report_.drained) {
       for (size_t i = 0; i < spec_.queries.size(); ++i) {
@@ -397,8 +397,7 @@ class SimClient {
     if (!stream_.Write(EncodeFrame(frame)).ok()) done_ = true;
   }
 
-  void ReadFrames(uint64_t now_ms) {
-    (void)now_ms;
+  void ReadFrames() {
     for (;;) {
       std::string chunk;
       auto got = stream_.Read(&chunk, 64 * 1024);

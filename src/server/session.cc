@@ -162,7 +162,7 @@ bool Session::Pump(uint64_t now_ms) {
 
   PollQueries(now_ms);
   if (!open()) return false;
-  EmitPages(now_ms);
+  EmitPages();
   if (!open()) return false;
   FlushOutbox(now_ms);
   if (!open()) return false;
@@ -419,7 +419,7 @@ std::vector<Session::PageSlice> Session::CutPages(const std::string& facts,
   return pages;
 }
 
-void Session::EmitPages(uint64_t now_ms) {
+void Session::EmitPages() {
   // Only enqueues (Pump flushes right after): delivery is counted -- and
   // the query retired -- in FlushOutbox, when the terminal frame actually
   // reaches the stream. A session that dies with the frame still queued

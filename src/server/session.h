@@ -221,7 +221,7 @@ class Session {
   void HandlePage(uint64_t now_ms, const Frame& frame);
   void HandleCancel(uint64_t now_ms, const Frame& frame);
   void PollQueries(uint64_t now_ms);
-  void EmitPages(uint64_t now_ms);
+  void EmitPages();
   void SendFrame(uint64_t now_ms, const Frame& frame);
   void SendError(uint64_t now_ms, const Status& status,
                  const std::string& query_id);

@@ -1,6 +1,9 @@
 // EvalMetrics: per-rule and per-round counters on small fixed programs
 // where every number is checkable by hand.
 
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -10,6 +13,7 @@
 
 #include "gtest/gtest.h"
 #include "iql/eval.h"
+#include "iql/il.h"
 #include "iql/parser.h"
 #include "model/instance.h"
 #include "model/universe.h"
@@ -83,7 +87,9 @@ PinnedCounters CountersOf(const EvalMetrics& m) {
 
 void ExpectCounters(const EvalMetrics& m, const PinnedCounters& want) {
   PinnedCounters got = CountersOf(m);
-  if (want.index_builds != 0) EXPECT_EQ(got.index_builds, want.index_builds);
+  if (want.index_builds != 0) {
+    EXPECT_EQ(got.index_builds, want.index_builds);
+  }
   EXPECT_EQ(got.index_probes, want.index_probes);
   EXPECT_EQ(got.index_hits, want.index_hits);
   EXPECT_EQ(got.rule_probes, want.rule_probes);
@@ -210,7 +216,9 @@ TEST(EvalMetricsTest, ApplySecondsIsPositiveAndWithinTheRound) {
     for (const RoundMetrics& round : metrics.rounds) {
       SCOPED_TRACE("round " + std::to_string(round.round));
       EXPECT_LE(round.apply_seconds, round.seconds);
-      if (round.delta_facts > 0) EXPECT_GT(round.apply_seconds, 0.0);
+      if (round.delta_facts > 0) {
+        EXPECT_GT(round.apply_seconds, 0.0);
+      }
     }
   }
 }
@@ -298,6 +306,76 @@ TEST(EvalMetricsTest, TogglesDoNotChangeResults) {
       }
     }
   }
+}
+
+// `:explain` names the plan the VM runs: for every rule CompileRule
+// accepts, the literals its steps name are the distinct Instr::src values
+// of the compiled code, in code order.
+TEST(EvalMetricsTest, ExplainFollowsTheCompiledOrderOnEveryExample) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(
+           fs::path(IQLKIT_SOURCE_DIR) / "examples" / "iql")) {
+    if (entry.path().extension() == ".iql") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  size_t compiled_rules = 0;
+  for (const fs::path& path : files) {
+    SCOPED_TRACE(path.filename().string());
+    std::ifstream in(path);
+    std::stringstream source;
+    source << in.rdbuf();
+    Universe universe;
+    auto unit = ParseUnit(&universe, source.str());
+    ASSERT_TRUE(unit.ok()) << unit.status();
+    std::shared_ptr<const Schema> schema(&unit->schema, [](const Schema*) {});
+    if (!unit->input_names.empty()) {
+      auto projected = unit->schema.Project(unit->input_names);
+      ASSERT_TRUE(projected.ok());
+      schema = std::make_shared<const Schema>(std::move(*projected));
+    }
+    Instance input(schema, &universe);
+    ASSERT_TRUE(ApplyFacts(*unit, &input).ok());
+    auto explained =
+        ExplainSchedule(&universe, unit->schema, &unit->program, input);
+    ASSERT_TRUE(explained.ok()) << explained.status();
+
+    // The literal numbers of each rule's steps, rules in output order.
+    std::vector<std::vector<uint32_t>> steps;
+    std::istringstream lines(*explained);
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (line.rfind("rule ", 0) == 0) steps.emplace_back();
+      // A step is "  <n>. ..."; range steps name no literal.
+      size_t lit = line.find("literal #");
+      if (line.size() < 3 || line.compare(0, 2, "  ") != 0 ||
+          !std::isdigit(static_cast<unsigned char>(line[2])) ||
+          lit == std::string::npos) {
+        continue;
+      }
+      ASSERT_FALSE(steps.empty());
+      steps.back().push_back(
+          static_cast<uint32_t>(std::stoul(line.substr(lit + 9))));
+    }
+    std::vector<const Rule*> rules = unit->program.AllRules();
+    ASSERT_EQ(steps.size(), rules.size()) << *explained;
+    for (size_t r = 0; r < rules.size(); ++r) {
+      auto cr = il::CompileRule(unit->program, *rules[r]);
+      if (!cr.has_value()) continue;
+      ++compiled_rules;
+      std::vector<uint32_t> order;
+      for (const il::Instr& instr : cr->code) {
+        if (instr.src == il::kNoSrc) continue;
+        if (std::find(order.begin(), order.end(), instr.src + 1) ==
+            order.end()) {
+          order.push_back(instr.src + 1);
+        }
+      }
+      EXPECT_EQ(steps[r], order) << "rule " << r << " of\n" << *explained;
+    }
+  }
+  EXPECT_GT(compiled_rules, 0u);
 }
 
 TEST(EvalMetricsTest, IndexCountersZeroWhenDisabled) {

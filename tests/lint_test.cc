@@ -139,6 +139,26 @@ TEST(LintGoldenTest, InventionInRecursionNamesScc) {
   EXPECT_NE(all_notes.find("'R1'"), std::string::npos) << all_notes;
 }
 
+// G(Gamma) takes sources from body-variable types too: here the only cycle
+// is the class P of body variable w feeding the class of invented z.
+TEST(LintGoldenTest, CycleThroughABodyVariableClassIsReported) {
+  const std::string source = R"(
+    schema { class P : D; relation R0 : P; relation R1 : P; }
+    program { var z: P, w: P; R1(z) :- R0(w). }
+  )";
+  Universe universe;
+  DiagnosticSink sink;
+  LintSource(&universe, source, AnalyzerOptions{}, &sink);
+  std::vector<std::string> codes;
+  for (const Diagnostic& d : sink.diagnostics()) codes.push_back(d.code);
+  EXPECT_EQ(codes, (std::vector<std::string>{"W002", "W003"}));
+  ASSERT_FALSE(sink.diagnostics().empty());
+  const Diagnostic& w002 = sink.diagnostics()[0];
+  ASSERT_FALSE(w002.notes.empty());
+  EXPECT_EQ(w002.notes[0].message,
+            "'P' is part of the recursive cycle, derived here");
+}
+
 // Every shipped example must lint without warnings or errors. (Pragmas
 // inside the examples may suppress codes that are the example's point;
 // optimizer hints are allowed.)

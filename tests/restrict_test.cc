@@ -19,7 +19,7 @@ class RestrictTest : public ::testing::Test {
     unit_ = std::make_unique<ParsedUnit>(std::move(*unit));
     Status s = TypeCheck(&u_, unit_->schema, &unit_->program);
     EXPECT_TRUE(s.ok()) << s;
-    return AnalyzeRestrictions(&u_, unit_->schema, unit_->program);
+    return AnalyzeRestrictions(&u_, unit_->program);
   }
 
   Universe u_;
@@ -78,6 +78,19 @@ TEST_F(RestrictTest, OidPowersetHasRecursionThroughInvention) {
   EXPECT_FALSE(r.invention_free);
   EXPECT_FALSE(r.recursion_free);
   EXPECT_FALSE(r.in_iql_pr);
+}
+
+TEST_F(RestrictTest, CycleThroughABodyVariableClassIsRecursion) {
+  // No predicate feeds back into itself: the stage's only cycle is P -> P,
+  // from the class of body variable w to the class of invented z.
+  RestrictionReport r = Analyze(R"(
+    schema { class P : D; relation R0 : P; relation R1 : P; }
+    program { var z: P, w: P; R1(z) :- R0(w). }
+  )");
+  EXPECT_FALSE(r.invention_free);
+  EXPECT_FALSE(r.recursion_free);
+  EXPECT_FALSE(r.in_iql_pr);
+  EXPECT_FALSE(r.in_iql_rr);
 }
 
 TEST_F(RestrictTest, Example341NestIsPtimeRestricted) {

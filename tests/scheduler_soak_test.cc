@@ -182,6 +182,10 @@ void RunSoak(uint64_t seed, size_t workers, bool deterministic) {
         case QueryOutcome::kRejected:
           ADD_FAILURE() << "Wait() returned kRejected for an admitted query";
           break;
+        case QueryOutcome::kCancelled:
+          ADD_FAILURE() << "Wait() returned kCancelled, but no soak query "
+                           "is cancelled";
+          break;
       }
       EXPECT_GE(result.attempts, 1);
       EXPECT_LE(result.attempts, options.max_retries + 1);

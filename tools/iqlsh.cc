@@ -23,8 +23,10 @@
 //   --ground-facts       emit ground-facts(I) in the paper's notation
 //   --metrics, :metrics  evaluate, then dump per-rule/per-round metrics
 //                        as JSON (EvalMetrics::ToJson)
-//   --explain, :explain  print the static greedy join schedule per rule
-//                        (no evaluation unless --metrics is also set)
+//   --explain, :explain  print each rule's plan: a VM rule's steps in the
+//                        order of its compiled IL, a tree-walk rule's
+//                        generators (ordered at run time); sizes are the
+//                        input's (no evaluation unless --metrics is set)
 //   --il, :il            print the flat rule IL each VM-eligible rule
 //                        compiles to (tree-walk fallbacks marked) and exit
 //   --lint, :lint        run the iqlint static analyzer and exit (exit
@@ -247,8 +249,7 @@ int main(int argc, char** argv) {
   }
 
   if (restrictions) {
-    RestrictionReport report =
-        AnalyzeRestrictions(&u, unit->schema, unit->program);
+    RestrictionReport report = AnalyzeRestrictions(&u, unit->program);
     std::cout << "=== §5 sublanguage report ===\n"
               << "  ptime-restricted: " << report.ptime_restricted << "\n"
               << "  range-restricted: " << report.range_restricted << "\n"
