@@ -97,7 +97,7 @@ void BM_Iql_TC(benchmark::State& state, bool seminaive, bool indexed) {
     metrics = EvalMetrics{};
     PreparedRun run(kIqlTC);
     for (auto [a, b] : edges) run.AddEdge("E", a, b);
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.enable_seminaive = seminaive;
     options.enable_indexing = indexed;
     options.enable_scheduling = indexed;

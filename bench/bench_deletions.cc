@@ -18,12 +18,11 @@ constexpr std::string_view kBulkDelete = R"(
 
 void BM_BulkFactDeletion(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kBulkDelete);
     for (auto [a, b] : RandomGraph(n, 4 * n, 17)) run.AddEdge("R", a, b);
     for (int i = 0; i < n / 2; ++i) run.AddUnary("Kill", i);
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.allow_deletions = true;
     auto start = std::chrono::steady_clock::now();
     auto out = run.Run(options);
@@ -53,7 +52,6 @@ void BM_CascadeOidDeletion(benchmark::State& state) {
     input Node, Kill;
     program { !Node(x) :- Kill(x). }
   )";
-  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kSource);
     ValueStore& v = run.universe.values();
@@ -72,7 +70,7 @@ void BM_CascadeOidDeletion(benchmark::State& state) {
         IQL_CHECK(run.input->AddToRelation("Kill", v.OfOid(*o)).ok());
       }
     }
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.allow_deletions = true;
     auto start = std::chrono::steady_clock::now();
     auto out = run.Run(options);

@@ -55,7 +55,7 @@ void BM_Durability_Plain(benchmark::State& state) {
   uint64_t steps = 0;
   for (auto _ : state) {
     EvalStats stats;
-    auto out = run.Run(SerialOptions(), &stats);
+    auto out = run.Run(EvalOptions{}, &stats);
     IQL_CHECK(out.ok()) << out.status();
     benchmark::DoNotOptimize(out->GroundFactCount());
     steps = stats.steps;
@@ -80,7 +80,7 @@ void DurableRun(benchmark::State& state, bool fsync) {
     Instance base(&run.unit->schema, &run.universe);
     IQL_CHECK(base.Absorb(*run.input).ok());
     IQL_CHECK(durable.BeginRun(base).ok());
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.durability.sink = &durable;
     EvalStats stats;
     auto out = run.Run(options, &stats);
@@ -118,7 +118,7 @@ void BM_Durability_Recover(benchmark::State& state) {
     Instance base(&run.unit->schema, &run.universe);
     IQL_CHECK(base.Absorb(*run.input).ok());
     IQL_CHECK(durable.BeginRun(base).ok());
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.durability.sink = &durable;
     auto out = run.Run(options);
     IQL_CHECK(out.ok()) << out.status();

@@ -29,11 +29,10 @@ constexpr std::string_view kTC = R"(
 void RunGovernedTC(benchmark::State& state, const ResourceLimits& limits) {
   int n = static_cast<int>(state.range(0));
   auto edges = RandomGraph(n, 2 * n, 11);
-  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kTC);
     for (auto [a, b] : edges) run.AddEdge("E", a, b);
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.limits = limits;
     auto start = std::chrono::steady_clock::now();
     auto out = run.Run(options);
@@ -99,7 +98,7 @@ void RunDatalogTC(benchmark::State& state, bool governed) {
     Governor governor(limits);
     auto start = std::chrono::steady_clock::now();
     Status status = datalog::Evaluate(
-        program, &db, datalog::EvalMode::kSemiNaiveIndexed, nullptr, 1,
+        program, &db, datalog::EvalMode::kSemiNaiveIndexed, nullptr,
         governed ? &governor : nullptr);
     auto end = std::chrono::steady_clock::now();
     IQL_CHECK(status.ok()) << status;

@@ -39,7 +39,6 @@ constexpr std::string_view kNest = R"(
 void BM_Unnest(benchmark::State& state) {
   int groups = static_cast<int>(state.range(0));
   int fanout = static_cast<int>(state.range(1));
-  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kUnnest);
     ValueStore& v = run.universe.values();
@@ -54,7 +53,7 @@ void BM_Unnest(benchmark::State& state) {
       IQL_CHECK(run.input->AddToRelation("R1", t).ok());
     }
     auto start = std::chrono::steady_clock::now();
-    auto out = run.Run(SerialOptions());
+    auto out = run.Run(EvalOptions{});
     auto end = std::chrono::steady_clock::now();
     IQL_CHECK(out.ok()) << out.status();
     IQL_CHECK(out->Relation(run.universe.Intern("R2")).size() ==
@@ -76,7 +75,6 @@ void BM_Nest(benchmark::State& state) {
   int groups = static_cast<int>(state.range(0));
   int fanout = static_cast<int>(state.range(1));
   EvalStats stats;
-  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     stats = EvalStats{};
     PreparedRun run(kNest);
@@ -86,7 +84,7 @@ void BM_Nest(benchmark::State& state) {
       }
     }
     auto start = std::chrono::steady_clock::now();
-    auto out = run.Run(SerialOptions(), &stats);
+    auto out = run.Run(EvalOptions{}, &stats);
     auto end = std::chrono::steady_clock::now();
     IQL_CHECK(out.ok()) << out.status();
     IQL_CHECK(out->Relation(run.universe.Intern("R3")).size() ==

@@ -45,12 +45,11 @@ constexpr std::string_view kViaOids = R"(
 void RunPowerset(benchmark::State& state, std::string_view source) {
   int n = static_cast<int>(state.range(0));
   size_t result_size = 0;
-  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(source);
     for (int i = 0; i < n; ++i) run.AddUnary("R", i);
     auto start = std::chrono::steady_clock::now();
-    auto out = run.Run(SerialOptions());
+    auto out = run.Run(EvalOptions{});
     auto end = std::chrono::steady_clock::now();
     IQL_CHECK(out.ok()) << out.status();
     result_size = out->Relation(run.universe.Intern("R1")).size();

@@ -80,7 +80,7 @@ void RunScaling(benchmark::State& state, std::string_view source,
     IQL_CHECK(report.in_iql_pr);
     IQL_CHECK(report.in_iql_rr == expect_rr);
     for (auto [a, b] : RandomGraph(n, 2 * n, 7)) run.AddEdge("E", a, b);
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.enable_seminaive = false;  // Theorem 5.4 is about the naive
                                        // operator; see bench_datalog_baseline
                                        // for the semi-naive optimization

@@ -54,9 +54,7 @@ void BM_Scheduler_Direct(benchmark::State& state) {
     IQL_CHECK(unit.ok()) << unit.status();
     Instance input(&unit->schema, &universe);
     IQL_CHECK(ApplyFacts(*unit, &input).ok());
-    EvalOptions options;
-    options.num_threads = 1;
-    auto out = RunUnit(&universe, &*unit, input, options);
+    auto out = RunUnit(&universe, &*unit, input, EvalOptions{});
     IQL_CHECK(out.ok()) << out.status();
     std::string facts = WriteFacts(*out);
     benchmark::DoNotOptimize(facts);

@@ -29,7 +29,6 @@ constexpr std::string_view kEncode = R"(
 
 void BM_UnionEncode(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  ExportEvalThreads(state, SerialOptions());
   for (auto _ : state) {
     PreparedRun run(kEncode);
     ValueStore& v = run.universe.values();
@@ -59,7 +58,7 @@ void BM_UnionEncode(benchmark::State& state) {
       }
     }
     auto start = std::chrono::steady_clock::now();
-    auto out = run.Run(SerialOptions());
+    auto out = run.Run(EvalOptions{});
     auto end = std::chrono::steady_clock::now();
     IQL_CHECK(out.ok()) << out.status();
     IQL_CHECK(out->ClassExtent(run.universe.Intern("P'")).size() ==

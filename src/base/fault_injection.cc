@@ -33,8 +33,6 @@ const char* FaultSiteName(FaultSite site) {
   switch (site) {
     case FaultSite::kAllocation:
       return "allocation";
-    case FaultSite::kWorkerTask:
-      return "worker-task";
     case FaultSite::kGovernorTrip:
       return "governor-trip";
     case FaultSite::kScheduler:
@@ -77,8 +75,6 @@ Result<FaultInjector::Config> FaultInjector::ParseSpec(std::string_view spec) {
       }
     } else if (key == "alloc") {
       IQL_ASSIGN_OR_RETURN(config.p_alloc, ParseProbability(key, value));
-    } else if (key == "task") {
-      IQL_ASSIGN_OR_RETURN(config.p_task, ParseProbability(key, value));
     } else if (key == "trip") {
       IQL_ASSIGN_OR_RETURN(config.p_trip, ParseProbability(key, value));
     } else if (key == "sched") {
@@ -127,9 +123,6 @@ bool FaultInjector::ShouldFail(FaultSite site) {
   switch (site) {
     case FaultSite::kAllocation:
       p = config_.p_alloc;
-      break;
-    case FaultSite::kWorkerTask:
-      p = config_.p_task;
       break;
     case FaultSite::kGovernorTrip:
       p = config_.p_trip;

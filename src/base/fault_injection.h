@@ -15,23 +15,27 @@ namespace iqlkit {
 // its own per-process decision counter, so the n-th consultation of a site
 // fails (or not) as a pure function of (seed, site, n) -- independent of
 // thread interleaving, which is what makes soak runs reproducible.
+//
+// The numeric values are part of that function (ShouldFail mixes the site
+// index into each decision), so they never change: renumbering would move
+// the failures every recorded seed reproduces. Value 1 belonged to a
+// retired site and stays unused.
 enum class FaultSite : uint8_t {
   kAllocation = 0,   // value interning; surfaces as a MEMORY governor trip
-  kWorkerTask = 1,   // parallel evaluation chunk; fails the chunk's Status
   kGovernorTrip = 2, // Governor::CheckNow; forces a FAULT trip
   kScheduler = 3,    // scheduler dispatch; fails the attempt (retryable)
   kStorage = 4,      // durability I/O; short write / fsync fail / lost rename
   kNetwork = 5,      // wire I/O; torn frame / disconnect / stall / refused accept
 };
 
-inline constexpr int kNumFaultSites = 6;
+inline constexpr int kNumFaultSites = 6;  // one past the largest value
 
 const char* FaultSiteName(FaultSite site);
 
 // Process-wide fault injector. Disabled (all probabilities zero) unless
 // configured explicitly or via the IQLKIT_FAULTS environment variable:
 //
-//   IQLKIT_FAULTS="seed=42,alloc=0.001,task=0.01,trip=0.0005,sched=0.01,storage=0.01,network=0.01"
+//   IQLKIT_FAULTS="seed=42,alloc=0.001,trip=0.0005,sched=0.01,storage=0.01,network=0.01"
 //
 // Probabilities are per-consultation in [0,1]; omitted keys default to 0.
 // The injector is intentionally a singleton: fault sites are sprinkled
@@ -42,15 +46,14 @@ class FaultInjector {
   struct Config {
     uint64_t seed = 0;
     double p_alloc = 0;
-    double p_task = 0;
     double p_trip = 0;
     double p_sched = 0;
     double p_storage = 0;
     double p_network = 0;
 
     bool enabled() const {
-      return p_alloc > 0 || p_task > 0 || p_trip > 0 || p_sched > 0 ||
-             p_storage > 0 || p_network > 0;
+      return p_alloc > 0 || p_trip > 0 || p_sched > 0 || p_storage > 0 ||
+             p_network > 0;
     }
   };
 

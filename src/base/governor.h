@@ -66,11 +66,11 @@ class CancellationToken {
   std::atomic<bool> flag_{false};
 };
 
-// Thread-safe byte accounting for one evaluation. ValueStore/ValueArena
-// charge approximate node footprints as they intern (see
+// Thread-safe byte accounting for one evaluation. ValueStore charges
+// approximate node footprints as it interns (see
 // ValueStore::set_accountant); the evaluator charges per derived fact.
-// `bytes` tracks live charge (side stores release on destruction), `peak`
-// the high-water mark the metrics report.
+// `bytes` tracks live charge, `peak` the high-water mark the metrics
+// report.
 class MemoryAccountant {
  public:
   void Charge(uint64_t n) {
@@ -120,12 +120,13 @@ struct ResourceReport {
 };
 
 // The evaluation governor: one per evaluation, shared (by pointer) with
-// every enumeration loop and worker. Poll() is the single cooperative
+// every enumeration loop. Poll() is the single cooperative
 // check -- a relaxed atomic load on the fast path, with the wall clock,
 // cancellation token, memory accountant, and fault injector re-examined
 // every limits.poll_stride calls. A trip is sticky: the first reason wins,
-// every later Poll on any thread returns the same error immediately, which
-// is what drains in-flight pool workers promptly.
+// every later Poll returns the same error immediately, whichever thread
+// raised it (a scheduler preempting, a cancel), so the run unwinds
+// promptly.
 //
 // Trips are only raised from enumeration (and step boundaries), never from
 // the commit phase, so a tripped evaluation always leaves the instance

@@ -4,52 +4,6 @@
 
 namespace iqlkit {
 
-size_t ResolveThreadCount(size_t requested) {
-  if (requested != 0) return requested;
-  size_t hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-ThreadPool::ThreadPool(size_t workers) : workers_(std::max<size_t>(workers, 1)) {}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void ThreadPool::Start() {
-  started_ = true;
-  threads_.reserve(workers_ - 1);
-  for (size_t i = 0; i + 1 < workers_; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  uint64_t seen_epoch = 0;
-  for (;;) {
-    const std::function<void(size_t)>* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_ready_.wait(lock, [&] {
-        return shutdown_ || (job_epoch_ != seen_epoch && index < job_fanout_);
-      });
-      if (shutdown_) return;
-      seen_epoch = job_epoch_;
-      job = job_;
-    }
-    (*job)(index);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--job_remaining_ == 0) work_done_.notify_all();
-    }
-  }
-}
-
 TaskPool::TaskPool(size_t workers) : workers_(std::max<size_t>(workers, 1)) {
   threads_.reserve(workers_);
   for (size_t i = 0; i < workers_; ++i) {
@@ -96,29 +50,6 @@ void TaskPool::WorkerLoop() {
       --running_;
       if (queue_.empty() && running_ == 0) idle_.notify_all();
     }
-  }
-}
-
-void ThreadPool::ParallelRun(size_t n, const std::function<void(size_t)>& fn) {
-  n = std::min(std::max<size_t>(n, 1), workers_);
-  if (n == 1) {
-    fn(0);
-    return;
-  }
-  if (!started_) Start();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    job_ = &fn;
-    job_fanout_ = n - 1;  // pool threads run indices 0 .. n-2
-    job_remaining_ = n - 1;
-    ++job_epoch_;
-  }
-  work_ready_.notify_all();
-  fn(n - 1);  // the coordinator is worker n-1
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    work_done_.wait(lock, [&] { return job_remaining_ == 0; });
-    job_ = nullptr;
   }
 }
 

@@ -11,63 +11,12 @@
 
 namespace iqlkit {
 
-// Resolves an EvalOptions-style thread-count knob: 0 means "one worker per
-// hardware thread", anything else passes through. Always returns >= 1.
-size_t ResolveThreadCount(size_t requested);
-
-// A minimal persistent worker pool for fork/join fan-outs.
-//
-// The evaluator's unit of parallelism is one fixpoint round: the coordinator
-// calls ParallelRun(n, fn), every worker executes fn(worker_index) against
-// immutable shared state, and the call returns once all of them finish.
-// There is no task queue -- partitioning work among workers is the caller's
-// job (the evaluator uses an atomic chunk counter), which keeps the pool
-// free of scheduling policy and makes the merge phase trivially serial.
-//
-// Workers are started lazily on the first ParallelRun so that programs whose
-// rounds never exceed the parallel threshold pay nothing. The pool itself is
-// not thread-safe: only one ParallelRun may be in flight at a time (the
-// evaluator is a single coordinator, so this never constrains it).
-class ThreadPool {
- public:
-  // `workers` is the maximum fan-out; clamped to at least 1.
-  explicit ThreadPool(size_t workers);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  size_t workers() const { return workers_; }
-
-  // Runs fn(0) .. fn(n-1) concurrently (n clamped to workers()) and blocks
-  // until every invocation returns. fn must not throw. Index n-1 runs on
-  // the calling thread, so a pool of 1 never context-switches.
-  void ParallelRun(size_t n, const std::function<void(size_t)>& fn);
-
- private:
-  void Start();
-  void WorkerLoop(size_t index);
-
-  size_t workers_;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable work_ready_;
-  std::condition_variable work_done_;
-  const std::function<void(size_t)>* job_ = nullptr;
-  size_t job_fanout_ = 0;     // workers participating in the current job
-  uint64_t job_epoch_ = 0;    // bumped per ParallelRun to wake workers
-  size_t job_remaining_ = 0;  // workers yet to finish the current job
-  bool shutdown_ = false;
-  bool started_ = false;
-};
-
 // A thread-safe FIFO task pool: `workers` persistent threads pull queued
-// closures and run each to completion. This is the complement of
-// ThreadPool's single-coordinator fork/join contract -- Post may be called
-// from any thread at any time, which is what the concurrent-query
-// scheduler needs to multiplex many independent evaluations over one set
-// of threads instead of one pool per evaluation. There is no result
-// channel: tasks communicate through their own captures.
+// closures and run each to completion. Post may be called from any thread
+// at any time, which is what the concurrent-query scheduler needs to
+// multiplex many independent (serial) evaluations over one set of
+// threads. There is no result channel: tasks communicate through their own
+// captures.
 //
 // Destruction drains: tasks already queued still run, then workers join.
 // Posting after destruction has begun is a caller bug.

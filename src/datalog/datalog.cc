@@ -1,13 +1,10 @@
 #include "datalog/datalog.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "analysis/diagnostic.h"
-#include "base/fault_injection.h"
 #include "base/hash.h"
 #include "base/logging.h"
-#include "base/thread_pool.h"
 
 namespace iqlkit::datalog {
 
@@ -149,22 +146,14 @@ Status CheckRule(const Rule& rule, const Database& db, int rule_index,
 
 constexpr Value kUnbound = 0xFFFFFFFFu;
 
-// Below this many facts in the outermost atom's range, a join runs
-// serially: the fork/join handshake costs more than the scan.
-constexpr size_t kParallelMinFacts = 4;
-
 // Nested-loop join driver shared by naive and semi-naive evaluation. For
 // semi-naive, `delta_pos` forces one body atom to range over the delta
 // facts of the previous round.
 class Engine {
  public:
-  Engine(const Program& program, Database* db, Stats* stats, ThreadPool* pool,
+  Engine(const Program& program, Database* db, Stats* stats,
          Governor* governor)
-      : program_(program),
-        db_(db),
-        stats_(stats),
-        pool_(pool),
-        governor_(governor) {}
+      : program_(program), db_(db), stats_(stats), governor_(governor) {}
 
   Status Run(EvalMode mode) {
     IQL_ASSIGN_OR_RETURN(std::vector<int> strata,
@@ -176,39 +165,22 @@ class Engine {
     }
     indexed_ = mode == EvalMode::kSemiNaiveIndexed;
     stats_->rule_derivations.assign(program_.rules.size(), 0);
-    // Context 0 serves serial joins; 1..workers are fan-out slots. Each
-    // keeps its own positional indexes, so workers never share an index.
-    ctxs_.resize(pool_ != nullptr ? pool_->workers() + 1 : 1);
-    for (JoinCtx& ctx : ctxs_) {
-      ctx.rule_derivations.assign(program_.rules.size(), 0);
-      if (indexed_) ctx.pos_indexes.resize(db_->relation_count());
-    }
+    if (indexed_) pos_indexes_.resize(db_->relation_count());
     int max_stratum = 0;
     for (const Rule& rule : program_.rules) {
       max_stratum = std::max(max_stratum, strata[rule.head.relation]);
     }
-    Status run_status = Status::Ok();
     for (int s = 0; s <= max_stratum; ++s) {
       std::vector<size_t> active;
       for (size_t i = 0; i < program_.rules.size(); ++i) {
         if (strata[program_.rules[i].head.relation] == s) active.push_back(i);
       }
       if (active.empty()) continue;
-      run_status = mode == EvalMode::kNaive ? RunStratumNaive(active)
-                                            : RunStratumSemiNaive(active);
-      if (!run_status.ok()) break;
+      IQL_RETURN_IF_ERROR(mode == EvalMode::kNaive
+                              ? RunStratumNaive(active)
+                              : RunStratumSemiNaive(active));
     }
-    // Fold worker counters even on a governor trip, so the resource report
-    // attached by Evaluate() reflects the work actually done.
-    for (const JoinCtx& ctx : ctxs_) {
-      stats_->derivations += ctx.derivations;
-      stats_->index_probes += ctx.index_probes;
-      stats_->index_hits += ctx.index_hits;
-      for (size_t i = 0; i < program_.rules.size(); ++i) {
-        stats_->rule_derivations[i] += ctx.rule_derivations[i];
-      }
-    }
-    return run_status;
+    return Status::Ok();
   }
 
  private:
@@ -218,20 +190,6 @@ class Engine {
   struct PosIndex {
     size_t stamp = 0;
     std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-  };
-
-  // Join-time state private to one worker (or to the serial path): the
-  // derivation buffer, counters folded into Stats at the end of the run,
-  // and -- under kSemiNaiveIndexed -- this worker's positional indexes.
-  // Indexes persist across rounds (facts_ is append-only), so each worker
-  // amortizes its own builds exactly like the serial engine does.
-  struct JoinCtx {
-    std::vector<std::pair<int, Tuple>> pending;
-    uint64_t derivations = 0;
-    uint64_t index_probes = 0;
-    uint64_t index_hits = 0;
-    std::vector<uint64_t> rule_derivations;
-    std::vector<std::unordered_map<uint32_t, PosIndex>> pos_indexes;
   };
 
   Status RunStratumNaive(const std::vector<size_t>& active) {
@@ -312,9 +270,9 @@ class Engine {
   }
 
   // The sticky trip Status if the governor tripped mid-round (the join
-  // loops only *record* trips -- SolveRule is fan-out plumbing with no
-  // Status channel -- so round drivers re-surface them here, before any
-  // pending fact is applied).
+  // loops only *record* trips and unwind -- they have no Status channel --
+  // so round drivers re-surface them here, before any pending fact is
+  // applied).
   Status TrippedStatus() {
     if (governor_ != nullptr && governor_->tripped()) {
       return governor_->Poll();
@@ -329,57 +287,13 @@ class Engine {
   }
 
   // Evaluates rule `i` (with an optional delta atom) and appends its
-  // derivations, in canonical enumeration order, to `pending`. With a
-  // worker pool and a wide enough outermost range, that range is sliced
-  // contiguously across workers and the per-worker buffers are
-  // concatenated in slice order -- exactly the serial scan order, so
-  // facts_ insertion order (and with it every later delta range) is
-  // independent of the worker count. Workers skip the level-0 index probe
-  // (a bucket scan visits the same facts in the same ascending order a
-  // slice scan does) and keep private indexes for the inner levels.
+  // derivations, in enumeration order, to `pending`.
   void SolveRule(size_t i, int delta_atom, size_t delta_begin,
                  std::vector<std::pair<int, Tuple>>* pending) {
-    const Rule& rule = program_.rules[i];
     current_rule_ = i;
-    if (pool_ != nullptr && !rule.body.empty()) {
-      const std::vector<Tuple>& facts = db_->Facts(rule.body[0].relation);
-      size_t begin = delta_atom == 0 ? delta_begin : 0;
-      size_t width = facts.size() > begin ? facts.size() - begin : 0;
-      if (width >= kParallelMinFacts) {
-        size_t workers = std::min<size_t>(pool_->workers(), width);
-        pool_->ParallelRun(workers, [&](size_t w) {
-          if (governor_ != nullptr &&
-              FaultInjector::Global().ShouldFail(FaultSite::kWorkerTask)) {
-            governor_->TripNow(TripReason::kFault);
-            return;
-          }
-          JoinCtx& ctx = ctxs_[w + 1];
-          std::vector<Value> env(var_counts_[i], kUnbound);
-          size_t lo = begin + width * w / workers;
-          size_t hi = begin + width * (w + 1) / workers;
-          for (size_t f = lo; f < hi; ++f) {
-            if (governor_ != nullptr && governor_->tripped()) return;
-            std::vector<int> trail;
-            if (MatchAtom(rule.body[0], facts[f], &env, &trail)) {
-              JoinBody(rule, env, 1, delta_atom, delta_begin, ctx);
-            }
-            for (int v : trail) env[v] = kUnbound;
-          }
-        });
-        for (size_t w = 0; w < workers; ++w) {
-          JoinCtx& ctx = ctxs_[w + 1];
-          std::move(ctx.pending.begin(), ctx.pending.end(),
-                    std::back_inserter(*pending));
-          ctx.pending.clear();
-        }
-        return;
-      }
-    }
+    pending_ = pending;
     std::vector<Value> env(var_counts_[i], kUnbound);
-    JoinBody(rule, env, 0, delta_atom, delta_begin, ctxs_[0]);
-    std::move(ctxs_[0].pending.begin(), ctxs_[0].pending.end(),
-              std::back_inserter(*pending));
-    ctxs_[0].pending.clear();
+    JoinBody(program_.rules[i], env, 0, delta_atom, delta_begin);
   }
 
   bool MatchAtom(const Atom& atom, const Tuple& fact,
@@ -402,10 +316,9 @@ class Engine {
   }
 
   // Recursively joins body atoms j..end; atom delta_atom (if >= 0) ranges
-  // only over facts at positions >= delta_begin. Derivations and counters
-  // go to `ctx`, which must be private to the calling thread.
+  // only over facts at positions >= delta_begin.
   void JoinBody(const Rule& rule, std::vector<Value>& env, size_t j,
-                int delta_atom, size_t delta_begin, JoinCtx& ctx) {
+                int delta_atom, size_t delta_begin) {
     if (j == rule.body.size()) {
       // Negated atoms, then emit.
       for (const Atom& a : rule.negated) {
@@ -416,14 +329,14 @@ class Engine {
         }
         if (db_->Contains(a.relation, t)) return;
       }
-      ++ctx.derivations;
-      ++ctx.rule_derivations[current_rule_];
+      ++stats_->derivations;
+      ++stats_->rule_derivations[current_rule_];
       Tuple t(rule.head.terms.size());
       for (size_t k = 0; k < rule.head.terms.size(); ++k) {
         const Term& term = rule.head.terms[k];
         t[k] = term.is_var ? env[term.value] : term.value;
       }
-      ctx.pending.emplace_back(rule.head.relation, std::move(t));
+      pending_->emplace_back(rule.head.relation, std::move(t));
       return;
     }
     const Atom& atom = rule.body[j];
@@ -437,7 +350,7 @@ class Engine {
         if (!t.is_var || env[t.value] != kUnbound) mask |= uint32_t{1} << k;
       }
       if (mask != 0) {
-        const std::vector<size_t>* bucket = ProbeIndex(atom, mask, env, ctx);
+        const std::vector<size_t>* bucket = ProbeIndex(atom, mask, env);
         if (bucket != nullptr) {
           // Bucket positions ascend, so the delta constraint is a lower
           // bound; every candidate is still re-verified by MatchAtom
@@ -447,7 +360,7 @@ class Engine {
             if (governor_ != nullptr && !governor_->Poll().ok()) return;
             std::vector<int> trail;
             if (MatchAtom(atom, facts[*it], &env, &trail)) {
-              JoinBody(rule, env, j + 1, delta_atom, delta_begin, ctx);
+              JoinBody(rule, env, j + 1, delta_atom, delta_begin);
             }
             for (int v : trail) env[v] = kUnbound;
           }
@@ -459,7 +372,7 @@ class Engine {
       if (governor_ != nullptr && !governor_->Poll().ok()) return;
       std::vector<int> trail;
       if (MatchAtom(atom, facts[f], &env, &trail)) {
-        JoinBody(rule, env, j + 1, delta_atom, delta_begin, ctx);
+        JoinBody(rule, env, j + 1, delta_atom, delta_begin);
       }
       for (int v : trail) env[v] = kUnbound;
     }
@@ -475,16 +388,16 @@ class Engine {
 
   // Returns the bucket of fact positions whose masked fields hash like the
   // current environment's bound values, or nullptr for a guaranteed miss.
-  // Builds and extends only `ctx`'s own index.
+  // Indexes persist across rounds (facts_ is append-only), so each build is
+  // amortized over the run.
   const std::vector<size_t>* ProbeIndex(const Atom& atom, uint32_t mask,
-                                        const std::vector<Value>& env,
-                                        JoinCtx& ctx) {
-    PosIndex& index = ctx.pos_indexes[atom.relation][mask];
+                                        const std::vector<Value>& env) {
+    PosIndex& index = pos_indexes_[atom.relation][mask];
     const std::vector<Tuple>& facts = db_->Facts(atom.relation);
     for (; index.stamp < facts.size(); ++index.stamp) {
       index.buckets[MaskKey(facts[index.stamp], mask)].push_back(index.stamp);
     }
-    ++ctx.index_probes;
+    ++stats_->index_probes;
     uint64_t key = 0;
     for (size_t k = 0; k < atom.terms.size(); ++k) {
       if (!(mask & (uint32_t{1} << k))) continue;
@@ -493,33 +406,30 @@ class Engine {
     }
     auto it = index.buckets.find(key);
     if (it == index.buckets.end() || it->second.empty()) return nullptr;
-    ++ctx.index_hits;
+    ++stats_->index_hits;
     return &it->second;
   }
 
   const Program& program_;
   Database* db_;
   Stats* stats_;
-  ThreadPool* pool_ = nullptr;
   Governor* governor_ = nullptr;
   std::vector<int> var_counts_;
   bool indexed_ = false;
   size_t current_rule_ = 0;
-  // ctxs_[0] is the serial context; ctxs_[1 + w] belongs to worker w.
-  std::vector<JoinCtx> ctxs_;
+  // The buffer the current SolveRule call appends its derivations to.
+  std::vector<std::pair<int, Tuple>>* pending_ = nullptr;
+  // kSemiNaiveIndexed: per relation, its positional indexes by mask.
+  std::vector<std::unordered_map<uint32_t, PosIndex>> pos_indexes_;
 };
 
 }  // namespace
 
 Status Evaluate(const Program& program, Database* db, EvalMode mode,
-                Stats* stats, uint32_t num_threads, Governor* governor) {
+                Stats* stats, Governor* governor) {
   Stats local;
   if (stats == nullptr) stats = &local;
-  size_t threads = ResolveThreadCount(num_threads);
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  Engine engine(program, db, stats, pool.has_value() ? &*pool : nullptr,
-                governor);
+  Engine engine(program, db, stats, governor);
   Status run = engine.Run(mode);
   if (!run.ok() && governor != nullptr && governor->tripped()) {
     ResourceReport report = governor->Report();

@@ -121,22 +121,13 @@ struct Stats {
 // kSemiNaiveIndexed additionally replaces inner-loop relation scans with
 // hash-index probes.
 //
-// `num_threads` mirrors EvalOptions::num_threads on the IQL side: 0 means
-// hardware concurrency, 1 the serial engine. With N > 1 workers, each
-// (rule, delta-atom) join partitions its outermost fact range across
-// workers; each worker joins into a private pending buffer (with private
-// positional indexes for the inner atoms), and buffers are concatenated in
-// slice order, so facts_ insertion order -- and therefore every later
-// delta range -- is bit-for-bit the serial one.
-//
 // `governor` (optional) bounds the run: join loops poll it per fact, every
 // round starts with a full check, and a trip aborts *before* the round's
 // pending facts are applied, so the database always equals the last
-// completed round. Worker-task fault injection is honored when a governor
-// is present (a forced fault trips it, draining the pool).
+// completed round; the counters in `stats` cover the work done up to the
+// trip.
 Status Evaluate(const Program& program, Database* db, EvalMode mode,
-                Stats* stats = nullptr, uint32_t num_threads = 1,
-                Governor* governor = nullptr);
+                Stats* stats = nullptr, Governor* governor = nullptr);
 
 // Computes the stratification: stratum index per relation, or an error if
 // the program recurses through negation.

@@ -1,7 +1,6 @@
 #include "iql/eval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -13,10 +12,8 @@
 #include <utility>
 #include <vector>
 
-#include "base/fault_injection.h"
 #include "base/hash.h"
 #include "base/logging.h"
-#include "base/thread_pool.h"
 #include "iql/extent.h"
 #include "iql/il.h"
 #include "iql/index.h"
@@ -41,9 +38,6 @@ double Seconds(std::chrono::steady_clock::time_point from) {
 // charge so max_memory_bytes tracks instance growth.
 constexpr uint64_t kFactBytes = 64;
 
-// The slice bounds that cover a rule's whole first multi-way branch.
-constexpr size_t kWholeBranch = static_cast<size_t>(-1);
-
 // A (partial) valuation theta of a rule's body variables (§3.2). Ordered
 // map so valuations compare deterministically (for dedup and reproducible
 // firing order).
@@ -57,13 +51,9 @@ using Bindings = std::map<Symbol, ValueId>;
 // is not yet evaluable: an unbound variable, or a dereference x^ whose oid
 // has an undefined nu-value (a valuation must be *defined* on every term of
 // a literal for the literal to be satisfied, §3.2).
-//
-// All interning goes through `values`, so a parallel worker evaluating with
-// a snapshot arena builds new o-values in its private side store while the
-// coordinator (a passthrough arena) interns into the shared store.
 std::optional<ValueId> EvalTerm(const Program& prog, TermId id,
                                 const Bindings& b, const Instance& inst,
-                                ValueArena& values) {
+                                ValueStore& values) {
   const Term& t = prog.term(id);
   switch (t.kind) {
     case Term::Kind::kVar: {
@@ -153,7 +143,7 @@ bool TermReady(const Program& prog, TermId id, const Bindings& b) {
 bool MatchTerm(const Program& prog, const Rule& rule,
                TypeMembership* membership, TermId id, ValueId value,
                Bindings* b, std::vector<Symbol>* trail, const Instance& inst,
-               ValueArena& values) {
+               ValueStore& values) {
   const Term& t = prog.term(id);
   switch (t.kind) {
     case Term::Kind::kVar: {
@@ -207,7 +197,7 @@ std::optional<std::vector<ValueId>> ContainerElems(const Program& prog,
                                                    TermId lhs,
                                                    const Bindings& b,
                                                    const Instance& inst,
-                                                   ValueArena& values) {
+                                                   ValueStore& values) {
   const Term& t = prog.term(lhs);
   switch (t.kind) {
     case Term::Kind::kRelName: {
@@ -236,17 +226,16 @@ std::optional<std::vector<ValueId>> ContainerElems(const Program& prog,
 // Valuation enumeration: a backtracking solver over the body literals.
 // ---------------------------------------------------------------------------
 
-// One slice's machinery handed to a RuleSolver (see Slice).
-// `index` and `estimator` may be null (indexing / scheduling disabled);
-// `rule_metrics` may be null (metrics not requested). `values` is required:
-// the coordinator passes a passthrough arena over the shared store, a
-// parallel worker its private snapshot arena.
+// The step's enumeration machinery handed to a RuleSolver (see
+// StepMachinery). `index` and `estimator` may be null (indexing /
+// scheduling disabled); `rule_metrics` may be null (metrics not
+// requested).
 struct SolverContext {
   ExtentEnumerator* extents = nullptr;
   RelationIndex* index = nullptr;
   CardinalityEstimator* estimator = nullptr;
   RuleMetrics* rule_metrics = nullptr;
-  ValueArena* values = nullptr;
+  ValueStore* values = nullptr;
   Governor* governor = nullptr;  // polled per enumerated candidate
   bool schedule = false;
 };
@@ -305,24 +294,6 @@ class RuleSolver {
     return Step(cb);
   }
 
-  // Probe mode: Solve() runs the (deterministic, single-path) prefix of
-  // the enumeration up to the first multi-way branch -- a candidate-list
-  // iteration or a type-extent range -- stores that branch's width in
-  // `*width`, and returns without descending into it. The callback is
-  // only reached when the enumeration has no multi-way branch at all, in
-  // which case `*width` keeps its caller-initialized value.
-  void SetProbe(size_t* width) { probe_width_ = width; }
-
-  // Slice mode: the first multi-way branch iterates only candidates
-  // [begin, end) of its list; every deeper branch iterates fully. The
-  // candidate list is deterministic given the frozen instance, so slicing
-  // [0, w) across workers partitions exactly the serial enumeration, in
-  // order.
-  void SetSlice(size_t begin, size_t end) {
-    slice_begin_ = begin;
-    slice_end_ = end;
-  }
-
  private:
   bool VarsBound(const std::vector<Symbol>& vars) const {
     for (Symbol v : vars) {
@@ -338,14 +309,11 @@ class RuleSolver {
 
   // Evaluates a fully-bound literal.
   bool Check(size_t index, const Literal& lit) const {
-    ValueArena& values = *ctx_.values;
+    ValueStore& values = *ctx_.values;
     auto rv = EvalTerm(prog_, lit.rhs, bindings_, inst_, values);
     if (!rv.has_value()) return false;
     if (index == delta_literal_) {
-      // Semi-naive: the delta literal checks against the delta facts. The
-      // delta holds shared-store ids; a side-store *rv is by construction
-      // a value the shared store has never interned, so an id-level search
-      // failing on it is the structurally correct answer.
+      // Semi-naive: the delta literal checks against the delta facts.
       return std::binary_search(delta_facts_->begin(), delta_facts_->end(),
                                 *rv);
     }
@@ -358,7 +326,7 @@ class RuleSolver {
     }
     const ValueNode& ln = values.node(*lv);
     if (ln.kind != ValueKind::kSet) return false;
-    return values.ElemsContain(ln.elems, *rv) == lit.positive;
+    return values.SetContains(*lv, *rv) == lit.positive;
   }
 
   // A generator the solver could branch on at the current choice point.
@@ -520,19 +488,7 @@ class RuleSolver {
     }
     done_[c.literal] = true;
     if (elems != nullptr) {
-      size_t lo = 0;
-      size_t hi = elems->size();
-      if (at_first_branch_) {
-        at_first_branch_ = false;
-        if (probe_width_ != nullptr) {
-          *probe_width_ = elems->size();
-          done_[c.literal] = false;
-          return Status::Ok();
-        }
-        lo = std::min(slice_begin_, hi);
-        hi = std::min(slice_end_, hi);
-      }
-      for (size_t k = lo; k < hi; ++k) {
+      for (ValueId elem : *elems) {
         if (ctx_.governor != nullptr) {
           Status g = ctx_.governor->Poll();
           if (!g.ok()) {
@@ -540,7 +496,6 @@ class RuleSolver {
             return g;
           }
         }
-        ValueId elem = (*elems)[k];
         size_t mark = trail_.size();
         if (MatchTerm(prog_, rule_, &membership_, lit.rhs, elem,
                       &bindings_, &trail_, inst_, *ctx_.values)) {
@@ -608,22 +563,11 @@ class RuleSolver {
       TypeId t = rule_.var_types.at(*unbound);
       IQL_ASSIGN_OR_RETURN(const std::vector<ValueId>* extent,
                            ctx_.extents->Enumerate(t));
-      size_t lo = 0;
-      size_t hi = extent->size();
-      if (at_first_branch_) {
-        at_first_branch_ = false;
-        if (probe_width_ != nullptr) {
-          *probe_width_ = extent->size();
-          return Status::Ok();
-        }
-        lo = std::min(slice_begin_, hi);
-        hi = std::min(slice_end_, hi);
-      }
-      for (size_t k = lo; k < hi; ++k) {
+      for (ValueId v : *extent) {
         if (ctx_.governor != nullptr) {
           IQL_RETURN_IF_ERROR(ctx_.governor->Poll());
         }
-        bindings_.emplace(*unbound, (*extent)[k]);
+        bindings_.emplace(*unbound, v);
         Status s = Step(cb);
         bindings_.erase(*unbound);
         IQL_RETURN_IF_ERROR(s);
@@ -649,40 +593,6 @@ class RuleSolver {
       field_vars_;
   Bindings bindings_;
   std::vector<Symbol> trail_;
-  // Probe/slice state (see SetProbe/SetSlice): consumed at the first
-  // multi-way branch of the enumeration.
-  bool at_first_branch_ = true;
-  size_t* probe_width_ = nullptr;
-  size_t slice_begin_ = 0;
-  size_t slice_end_ = static_cast<size_t>(-1);
-};
-
-// Executor dispatch facade: exactly one of the two solvers is engaged per
-// (rule, solve). The register VM runs compiled rules; a rule outside the
-// VM-eligible fragment (or any rule under tree_walk_oracle) stays on the
-// tree-walker. Both sides share the probe/slice/callback protocol, so the
-// enumeration driver below is executor-agnostic.
-struct AnySolver {
-  std::optional<RuleSolver> tree;
-  std::optional<vm::VmSolver> regvm;
-
-  Status Solve(const std::function<Status(const Bindings&)>& cb) {
-    return regvm.has_value() ? regvm->Solve(cb) : tree->Solve(cb);
-  }
-  void SetProbe(size_t* width) {
-    if (regvm.has_value()) {
-      regvm->SetProbe(width);
-    } else {
-      tree->SetProbe(width);
-    }
-  }
-  void SetSlice(size_t begin, size_t end) {
-    if (regvm.has_value()) {
-      regvm->SetSlice(begin, end);
-    } else {
-      tree->SetSlice(begin, end);
-    }
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -693,7 +603,7 @@ struct AnySolver {
 class HeadSatisfiability {
  public:
   HeadSatisfiability(const Program& prog, const Rule& rule,
-                     const Instance& inst, ValueArena* values,
+                     const Instance& inst, ValueStore* values,
                      bool use_fast_path = true)
       : prog_(prog),
         rule_(rule),
@@ -719,7 +629,7 @@ class HeadSatisfiability {
     Bindings b = theta;
     std::vector<Symbol> trail;
     const Literal& head = rule_.head;
-    ValueArena& values = *values_;
+    ValueStore& values = *values_;
     if (head.kind == Literal::Kind::kMembership) {
       const Term& lhs = prog_.term(head.lhs);
       if (lhs.kind == Term::Kind::kDeref && !b.count(lhs.name)) {
@@ -762,8 +672,6 @@ class HeadSatisfiability {
       const Term& lhs = prog_.term(head.lhs);
       switch (lhs.kind) {
         case Term::Kind::kRelName:
-          // By id, so a side-store value (structurally new) is simply not
-          // found.
           return inst_.RelationContains(lhs.name, *rv);
         case Term::Kind::kClassName: {
           const ValueNode& rn = values_->node(*rv);
@@ -776,7 +684,7 @@ class HeadSatisfiability {
           if (!lv.has_value()) return false;
           const ValueNode& ln = values_->node(*lv);
           if (ln.kind != ValueKind::kSet) return false;
-          return values_->ElemsContain(ln.elems, *rv);
+          return values_->SetContains(*lv, *rv);
         }
         default:
           return false;
@@ -816,7 +724,7 @@ class HeadSatisfiability {
   const Program& prog_;
   const Rule& rule_;
   const Instance& inst_;
-  ValueArena* values_;
+  ValueStore* values_;
   bool use_fast_path_;
   TypeMembership membership_;
   std::vector<Symbol> rhs_vars_;
@@ -831,49 +739,23 @@ struct Derivation {
   Bindings theta;
 };
 
-// Receives the valuations of one rule solve, in the serial enumeration
-// order and with every value in the shared store.
+// Receives the valuations of one rule solve, in enumeration order.
 using EmitFn = std::function<void(const Bindings&)>;
 
-// The enumeration machinery one slice of a rule solve runs against: the
-// coordinator's, over a passthrough arena, or a parallel worker's, over a
-// private snapshot arena.
-struct Slice {
-  explicit Slice(ValueArena a) : arena(std::move(a)) {}
-  ValueArena arena;
+// The enumeration machinery every rule solve of a step runs against; see
+// StageRunner::Equip.
+struct StepMachinery {
   std::optional<ExtentEnumerator> extents;
   std::optional<RelationIndex> index;
   std::optional<CardinalityEstimator> estimator;
   RelationIndex::Counters folded;  // index counters already in EvalMetrics
-  RuleMetrics shard;  // a worker's rule counters, summed into the rule
-};
-
-// One rule solve against the frozen step instance: what every slice of it
-// shares.
-struct RuleSolve {
-  const Instance* inst = nullptr;
-  size_t rule = 0;
-  size_t delta_literal = il::kNoDelta;
-  const std::vector<ValueId>* delta_facts = nullptr;
-  bool filter_head = false;
-  const il::CompiledRule* compiled = nullptr;
-  const vm::PreparedRule* prepared = nullptr;
-};
-
-// One parallel chunk: a contiguous range of the first branch's candidates.
-struct Chunk {
-  size_t worker = 0;
-  std::vector<Bindings> thetas;
-  Status status = Status::Ok();
 };
 
 class StageRunner {
  public:
-  // `pool` is null when the run is serial (num_threads resolved to 1);
-  // otherwise it is shared across the program's stages.
   StageRunner(Universe* universe, const Schema& schema, const Program& prog,
               const std::vector<Rule>& rules, const EvalOptions& options,
-              EvalStats* stats, ThreadPool* pool, Governor* governor)
+              EvalStats* stats, Governor* governor)
       : u_(universe),
         schema_(schema),
         prog_(prog),
@@ -881,22 +763,10 @@ class StageRunner {
         options_(options),
         stats_(stats),
         metrics_(options.metrics),
-        pool_(pool),
         governor_(governor),
         choose_rng_(options.choose_seed) {
     for (const Rule& rule : rules_) {
       if (rule.head_negative) has_deletions_ = true;
-    }
-    // A rule's enumeration may fan out only when every variable type is
-    // intersection-free: extent enumeration compiles intersections away by
-    // interning new nodes into the shared TypePool, which workers must not
-    // mutate. Such rules (and any whose first branch is narrow) run as the
-    // one inline slice.
-    rule_parallel_.assign(rules_.size(), true);
-    for (size_t i = 0; i < rules_.size(); ++i) {
-      for (const auto& [var, t] : rules_[i].var_types) {
-        if (!u_->types().IsIntersectionFree(t)) rule_parallel_[i] = false;
-      }
     }
     if (metrics_ != nullptr) {
       size_t first = metrics_->rules.size();
@@ -944,17 +814,14 @@ class StageRunner {
       IQL_RETURN_IF_ERROR(governor_->CheckNow());
       auto step_start = std::chrono::steady_clock::now();
       uint64_t added_before = stats_->facts_added;
-      step_partitions_ = 0;
       apply_seconds_ = 0;
       // A naive step reads its frozen step-start instance, so fresh
       // per-step machinery needs no invalidation. A semi-naive stage only
       // ever adds relation facts, so its one stage-long index stays valid
       // under incremental AddRelationFact maintenance (class extents and
       // set values cannot change here).
-      if (!seminaive || !coordinator_.has_value()) {
-        coordinator_.emplace(ValueArena::Passthrough(&u_->values()));
-      }
-      Equip(*work, &*coordinator_);
+      if (!seminaive || !machinery_.has_value()) machinery_.emplace();
+      Equip(*work);
       IQL_ASSIGN_OR_RETURN(StepOutcome outcome,
                            seminaive ? SemiNaiveRound(step, work, &delta)
                                      : NaiveStep(work));
@@ -978,9 +845,6 @@ class StageRunner {
                 << ", facts " << work->GroundFactCount() << ", invented "
                 << stats_->invented_oids;
         }
-        if (step_partitions_ > 0) {
-          trace << ", parallel partitions " << step_partitions_;
-        }
         trace << "\n";
       }
       if (outcome.fixpoint) return Status::Ok();
@@ -1000,9 +864,8 @@ class StageRunner {
   };
 
   // The compiled IL for (rule, delta_literal), or nullptr when the rule is
-  // outside the VM-eligible fragment or tree_walk_oracle is set.
-  // Coordinator-only: delta variants compile lazily into a node-stable
-  // map; workers receive the resulting pointer and never call this.
+  // outside the VM-eligible fragment or tree_walk_oracle is set. Delta
+  // variants compile lazily into a node-stable map.
   const il::CompiledRule* Compiled(size_t r, size_t delta_literal) {
     if (options_.tree_walk_oracle) return nullptr;
     if (delta_literal == il::kNoDelta) {
@@ -1018,43 +881,20 @@ class StageRunner {
     return it->second.has_value() ? &*it->second : nullptr;
   }
 
-  // Constructs the executor-selected solver for `solve` into `out`: the
-  // register VM for a compiled rule, the tree-walker otherwise.
-  void MakeSolver(AnySolver* out, const RuleSolve& solve,
-                  const SolverContext& ctx) const {
-    if (solve.compiled != nullptr) {
-      vm::VmContext vctx;
-      vctx.extents = ctx.extents;
-      vctx.index = ctx.index;
-      vctx.rule_metrics = ctx.rule_metrics;
-      vctx.values = ctx.values;
-      vctx.governor = ctx.governor;
-      vctx.prepared = solve.prepared;
-      out->regvm.emplace(*solve.compiled, *solve.inst, vctx,
-                         solve.delta_facts);
-    } else {
-      out->tree.emplace(prog_, rules_[solve.rule], *solve.inst, ctx,
-                        solve.delta_literal, solve.delta_facts);
-    }
-  }
-
   // Prepared state for `cr` against the current committed instance: the
   // kLoadRel / kLoadClass materializations and index-off candidate lists
   // a Solve call would otherwise repay on every invocation within a
-  // fixpoint round. Coordinator-only, and always called before any worker
-  // fork for the same solve (workers snapshot the shared store *after*
-  // preparation, so the interned ids are visible read-only). Entries are
-  // keyed by the node-stable CompiledRule address and invalidated by
-  // epoch: every commit bumps prepared_epoch_, exactly the boundaries at
-  // which the instance (and the semi-naive delta machinery) advances.
+  // fixpoint round. Entries are keyed by the node-stable CompiledRule
+  // address and invalidated by epoch: every commit bumps prepared_epoch_,
+  // exactly the boundaries at which the instance (and the semi-naive delta
+  // machinery) advances.
   const vm::PreparedRule* Prepared(const il::CompiledRule* cr,
                                    const Instance& inst) {
     if (cr == nullptr) return nullptr;
     auto& slot = prepared_[cr];
     if (slot.second.at.empty() || slot.first != prepared_epoch_) {
-      ValueArena arena = ValueArena::Passthrough(&u_->values());
       slot.second =
-          vm::PrepareRule(*cr, inst, arena, options_.enable_indexing);
+          vm::PrepareRule(*cr, inst, u_->values(), options_.enable_indexing);
       slot.first = prepared_epoch_;
     }
     return &slot.second;
@@ -1130,7 +970,7 @@ class StageRunner {
   Result<StepOutcome> NaiveStep(Instance* work) {
     IQL_ASSIGN_OR_RETURN(std::vector<Derivation> derivations,
                          ValuationDomain(*work));
-    coordinator_.reset();  // application needs no enumeration machinery
+    machinery_.reset();  // application needs no enumeration machinery
     if (derivations.empty()) return StepOutcome{};
     // Snapshot for net-change detection: with deletions in play, a step
     // whose insertions and deletions cancel out (J = I) is a fixpoint
@@ -1187,7 +1027,7 @@ class StageRunner {
             *work, r, delta_literal, delta_facts, /*filter_head=*/false,
             [&](const Bindings& theta) {
               auto v = EvalTerm(prog_, rule.head.rhs, theta, *work,
-                                coordinator_->arena);
+                                u_->values());
               if (v.has_value()) pending.push_back({head_rel, *v, rm});
             });
       };
@@ -1215,8 +1055,8 @@ class StageRunner {
       ++stats_->facts_added;
       governor_->accountant()->Charge(kFactBytes);
       if (rm != nullptr) ++rm->facts_added;
-      if (coordinator_->index.has_value()) {
-        coordinator_->index->AddRelationFact(rel, v);
+      if (machinery_->index.has_value()) {
+        machinery_->index->AddRelationFact(rel, v);
       }
       next[rel].push_back(v);
     }
@@ -1225,225 +1065,92 @@ class StageRunner {
     return StepOutcome{true, delta->empty(), 0};
   }
 
-  // Sets up the enumeration machinery of one slice against the frozen
-  // `inst`: the one set-up for the coordinator and every worker. Extents
-  // are rebuilt per call; an index or estimator the slice already holds is
-  // kept (a semi-naive coordinator's is stage-long).
-  void Equip(const Instance& inst, Slice* slice) {
-    slice->extents.emplace(&inst, options_.limits.extent_budget,
-                           &slice->arena);
-    slice->extents->set_governor(governor_);
-    if (options_.enable_indexing && !slice->index.has_value()) {
-      slice->index.emplace(&inst, &slice->arena);
+  // Sets up the step's enumeration machinery against the frozen `inst`.
+  // Extents are rebuilt per call; an index or estimator the machinery
+  // already holds is kept (a semi-naive stage's is stage-long).
+  void Equip(const Instance& inst) {
+    StepMachinery& m = *machinery_;
+    m.extents.emplace(&inst, options_.limits.extent_budget);
+    m.extents->set_governor(governor_);
+    if (options_.enable_indexing && !m.index.has_value()) {
+      m.index.emplace(&inst);
     }
-    if (options_.enable_scheduling && !slice->estimator.has_value()) {
-      slice->estimator.emplace(&inst);
+    if (options_.enable_scheduling && !m.estimator.has_value()) {
+      m.estimator.emplace(&inst);
     }
   }
 
-  SolverContext ContextOf(Slice* slice, RuleMetrics* counters) const {
-    SolverContext ctx;
-    ctx.extents = &*slice->extents;
-    ctx.index = slice->index.has_value() ? &*slice->index : nullptr;
-    ctx.estimator =
-        slice->estimator.has_value() ? &*slice->estimator : nullptr;
-    ctx.rule_metrics = counters;
-    ctx.values = &slice->arena;
-    ctx.governor = governor_;
-    ctx.schedule = options_.enable_scheduling;
-    return ctx;
-  }
-
-  // Measures the width of the rule's first multi-way branch against the
-  // frozen instance on the coordinator's machinery, without enumerating
-  // past it. Zero when the enumeration dies, or never branches, before any
-  // candidate list.
-  Result<size_t> ProbeBranchWidth(const RuleSolve& solve) {
-    size_t width = 0;
-    AnySolver probe;
-    // Probe work is not attributed to the rule.
-    MakeSolver(&probe, solve, ContextOf(&*coordinator_, nullptr));
-    probe.SetProbe(&width);
-    IQL_RETURN_IF_ERROR(
-        probe.Solve([](const Bindings&) { return Status::Ok(); }));
-    return width;
-  }
-
-  // The enumeration driver: hands `emit` every satisfying valuation of rule
-  // `r` against the frozen `inst` -- with the delta literal ranging over
-  // `delta_facts` when one is given, and, with `filter_head`, only the
-  // valuations in val-dom -- in the serial enumeration order.
-  //
-  // Without a pool, for an intersection-typed rule, or when the first
-  // multi-way branch is narrower than parallel_min_candidates, one
-  // unbounded slice runs inline on the coordinator and streams each theta
-  // to `emit`. Otherwise the same per-slice body runs on contiguous chunks
-  // of that branch, which the pool's workers claim dynamically, and the
-  // merge emits the chunks' valuations in chunk order.
+  // The enumeration driver: streams to `emit` every satisfying valuation
+  // of rule `r` against the frozen `inst` -- with the delta literal
+  // ranging over `delta_facts` when one is given, and, with `filter_head`,
+  // only the valuations in val-dom -- in enumeration order, counting each
+  // against max_derivations. A compiled rule runs on the register VM,
+  // any other on the tree-walker; both read the step's machinery.
   Status ForEachValuation(const Instance& inst, size_t r,
                           size_t delta_literal,
                           const std::vector<ValueId>* delta_facts,
                           bool filter_head, const EmitFn& emit) {
+    const Rule& rule = rules_[r];
     RuleMetrics* rm = rule_metrics_.empty() ? nullptr : rule_metrics_[r];
-    RuleSolve solve{&inst, r, delta_literal, delta_facts, filter_head,
-                    Compiled(r, delta_literal)};
-    solve.prepared = Prepared(solve.compiled, inst);
-    size_t width = 0;  // zero: run the one inline slice
-    if (pool_ != nullptr && rule_parallel_[r]) {
-      IQL_ASSIGN_OR_RETURN(width, ProbeBranchWidth(solve));
-      if (width < options_.parallel_min_candidates) width = 0;
-    }
+    const il::CompiledRule* compiled = Compiled(r, delta_literal);
+    const vm::PreparedRule* prepared = Prepared(compiled, inst);
     auto start = std::chrono::steady_clock::now();
     if (rm != nullptr) ++rm->invocations;
-    derivations_.store(stats_->derivations, std::memory_order_relaxed);
-    std::vector<std::optional<Slice>> workers;
-    std::vector<Chunk> chunks;
-    Status s = width == 0
-                   ? SolveSlice(solve, &*coordinator_, rm, 0, kWholeBranch,
-                                emit)
-                   : Scatter(solve, width, &workers, &chunks);
-    // Every exit, tripped or not, leaves the counters consistent: the
-    // derivation count is written back, and every slice's index and rule
-    // counters are folded.
-    stats_->derivations = derivations_.load(std::memory_order_relaxed);
-    std::vector<Slice*> slices = {&*coordinator_};
-    for (std::optional<Slice>& worker : workers) slices.push_back(&*worker);
-    for (Slice* slice : slices) FoldIndexCounters(slice, rm);
-    if (s.ok() && width > 0) {
-      // Canonical merge: rehome each valuation into the shared store, chunk
-      // by chunk in chunk order -- exactly the serial enumeration order, so
-      // invention, choose and weak assignment downstream see the canonical
-      // derivation sequence.
-      for (const Chunk& chunk : chunks) {
-        ValueArena& arena = workers[chunk.worker]->arena;
-        for (const Bindings& theta : chunk.thetas) {
-          Bindings rehomed;
-          for (const auto& [var, v] : theta) {
-            rehomed.emplace(var, arena.RehomeInto(&u_->values(), v));
-          }
-          emit(rehomed);
-        }
-      }
-      if (rm != nullptr) rm->parallel_partitions += chunks.size();
-      step_partitions_ += chunks.size();
-    }
-    if (rm != nullptr) rm->seconds += Seconds(start);
-    return s;
-  }
-
-  // The per-slice body of every rule solve: enumerates candidates [begin,
-  // end) of the rule's first multi-way branch on `slice`'s machinery,
-  // counts each valuation against max_derivations (into `counters` too,
-  // when set), applies the val-dom head filter and hands the survivors to
-  // `sink`.
-  Status SolveSlice(const RuleSolve& solve, Slice* slice,
-                    RuleMetrics* counters, size_t begin, size_t end,
-                    const EmitFn& sink) {
-    const Rule& rule = rules_[solve.rule];
     // The "no extension satisfies the head" filter applies to inflationary
     // heads only; a deletion rule (IQL*) is applicable whenever its body is
     // satisfied (deleting an absent fact is a no-op caught by net-change
     // detection).
     std::optional<HeadSatisfiability> head;
-    if (solve.filter_head && !rule.head_negative) {
-      head.emplace(prog_, rule, *solve.inst, &slice->arena,
+    if (filter_head && !rule.head_negative) {
+      head.emplace(prog_, rule, inst, &u_->values(),
                    !options_.disable_head_fast_path);
     }
-    AnySolver solver;
-    MakeSolver(&solver, solve, ContextOf(slice, counters));
-    solver.SetSlice(begin, end);
-    return solver.Solve([&](const Bindings& theta) -> Status {
-      if (derivations_.fetch_add(1, std::memory_order_relaxed) >=
-          options_.limits.max_derivations) {
+    auto on_valuation = [&](const Bindings& theta) -> Status {
+      if (stats_->derivations++ >= options_.limits.max_derivations) {
         return governor_->TripNow(TripReason::kDerivations);
       }
-      if (counters != nullptr) ++counters->derivations;
+      if (rm != nullptr) ++rm->derivations;
       if (head.has_value() && head->Satisfiable(theta)) {
         return Status::Ok();  // not in val-dom
       }
-      sink(theta);
+      emit(theta);
       return Status::Ok();
-    });
-  }
-
-  // Runs the per-slice body on the pool over contiguous chunks of the
-  // rule's first branch (`width` candidates, as probed). Each worker
-  // equips a slice over a private snapshot arena, so new o-values intern
-  // into its side store, and buffers each chunk's valuations; `workers`
-  // and `chunks` are left for the caller's fold and merge. Estimates and
-  // extents are deterministic functions of the frozen instance, so every
-  // worker (and the coordinator's probe) makes the same generator choices
-  // and sees the same candidate lists.
-  Status Scatter(const RuleSolve& solve, size_t width,
-                 std::vector<std::optional<Slice>>* workers,
-                 std::vector<Chunk>* chunks) {
-    // More chunks than workers smooths skew from uneven subtree sizes;
-    // chunk *order*, not assignment, determines the merged output.
-    size_t chunk_count = std::min(width, pool_->workers() * 4);
-    chunks->resize(chunk_count);
-    *workers = std::vector<std::optional<Slice>>(
-        std::min(pool_->workers(), chunk_count));
-    std::atomic<size_t> next_chunk{0};
-    std::atomic<bool> abort{false};
-    pool_->ParallelRun(workers->size(), [&](size_t w) {
-      Slice& slice =
-          (*workers)[w].emplace(ValueArena::Snapshot(&u_->values()));
-      slice.arena.set_accountant(governor_->accountant());
-      Equip(*solve.inst, &slice);
-      for (;;) {
-        // A sticky governor trip on any thread drains the whole pool: every
-        // worker observes it either here or at its solver's next poll.
-        if (abort.load(std::memory_order_relaxed) || governor_->tripped()) {
-          return;
-        }
-        size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-        if (c >= chunk_count) return;
-        Chunk& chunk = (*chunks)[c];
-        chunk.worker = w;
-        if (FaultInjector::Global().ShouldFail(FaultSite::kWorkerTask)) {
-          // An injected worker-task fault is reported through the governor
-          // so the step aborts with the standard rollback guarantee.
-          chunk.status = governor_->TripNow(TripReason::kFault);
-        } else {
-          chunk.status = SolveSlice(
-              solve, &slice, &slice.shard, c * width / chunk_count,
-              (c + 1) * width / chunk_count,
-              [&chunk](const Bindings& theta) {
-                chunk.thetas.push_back(theta);
-              });
-        }
-        if (!chunk.status.ok()) {
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    });
-    // Any failed chunk fails the step (the one inline slice would have
-    // surfaced the same class of error within the same enumeration).
-    for (const Chunk& chunk : *chunks) {
-      IQL_RETURN_IF_ERROR(chunk.status);
+    };
+    StepMachinery& m = *machinery_;
+    RelationIndex* index = m.index.has_value() ? &*m.index : nullptr;
+    Status s = Status::Ok();
+    if (compiled != nullptr) {
+      vm::VmContext ctx;
+      ctx.extents = &*m.extents;
+      ctx.index = index;
+      ctx.rule_metrics = rm;
+      ctx.values = &u_->values();
+      ctx.governor = governor_;
+      ctx.prepared = prepared;
+      s = vm::VmSolver(*compiled, inst, ctx, delta_facts).Solve(on_valuation);
+    } else {
+      SolverContext ctx;
+      ctx.extents = &*m.extents;
+      ctx.index = index;
+      ctx.estimator = m.estimator.has_value() ? &*m.estimator : nullptr;
+      ctx.rule_metrics = rm;
+      ctx.values = &u_->values();
+      ctx.governor = governor_;
+      ctx.schedule = options_.enable_scheduling;
+      s = RuleSolver(prog_, rule, inst, ctx, delta_literal, delta_facts)
+              .Solve(on_valuation);
     }
-    // Belt and braces: a sticky trip always fails the step even if every
-    // chunk drained before storing the error.
-    return governor_->Poll();
-  }
-
-  // Folds one slice's counters into the run's: what its index counted
-  // since the last fold into EvalMetrics (a semi-naive coordinator's index
-  // is stage-long), and a worker's rule counters into `rm`.
-  void FoldIndexCounters(Slice* slice, RuleMetrics* rm) {
-    if (rm != nullptr) {
-      rm->derivations += slice->shard.derivations;
-      rm->index_probes += slice->shard.index_probes;
-      rm->index_scans += slice->shard.index_scans;
-      rm->vm_instructions += slice->shard.vm_instructions;
+    // Tripped or not, fold what the index counted since the last fold (a
+    // semi-naive stage's index is stage-long).
+    if (metrics_ != nullptr && index != nullptr) {
+      const RelationIndex::Counters& c = index->counters();
+      metrics_->index_builds += c.builds - m.folded.builds;
+      metrics_->index_probes += c.probes - m.folded.probes;
+      metrics_->index_hits += c.hits - m.folded.hits;
+      m.folded = c;
     }
-    if (metrics_ == nullptr || !slice->index.has_value()) return;
-    const RelationIndex::Counters& c = slice->index->counters();
-    metrics_->index_builds += c.builds - slice->folded.builds;
-    metrics_->index_probes += c.probes - slice->folded.probes;
-    metrics_->index_hits += c.hits - slice->folded.hits;
-    slice->folded = c;
+    if (rm != nullptr) rm->seconds += Seconds(start);
+    return s;
   }
 
   // Applies all derivations "in parallel": inventions first (the
@@ -1452,8 +1159,6 @@ class StageRunner {
   Result<bool> Apply(const std::vector<Derivation>& derivations,
                      Instance* work) {
     ValueStore& values = u_->values();
-    // Application always runs on the coordinator against the shared store.
-    ValueArena arena = ValueArena::Passthrough(&values);
     struct PendingAssignment {
       std::set<ValueId> candidates;
       RuleMetrics* rm = nullptr;
@@ -1542,10 +1247,10 @@ class StageRunner {
       const Term& lhs = prog_.term(head.lhs);
       if (head.kind == Literal::Kind::kEquality) {
         // x^ = t (or its retraction).
-        auto xv = EvalTerm(prog_, head.lhs, b, *work, arena);
+        auto xv = EvalTerm(prog_, head.lhs, b, *work, values);
         auto ov = b.at(lhs.name);
         Oid o = values.node(ov).oid;
-        auto v = EvalTerm(prog_, head.rhs, b, *work, arena);
+        auto v = EvalTerm(prog_, head.rhs, b, *work, values);
         if (!v.has_value()) continue;  // rhs mentions an undefined x^
         if (rule.head_negative) {
           if (xv.has_value() && *xv == *v) value_retractions.emplace_back(o, *v);
@@ -1556,7 +1261,7 @@ class StageRunner {
         }
         continue;
       }
-      auto v = EvalTerm(prog_, head.rhs, b, *work, arena);
+      auto v = EvalTerm(prog_, head.rhs, b, *work, values);
       if (!v.has_value()) continue;  // rhs mentions an undefined x^
       switch (lhs.kind) {
         case Term::Kind::kRelName:
@@ -1702,17 +1407,11 @@ class StageRunner {
   // metrics_->rules, stable because all of this stage's entries are
   // appended before any pointer is taken.
   std::vector<RuleMetrics*> rule_metrics_;
-  ThreadPool* pool_ = nullptr;
   Governor* governor_ = nullptr;  // owned by EvaluateProgram, never null
-  std::vector<bool> rule_parallel_;  // per rule: may its solver fan out?
-  uint64_t step_partitions_ = 0;     // partitions used by the current step
-  double apply_seconds_ = 0;         // the current step's commit time
-  // The coordinator's enumeration machinery: per naive step, stage-long
-  // for a semi-naive stage.
-  std::optional<Slice> coordinator_;
-  // The run's derivation count while a rule solve enumerates, shared by
-  // its slices; written back to stats_ when the solve ends.
-  std::atomic<uint64_t> derivations_{0};
+  double apply_seconds_ = 0;      // the current step's commit time
+  // The enumeration machinery: per naive step, stage-long for a
+  // semi-naive stage.
+  std::optional<StepMachinery> machinery_;
   uint64_t choose_rng_ = 0;
   bool has_deletions_ = false;
   // Per-rule compiled IL (nullopt = tree-walk fallback; empty under
@@ -1755,10 +1454,6 @@ Result<Instance> EvaluateProgram(Universe* universe, const Schema& schema,
   }
   EvalStats local_stats;
   if (stats == nullptr) stats = &local_stats;
-  size_t threads = ResolveThreadCount(options.num_threads);
-  if (options.metrics != nullptr) {
-    options.metrics->threads = static_cast<uint32_t>(threads);
-  }
   // The governor is either owned by this call or lent by a scheduler
   // (EvalOptions::governor). With an external governor, its construction
   // limits are the single source of truth for the counter budgets, so the
@@ -1781,10 +1476,6 @@ Result<Instance> EvaluateProgram(Universe* universe, const Schema& schema,
     ValueStore* store;
     ~AccountantGuard() { store->set_accountant(nullptr); }
   } unhook{&universe->values()};
-  // One pool for the whole program; stages borrow it. threads == 1 keeps
-  // the pool (and every probe/merge code path) entirely out of the run.
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
   Instance work(&schema, universe);
   IQL_RETURN_IF_ERROR(work.Absorb(input));
   // Durable runs journal each step's fact operations on the work instance.
@@ -1805,7 +1496,7 @@ Result<Instance> EvaluateProgram(Universe* universe, const Schema& schema,
       continue;
     }
     StageRunner runner(universe, schema, *program, stage, local_options,
-                       stats, pool.has_value() ? &*pool : nullptr, governor);
+                       stats, governor);
     runner.stage_index_ = this_stage;
     if (durability.resume &&
         this_stage == static_cast<int>(durability.resume_stage)) {
@@ -1904,7 +1595,6 @@ std::string EvalMetrics::ToJson() const {
        << ",\"facts_added\":" << r.facts_added
        << ",\"index_probes\":" << r.index_probes
        << ",\"index_scans\":" << r.index_scans
-       << ",\"parallel_partitions\":" << r.parallel_partitions
        << ",\"vm_instructions\":" << r.vm_instructions
        << ",\"seconds\":" << r.seconds << "}";
   }
@@ -1920,7 +1610,7 @@ std::string EvalMetrics::ToJson() const {
   }
   os << "],\"index_builds\":" << index_builds
      << ",\"index_probes\":" << index_probes
-     << ",\"index_hits\":" << index_hits << ",\"threads\":" << threads
+     << ",\"index_hits\":" << index_hits
      << ",\"elapsed_seconds\":" << elapsed_seconds
      << ",\"peak_memory_bytes\":" << peak_memory_bytes << ",\"trip\":\""
      << TripReasonName(trip) << "\"}";
@@ -2050,22 +1740,6 @@ Result<std::string> ExplainSchedule(Universe* universe, const Schema& schema,
       os << "  order: chosen at run time; the tree-walker picks among the "
             "generators at each choice point\n";
     }
-    // Parallel eligibility (EvalOptions::num_threads): with workers
-    // available, step 1's candidate list is partitioned across them when
-    // it is wide enough; partition counts for an actual run appear in the
-    // metrics (parallel_partitions).
-    bool parallel_ok = true;
-    for (const auto& [var, t] : rule.var_types) {
-      if (!universe->types().IsIntersectionFree(t)) {
-        parallel_ok = false;
-        break;
-      }
-    }
-    os << "  parallel: "
-       << (parallel_ok ? "eligible (first generator partitions across "
-                         "workers when wide enough)"
-                       : "serial only (intersection type in rule scope)")
-       << "\n";
   }
   return os.str();
 }

@@ -28,9 +28,6 @@ struct RuleMetrics {
   uint64_t facts_added = 0;   // new facts this rule actually contributed
   uint64_t index_probes = 0;  // generator visits served by an index bucket
   uint64_t index_scans = 0;   // generator visits that fell back to a scan
-  // Partitions this rule's enumeration was split into across the run (0
-  // when every solver invocation ran serially).
-  uint64_t parallel_partitions = 0;
   // IL instructions the register VM dispatched for this rule (0 under the
   // tree-walker): every instruction executed, re-executions after a
   // backtrack included.
@@ -57,12 +54,9 @@ struct RoundMetrics {
 struct EvalMetrics {
   std::vector<RuleMetrics> rules;
   std::vector<RoundMetrics> rounds;
-  // Above one thread each worker that claims a chunk of a solve builds its
-  // own index, so this count varies with which workers claim chunks.
-  uint64_t index_builds = 0;
+  uint64_t index_builds = 0;  // (container, attrs) indexes built
   uint64_t index_probes = 0;
   uint64_t index_hits = 0;  // probes that returned a non-empty bucket
-  uint32_t threads = 1;     // resolved worker count the run executed with
   double elapsed_seconds = 0;       // governor wall clock for the run
   uint64_t peak_memory_bytes = 0;   // MemoryAccountant high-water mark
   // Governor trip that ended the run, or kNone on a clean fixpoint.
@@ -157,39 +151,24 @@ struct EvalOptions {
   // When set, a one-line summary of every one-step-operator application
   // is streamed here: per naive step (stage, step, |val-dom|, ground
   // facts, invented oids), per semi-naive round, round 0 included (stage,
-  // round, ground facts). Trace lines are emitted by the coordinator after
-  // each step's merge, so they stay in step order regardless of
-  // num_threads.
+  // round, ground facts). Trace lines are emitted after each step's
+  // commit, in step order.
   std::ostream* trace = nullptr;
 
-  // Worker-pool parallel enumeration. 0 = hardware concurrency. Every
-  // rule solve runs one enumeration driver; serial evaluation is its
-  // one-slice case. With 1, there is no pool: each rule runs as one slice
-  // on the coordinator, streaming its valuations without buffers,
-  // snapshot arenas or probes. With N > 1 workers, a rule whose first
-  // multi-way branch is wide enough has that branch's candidate list
-  // partitioned into chunks; workers run the same per-slice body on the
-  // chunks against the immutable start-of-round instance, interning new
-  // values into per-worker side stores, and a deterministic merge rehomes
-  // the valuations and applies them in canonical (rule, chunk, sequence)
-  // order. Outputs are bit-for-bit identical for every N.
+  // Read by nothing: evaluation is serial. The field stays declared only
+  // because the end-to-end benchmark (bench/e2e) still assigns it; the
+  // next change to that benchmark removes the assignments and the field.
   uint32_t num_threads = 0;
-
-  // A rule's enumeration only fans out when the candidate list at its
-  // first multi-way branch has at least this many entries; a narrower
-  // rule runs as the one inline slice, which is cheaper than the
-  // fork/join.
-  uint32_t parallel_min_candidates = 16;
 
   // Rule enumeration. Every rule that il::CompileRule accepts -- the
   // invention-free, choose-free fragment -- is lowered to the flat IL of
   // iql/il.h once per stage (semi-naive delta variants on first use) and
-  // runs on the register VM of iql/vm.h, at every thread count and under
-  // durability and resume. The backtracking tree-walker runs exactly the
-  // rules CompileRule declines: invention, choose, and anything else
-  // outside the IL fragment, whose minting / choose order is
-  // enumeration-order sensitive. Both executors drive the same index,
-  // extent, arena, and governor machinery and produce byte-identical
+  // runs on the register VM of iql/vm.h, under durability and resume too.
+  // The backtracking tree-walker runs exactly the rules CompileRule
+  // declines: invention, choose, and anything else outside the IL
+  // fragment, whose minting / choose order is enumeration-order
+  // sensitive. Both executors drive the same index,
+  // extent, value store and governor machinery and produce byte-identical
   // output.
   //
   // Test and benchmark use only: when set, every rule runs on the

@@ -38,11 +38,9 @@ Result<const std::vector<ValueId>*> ExtentEnumerator::Enumerate(TypeId t) {
 Result<std::vector<ValueId>> ExtentEnumerator::Compute(TypeId t) {
   Universe* u = instance_->universe();
   TypePool& types = u->types();
-  ValueArena& values = *arena_;
+  ValueStore& values = u->values();
   // Instances enforce disjoint oid assignments, so intersections can be
-  // compiled away up front (Prop 2.2.1 (2)). Worker enumerators never reach
-  // this (parallel eligibility requires intersection-free types), so the
-  // shared pool is only mutated from the serial path.
+  // compiled away up front (Prop 2.2.1 (2)).
   if (!types.IsIntersectionFree(t)) {
     t = EliminateIntersection(&types, t);
   }
@@ -131,8 +129,8 @@ Result<std::vector<ValueId>> ExtentEnumerator::Compute(TypeId t) {
       return InternalError("intersection survived elimination");
   }
   IQL_RETURN_IF_ERROR(Charge(out.size()));
-  // Canonical structural order: identical across the shared store and any
-  // worker side store, so enumeration order is thread-count independent.
+  // Canonical structural order, independent of the store's interning
+  // history.
   std::sort(out.begin(), out.end(),
             [&values](ValueId a, ValueId b) { return values.Less(a, b); });
   out.erase(std::unique(out.begin(), out.end()), out.end());

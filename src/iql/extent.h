@@ -2,7 +2,6 @@
 #define IQLKIT_IQL_EXTENT_H_
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -29,26 +28,13 @@ namespace iqlkit {
 // assignments, so Prop 2.2.1(2) applies).
 //
 // The result is ordered by the canonical structural value order, which
-// depends only on the values themselves -- parallel workers with private
-// side stores enumerate extents in exactly the same sequence. One
-// enumerator is built per fixpoint step (or per worker per fan-out); it
-// caches per-type results against the step's instance.
+// depends only on the values themselves, not on when they were interned.
+// One enumerator is built per fixpoint step; it caches per-type results
+// against the step's instance and interns through the universe's store.
 class ExtentEnumerator {
  public:
-  // Serial form: interns through the universe's shared store.
   ExtentEnumerator(const Instance* instance, uint64_t budget)
-      : instance_(instance),
-        budget_(budget),
-        owned_arena_(
-            ValueArena::Passthrough(&instance->universe()->values())),
-        arena_(&*owned_arena_) {}
-
-  // Worker form: interns into `arena` (a snapshot over the shared store).
-  // The caller must only enumerate intersection-free types in this form --
-  // intersection elimination would mutate the shared TypePool.
-  ExtentEnumerator(const Instance* instance, uint64_t budget,
-                   ValueArena* arena)
-      : instance_(instance), budget_(budget), arena_(arena) {}
+      : instance_(instance), budget_(budget) {}
 
   // Optional evaluation governor: when set, the subset/cross-product
   // construction loops poll it (deadline/cancel/memory are honored inside
@@ -76,8 +62,6 @@ class ExtentEnumerator {
   const Instance* instance_;
   uint64_t budget_;
   Governor* governor_ = nullptr;
-  std::optional<ValueArena> owned_arena_;
-  ValueArena* arena_;
   uint64_t produced_ = 0;
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;

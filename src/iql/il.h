@@ -1,7 +1,7 @@
 // Flat rule IL: each VM-eligible rule body is lowered once, ahead of
 // enumeration, into a linear instruction sequence over value registers.
 // The register VM in iql/vm.h executes it against the same
-// RelationIndex / ValueArena / ExtentEnumerator machinery the tree-walking
+// RelationIndex / ValueStore / ExtentEnumerator machinery the tree-walking
 // RuleSolver uses, so both engines see identical candidate lists in the
 // canonical structural order and produce byte-identical outputs.
 //
@@ -48,7 +48,7 @@ namespace iqlkit::il {
 // FAILs unless (contains == pol).
 enum class Op : uint8_t {
   // Straight-line value construction.
-  kLoadConst,   // dst = arena.ConstSymbol(sym)
+  kLoadConst,   // dst = values.ConstSymbol(sym)
   kLoadRel,     // dst = Set(rho(R)), R = sym
   kLoadClass,   // dst = Set(pi(P) as oid values), P = sym
   kDeref,       // dst = nu(oid in a); FAIL on non-oid / undefined nu

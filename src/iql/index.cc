@@ -4,11 +4,6 @@
 
 namespace iqlkit {
 
-const ValueNode& RelationIndex::NodeOf(ValueId v) const {
-  return arena_ != nullptr ? arena_->node(v)
-                           : instance_->universe()->values().node(v);
-}
-
 const std::vector<ValueId>& RelationIndex::Elems(Container c) {
   auto it = elems_.find(Key(c));
   if (it != elems_.end()) return it->second;
@@ -21,9 +16,7 @@ const std::vector<ValueId>& RelationIndex::Elems(Container c) {
     }
     case Container::Kind::kClass: {
       for (Oid o : instance_->ClassExtent(static_cast<Symbol>(c.id))) {
-        out.push_back(arena_ != nullptr
-                          ? arena_->OfOid(o)
-                          : instance_->universe()->values().OfOid(o));
+        out.push_back(instance_->universe()->values().OfOid(o));
       }
       break;
     }

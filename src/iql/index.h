@@ -67,12 +67,9 @@ class RelationIndex {
     static Container SetValue(ValueId v) { return {Kind::kSetValue, v}; }
   };
 
-  // Serial form: reads (and, for class extents, interns oid values into)
-  // the instance's shared ValueStore. Worker form: pass the worker's
-  // `arena` so element ids may live in its private side store; interning
-  // goes to the side store and never mutates the shared store.
-  explicit RelationIndex(const Instance* instance, ValueArena* arena = nullptr)
-      : instance_(instance), arena_(arena) {}
+  // Reads (and, for class extents, interns oid values into) the
+  // instance's ValueStore.
+  explicit RelationIndex(const Instance* instance) : instance_(instance) {}
   RelationIndex(const RelationIndex&) = delete;
   RelationIndex& operator=(const RelationIndex&) = delete;
 
@@ -141,10 +138,11 @@ class RelationIndex {
                   uint64_t* out) const;
   void InsertElement(Index* index, ValueId elem);
 
-  const ValueNode& NodeOf(ValueId v) const;
+  const ValueNode& NodeOf(ValueId v) const {
+    return instance_->universe()->values().node(v);
+  }
 
   const Instance* instance_;
-  ValueArena* arena_;
   std::unordered_map<ContainerKey, std::vector<ValueId>, ContainerKeyHash>
       elems_;
   // The indexes built over each container, one per attrs set; a container

@@ -9,7 +9,7 @@
 namespace iqlkit::vm {
 
 PreparedRule PrepareRule(const il::CompiledRule& cr, const Instance& inst,
-                         ValueArena& values, bool indexing_enabled) {
+                         ValueStore& values, bool indexing_enabled) {
   PreparedRule p;
   p.at.resize(cr.code.size());
   for (size_t pc = 0; pc < cr.code.size(); ++pc) {
@@ -71,11 +71,10 @@ VmSolver::VmSolver(const il::CompiledRule& cr, const Instance& inst,
 
 Status VmSolver::Solve(const Callback& cb) {
   const std::vector<il::Instr>& code = cr_.code;
-  ValueArena& values = *ctx_.values;
+  ValueStore& values = *ctx_.values;
   const PreparedRule* prepared = ctx_.prepared;
   regs_.assign(cr_.num_regs, kInvalidValue);
   frames_.clear();
-  at_first_branch_ = true;
 
   // Dispatched-instruction count, accumulated locally and flushed once on
   // every exit path (including the early returns the error macros expand
@@ -177,15 +176,11 @@ Status VmSolver::Solve(const Callback& cb) {
         fail = regs_[in.a] != regs_[in.b];
         break;
       case il::Op::kCheckRel: {
-        // Membership by id: a side-store id is structurally new, so it is
-        // never a member of the frozen instance's extents.
         bool contains = inst_.RelationContains(in.sym, regs_[in.b]);
         fail = contains != in.pol;
         break;
       }
       case il::Op::kCheckClass: {
-        // No side shortcut here: a side OfOid value is structurally equal
-        // to the shared one for the same oid.
         const ValueNode& n = values.node(regs_[in.b]);
         bool contains =
             n.kind == ValueKind::kOid && inst_.OidInClass(n.oid, in.sym);
@@ -197,7 +192,7 @@ Status VmSolver::Solve(const Callback& cb) {
         if (n.kind != ValueKind::kSet) {
           fail = true;  // non-set lhs fails either polarity (mirror Check)
         } else {
-          fail = values.ElemsContain(n.elems, regs_[in.b]) != in.pol;
+          fail = values.SetContains(regs_[in.a], regs_[in.b]) != in.pol;
         }
         break;
       }
@@ -216,28 +211,20 @@ Status VmSolver::Solve(const Callback& cb) {
       case il::Op::kScanExtent: {
         // Resolve the candidate list: delta facts, an extent, an index
         // probe or scan, a prepared list, or a materialized copy when
-        // indexing is off. `present` distinguishes an unresolved list -- a
-        // probe that missed every bucket, or a non-set container -- from a
-        // resolved but empty one: only a resolved list consumes the
-        // first-branch probe/slice state, exactly as in
-        // GenerateMembership.
+        // indexing is off. A probe that missed every bucket, or a non-set
+        // container, leaves both lists empty: zero candidates.
         Frame f;
         f.pc = static_cast<uint32_t>(pc);
         f.dst = in.dst;
-        bool present = true;
         if (in.op == il::Op::kScanDelta) {
-          if (delta_facts_ == nullptr) {
-            present = false;
-          } else {
-            f.elems = delta_facts_;
-          }
+          f.elems = delta_facts_;
         } else if (in.op == il::Op::kScanExtent) {
           auto extent = ctx_.extents->Enumerate(static_cast<TypeId>(in.imm));
           if (!extent.ok()) return extent.status();
           f.elems = *extent;
         } else if (in.op == il::Op::kScanSet &&
                    values.node(regs_[in.a]).kind != ValueKind::kSet) {
-          present = false;  // the tree-walker's "impossible" container
+          // The tree-walker's "impossible" container.
         } else {
           RelationIndex::Container c;
           if (in.op == il::Op::kScanRel) {
@@ -270,18 +257,14 @@ Status VmSolver::Solve(const Callback& cb) {
             if (ctx_.rule_metrics != nullptr) {
               ++ctx_.rule_metrics->index_probes;
             }
-            if (bucket == nullptr) {
-              present = false;
-            } else {
-              f.elems = bucket;
-            }
+            f.elems = bucket;
           } else if (ctx_.index != nullptr) {
             f.elems = &ctx_.index->Elems(c);
             if (ctx_.rule_metrics != nullptr) {
               ++ctx_.rule_metrics->index_scans;
             }
           } else {
-            // No index: a prepared candidate list when the coordinator
+            // No index: a prepared candidate list when the evaluator
             // built one, else materialize a private copy, as the
             // tree-walker's ContainerElems does per generator visit.
             if (prepared != nullptr && prepared->at[pc].has_elems) {
@@ -301,29 +284,11 @@ Status VmSolver::Solve(const Callback& cb) {
             }
           }
         }
-        size_t lo = 0;
-        size_t hi = 0;
-        if (present) {
-          hi = (f.elems != nullptr) ? f.elems->size() : f.owned.size();
-          // The first executed scan is the parallel partition point:
-          // report its width in probe mode, or clamp to this worker's
-          // slice of the candidates.
-          if (at_first_branch_) {
-            at_first_branch_ = false;
-            if (probe_width_ != nullptr) {
-              *probe_width_ = hi;
-              return Status::Ok();
-            }
-            lo = std::min(slice_begin_, hi);
-            hi = std::min(slice_end_, hi);
-          }
-        }
-        if (lo >= hi) {
+        f.end = (f.elems != nullptr) ? f.elems->size() : f.owned.size();
+        if (f.end == 0) {
           fail = true;
           break;
         }
-        f.idx = lo;
-        f.end = hi;
         frames_.push_back(std::move(f));
         // Poll once per candidate, as the tree-walker does per generator
         // visit.

@@ -2,15 +2,9 @@
 // the satisfying valuations of one compiled rule body against a frozen
 // instance, through exactly the machinery the tree-walking RuleSolver
 // uses -- RelationIndex probes and scans, ExtentEnumerator extents, the
-// (possibly per-worker) ValueArena, governor Poll once per candidate --
-// so the two engines are byte-for-byte interchangeable wherever the
-// evaluator consumes valuations.
-//
-// The VM also mirrors the solver's parallel protocol: SetProbe makes the
-// first executed scan report its candidate-list width and stop (the
-// coordinator's probe-then-slice sizing pass), SetSlice clamps that scan
-// to [begin, end) so each worker enumerates a contiguous chunk of the
-// top-level candidates.
+// universe's ValueStore, governor Poll once per candidate -- so the two
+// engines are byte-for-byte interchangeable wherever the evaluator
+// consumes valuations.
 
 #ifndef IQLKIT_IQL_VM_H_
 #define IQLKIT_IQL_VM_H_
@@ -36,9 +30,8 @@ namespace iqlkit::vm {
 // Per-rule prepared state: the pure-function-of-the-frozen-instance work
 // a Solve call repays on every invocation within a fixpoint round --
 // kLoadRel / kLoadClass set materialization, and index-off container-scan
-// candidate lists. The coordinator prepares once per (rule, round) before
-// forking workers (so side-store-aware arenas resolve the same hash-
-// consed ids) and shares the result read-only; the cache is invalidated
+// candidate lists. The evaluator prepares once per (rule, round) and
+// reuses the result across that round's solves; the cache is invalidated
 // at commit, exactly the stage boundaries the semi-naive delta machinery
 // tracks. Probe buckets and kScanSet / kScanDelta lists are not
 // cacheable: their inputs vary per outer candidate or per round.
@@ -57,7 +50,7 @@ struct PreparedRule {
 // `indexing_enabled` is false (with an index, scans borrow the index's
 // lists and materialize nothing).
 PreparedRule PrepareRule(const il::CompiledRule& cr, const Instance& inst,
-                         ValueArena& values, bool indexing_enabled);
+                         ValueStore& values, bool indexing_enabled);
 
 // The evaluator-owned machinery one VM run executes against; mirrors the
 // tree-walker's SolverContext field for field.
@@ -65,7 +58,7 @@ struct VmContext {
   ExtentEnumerator* extents = nullptr;   // required
   RelationIndex* index = nullptr;        // null: indexing disabled
   RuleMetrics* rule_metrics = nullptr;   // null: metrics disabled
-  ValueArena* values = nullptr;          // required (worker side store aware)
+  ValueStore* values = nullptr;          // required
   Governor* governor = nullptr;          // polled once per candidate
   // Prepared state for the executed rule (must match it pc for pc), or
   // null to materialize per call.
@@ -91,16 +84,6 @@ class VmSolver {
   // valuation. A non-ok callback or governor status aborts and propagates.
   Status Solve(const Callback& cb);
 
-  // Probe mode: the first executed scan records its candidate count into
-  // `width` and enumeration stops (mirrors RuleSolver::SetProbe).
-  void SetProbe(size_t* width) { probe_width_ = width; }
-
-  // Restricts the first executed scan to candidates [begin, end).
-  void SetSlice(size_t begin, size_t end) {
-    slice_begin_ = begin;
-    slice_end_ = end;
-  }
-
  private:
   struct Frame {
     uint32_t pc = 0;    // the scan instruction this frame belongs to
@@ -108,7 +91,7 @@ class VmSolver {
     const std::vector<ValueId>* elems = nullptr;  // null: use `owned`
     std::vector<ValueId> owned;
     size_t idx = 0;
-    size_t end = 0;
+    size_t end = 0;  // candidate count
     ValueId Current() const {
       return elems != nullptr ? (*elems)[idx] : owned[idx];
     }
@@ -129,11 +112,6 @@ class VmSolver {
   std::vector<ValueId> regs_;
   std::vector<Frame> frames_;
   Valuation theta_;
-
-  size_t* probe_width_ = nullptr;
-  size_t slice_begin_ = 0;
-  size_t slice_end_ = static_cast<size_t>(-1);
-  bool at_first_branch_ = true;
 };
 
 }  // namespace iqlkit::vm

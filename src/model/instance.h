@@ -198,15 +198,13 @@ class Instance : public ClassResolver {
 
   // Extent of a relation / class; empty if the name has no tuples yet.
   // Relations iterate in the canonical structural order of their values
-  // (see CompareValues in value.h), which is stable across evaluation
-  // strategies and thread counts.
+  // (see ValueStore::Compare in value.h), which is stable across evaluation
+  // strategies.
   const ValueIdSet& Relation(Symbol name) const;
   const std::set<Oid>& ClassExtent(Symbol name) const;
   // Whether `v` is in relation `name`: one hash probe on the id, never a
   // structural compare or a read of v's node. Equal to
-  // Relation(name).count(v) > 0 for an id of this universe's store; an id
-  // a snapshot arena minted in its side store is structurally new, and so
-  // (correctly) never a member.
+  // Relation(name).count(v) > 0 for an id of this universe's store.
   bool RelationContains(Symbol name, ValueId v) const;
 
   // nu(o); nullopt when undefined. Unknown oids are an internal error.

@@ -16,9 +16,9 @@ bool TypeMembership::Contains(TypeId t, ValueId v) {
     case TypeKind::kEmpty:
       return false;
     case TypeKind::kBase:
-      return NodeOf(v).kind == ValueKind::kConst;
+      return values_->node(v).kind == ValueKind::kConst;
     case TypeKind::kClass: {
-      const ValueNode& vn = NodeOf(v);
+      const ValueNode& vn = values_->node(v);
       return vn.kind == ValueKind::kOid &&
              classes_->OidInClass(vn.oid, tn.class_name);
     }
@@ -28,7 +28,7 @@ bool TypeMembership::Contains(TypeId t, ValueId v) {
   uint64_t key = (static_cast<uint64_t>(t) << 32) | v;
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
-  const ValueNode& vn = NodeOf(v);
+  const ValueNode& vn = values_->node(v);
   bool result = false;
   switch (tn.kind) {
     case TypeKind::kEmpty:

@@ -34,21 +34,12 @@ class TypeMembership {
   TypeMembership(const TypePool* types, const ValueStore* values,
                  const ClassResolver* classes, bool star = false)
       : types_(types), values_(values), classes_(classes), star_(star) {}
-  // Arena-backed variant: value ids may refer to a worker's side store.
-  TypeMembership(const TypePool* types, const ValueArena* arena,
-                 const ClassResolver* classes, bool star = false)
-      : types_(types), arena_(arena), classes_(classes), star_(star) {}
 
   bool Contains(TypeId t, ValueId v);
 
  private:
-  const ValueNode& NodeOf(ValueId v) const {
-    return arena_ != nullptr ? arena_->node(v) : values_->node(v);
-  }
-
   const TypePool* types_;
-  const ValueStore* values_ = nullptr;
-  const ValueArena* arena_ = nullptr;
+  const ValueStore* values_;
   const ClassResolver* classes_;
   bool star_;
   std::unordered_map<uint64_t, bool> cache_;

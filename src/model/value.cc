@@ -9,6 +9,10 @@
 
 namespace iqlkit {
 
+namespace {
+
+// Content hash / equality of a node *within one store* (children compared by
+// id, which hash-consing makes equivalent to structural comparison).
 uint64_t HashValueNode(const ValueNode& n) {
   uint64_t h = Mix64(static_cast<uint64_t>(n.kind) + 1);
   switch (n.kind) {
@@ -45,6 +49,18 @@ bool SameValueNode(const ValueNode& a, const ValueNode& b) {
   }
   return false;
 }
+
+// Approximate heap footprint of one interned node (node storage, vector
+// payloads, hash-index entry). The evaluation governor's byte-level memory
+// accounting charges this per newly interned node; it deliberately
+// overestimates a little rather than chasing allocator internals.
+uint64_t ApproxValueNodeBytes(const ValueNode& n) {
+  return sizeof(ValueNode) + 32 +
+         n.fields.capacity() * sizeof(std::pair<Symbol, ValueId>) +
+         n.elems.capacity() * sizeof(ValueId);
+}
+
+}  // namespace
 
 // -- IdHashTable ----------------------------------------------------------
 
@@ -99,7 +115,8 @@ bool IdHashTable::Erase(uint64_t h, ValueId id) {
 
 ValueId ValueStore::InternNode(ValueNode node) {
   uint64_t h = HashValueNode(node);
-  ValueId found = FindNode(h, node);
+  ValueId found = index_.Find(
+      h, [&](ValueId id) { return SameValueNode(nodes_[id], node); });
   if (found != kInvalidValue) return found;
   IQL_CHECK(nodes_.size() < kInvalidValue) << "value store overflow";
   ValueId id = static_cast<ValueId>(nodes_.size());
@@ -199,14 +216,48 @@ bool ValueStore::SetContains(ValueId set, ValueId elem) const {
                             [this](ValueId a, ValueId b) { return Less(a, b); });
 }
 
-ValueId ValueStore::FindNode(uint64_t h, const ValueNode& n) const {
-  return index_.Find(
-      h, [&](ValueId id) { return SameValueNode(nodes_[id], n); });
-}
-
 const ValueNode& ValueStore::node(ValueId id) const {
   IQL_CHECK(id < nodes_.size()) << "invalid ValueId " << id;
   return nodes_[id];
+}
+
+int ValueStore::Compare(ValueId a, ValueId b) const {
+  if (a == b) return 0;
+  const ValueNode& na = node(a);
+  const ValueNode& nb = node(b);
+  if (na.kind != nb.kind) {
+    return static_cast<int>(na.kind) < static_cast<int>(nb.kind) ? -1 : 1;
+  }
+  switch (na.kind) {
+    case ValueKind::kConst:
+      return na.atom < nb.atom ? -1 : na.atom > nb.atom ? 1 : 0;
+    case ValueKind::kOid:
+      return na.oid.raw < nb.oid.raw ? -1 : na.oid.raw > nb.oid.raw ? 1 : 0;
+    case ValueKind::kTuple: {
+      size_t k = std::min(na.fields.size(), nb.fields.size());
+      for (size_t i = 0; i < k; ++i) {
+        if (na.fields[i].first != nb.fields[i].first) {
+          return na.fields[i].first < nb.fields[i].first ? -1 : 1;
+        }
+        int c = Compare(na.fields[i].second, nb.fields[i].second);
+        if (c != 0) return c;
+      }
+      return na.fields.size() < nb.fields.size()   ? -1
+             : na.fields.size() > nb.fields.size() ? 1
+                                                   : 0;
+    }
+    case ValueKind::kSet: {
+      size_t k = std::min(na.elems.size(), nb.elems.size());
+      for (size_t i = 0; i < k; ++i) {
+        int c = Compare(na.elems[i], nb.elems[i]);
+        if (c != 0) return c;
+      }
+      return na.elems.size() < nb.elems.size()   ? -1
+             : na.elems.size() > nb.elems.size() ? 1
+                                                 : 0;
+    }
+  }
+  return 0;
 }
 
 void ValueStore::CollectOids(ValueId v, std::set<Oid>* out) const {
@@ -245,125 +296,6 @@ void ValueStore::CollectConsts(ValueId v, std::set<Symbol>* out) const {
 
 std::string ValueStore::ToString(ValueId v) const {
   return ToString(v, [](Oid o) { return "@" + std::to_string(o.raw); });
-}
-
-// -- ValueArena -----------------------------------------------------------
-
-ValueId ValueArena::InternSide(ValueNode n) {
-  if (mutable_base_ != nullptr) return mutable_base_->InternNode(std::move(n));
-  uint64_t h = HashValueNode(n);
-  // Values already in the frozen base keep their base ids.
-  ValueId in_base = base_->FindNode(h, n);
-  if (in_base != kInvalidValue && in_base < base_limit_) return in_base;
-  ValueId in_side = side_index_.Find(h, [&](ValueId id) {
-    return SameValueNode(side_nodes_[id - base_limit_], n);
-  });
-  if (in_side != kInvalidValue) return in_side;
-  IQL_CHECK(base_limit_ + side_nodes_.size() < kInvalidValue)
-      << "value arena overflow";
-  ValueId id = static_cast<ValueId>(base_limit_ + side_nodes_.size());
-  if (accountant_ != nullptr) {
-    uint64_t bytes = ApproxValueNodeBytes(n);
-    charged_bytes_ += bytes;
-    accountant_->Charge(bytes);
-    if (FaultInjector::Global().ShouldFail(FaultSite::kAllocation)) {
-      accountant_->MarkInjectedFailure();
-    }
-  }
-  side_nodes_.push_back(std::move(n));
-  side_index_.Insert(h, id);
-  return id;
-}
-
-ValueId ValueArena::ConstSymbol(Symbol atom) {
-  ValueNode n;
-  n.kind = ValueKind::kConst;
-  n.atom = atom;
-  return InternSide(std::move(n));
-}
-
-ValueId ValueArena::OfOid(Oid o) {
-  ValueNode n;
-  n.kind = ValueKind::kOid;
-  n.oid = o;
-  return InternSide(std::move(n));
-}
-
-ValueId ValueArena::Tuple(std::vector<std::pair<Symbol, ValueId>> fields) {
-  std::sort(fields.begin(), fields.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (size_t i = 1; i < fields.size(); ++i) {
-    IQL_CHECK(fields[i - 1].first != fields[i].first)
-        << "duplicate tuple attribute";
-  }
-  ValueNode n;
-  n.kind = ValueKind::kTuple;
-  n.fields = std::move(fields);
-  return InternSide(std::move(n));
-}
-
-ValueId ValueArena::Set(std::vector<ValueId> elems) {
-  std::sort(elems.begin(), elems.end(),
-            [this](ValueId a, ValueId b) { return Less(a, b); });
-  elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
-  ValueNode n;
-  n.kind = ValueKind::kSet;
-  n.elems = std::move(elems);
-  return InternSide(std::move(n));
-}
-
-ValueId ValueArena::SetInsert(ValueId base, ValueId elem) {
-  const ValueNode& n = node(base);
-  IQL_CHECK(n.kind == ValueKind::kSet) << "SetInsert on non-set";
-  if (ElemsContain(n.elems, elem)) return base;
-  std::vector<ValueId> elems = n.elems;
-  elems.push_back(elem);
-  return Set(std::move(elems));
-}
-
-bool ValueArena::SetContains(ValueId set, ValueId elem) const {
-  const ValueNode& n = node(set);
-  IQL_CHECK(n.kind == ValueKind::kSet) << "SetContains on non-set";
-  return ElemsContain(n.elems, elem);
-}
-
-bool ValueArena::ElemsContain(const std::vector<ValueId>& elems,
-                              ValueId elem) const {
-  return std::binary_search(
-      elems.begin(), elems.end(), elem,
-      [this](ValueId a, ValueId b) { return Less(a, b); });
-}
-
-ValueId ValueArena::RehomeInto(ValueStore* dst, ValueId v) {
-  IQL_CHECK(dst == base_) << "RehomeInto target must be the arena's base";
-  if (mutable_base_ != nullptr || v < base_limit_) return v;
-  auto memo = rehome_memo_.find(v);
-  if (memo != rehome_memo_.end()) return memo->second;
-  // Side node: rebuild bottom-up in the destination store. Copy the node
-  // first -- recursive rehoming of children does not touch side_nodes_, but
-  // the copy keeps the logic robust against iterator conventions.
-  ValueNode n = side_nodes_[v - base_limit_];
-  ValueId out = kInvalidValue;
-  switch (n.kind) {
-    case ValueKind::kConst:
-      out = dst->ConstSymbol(n.atom);
-      break;
-    case ValueKind::kOid:
-      out = dst->OfOid(n.oid);
-      break;
-    case ValueKind::kTuple:
-      for (auto& [attr, child] : n.fields) {
-        child = RehomeInto(dst, child);
-      }
-      out = dst->Tuple(std::move(n.fields));
-      break;
-    case ValueKind::kSet:
-      for (ValueId& child : n.elems) child = RehomeInto(dst, child);
-      out = dst->Set(std::move(n.elems));
-      break;
-  }
-  rehome_memo_.emplace(v, out);
-  return out;
 }
 
 }  // namespace iqlkit

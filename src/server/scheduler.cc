@@ -366,11 +366,6 @@ Scheduler::AttemptEnd Scheduler::ExecuteAttempt(Entry* entry) {
     }
   }
   EvalOptions options = entry->request.eval;
-  // Scheduler concurrency comes from running many queries at once; each
-  // evaluation itself is serial, which makes the byte-identity contract
-  // with a standalone serial run immediate and keeps one shared pool
-  // (instead of one fork/join pool per running query).
-  options.num_threads = 1;
   options.governor = entry->governor.get();
   options.cancel = nullptr;
   options.metrics = nullptr;

@@ -58,11 +58,9 @@ struct QueryRequest {
   // query's own max_memory_bytes ceiling when that is set and smaller.
   uint64_t reserve_bytes = 0;
   // Evaluation policies (semi-naive, indexing, choose policy, ...).
-  // num_threads is forced to 1: scheduler concurrency comes from running
-  // many queries at once on the shared pool, and a serial inner evaluation
-  // makes byte-identity with a standalone serial run immediate. governor,
-  // partial, cancel, metrics, trace, and durability are overwritten per
-  // attempt.
+  // Scheduler concurrency comes from running many queries at once on the
+  // shared pool; each evaluation is serial. governor, partial, cancel,
+  // metrics, trace, and durability are overwritten per attempt.
   EvalOptions eval;
 };
 

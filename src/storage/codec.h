@@ -15,7 +15,7 @@ namespace storage {
 
 inline constexpr uint32_t kNoRef = 0xFFFFFFFFu;
 
-// Name-based structural order on o-values: like CompareValues, but
+// Name-based structural order on o-values: like ValueStore::Compare, but
 // constants compare by their symbol *text* and tuple fields by attribute
 // *text*, never by symbol id. Two universes that interned the same strings
 // in different orders still order structurally-equal values identically, so

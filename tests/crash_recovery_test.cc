@@ -18,9 +18,9 @@
 // Crash-recovery soak: kill evaluations at random committed fixpoint steps
 // (including repeatedly, on every attempt), recover from the snapshot + WAL
 // prefix, and require the resumed run to reproduce the uninterrupted run
-// byte-for-byte -- at 1, 2, and 8 evaluation threads -- plus the
-// scheduler-level resume paths (restart-served finals, retry-after-storage-
-// fault, tripped-partial checkpoints picked up by a later scheduler).
+// byte-for-byte -- plus the scheduler-level resume paths (restart-served
+// finals, retry-after-storage-fault, tripped-partial checkpoints picked up
+// by a later scheduler).
 namespace iqlkit {
 namespace {
 
@@ -82,9 +82,8 @@ LoadedUnit Load(const char* source) {
 
 // Naive-only evaluation options: with semi-naive off the step counter is an
 // exact program counter, so "never re-derives" is an equality, not a bound.
-EvalOptions NaiveOptions(uint32_t threads) {
+EvalOptions NaiveOptions() {
   EvalOptions options;
-  options.num_threads = threads;
   options.enable_seminaive = false;
   return options;
 }
@@ -112,11 +111,11 @@ class CrashAfter : public StepCommitSink {
 };
 
 // One uninterrupted durable run: reference facts and exact step count.
-void Reference(uint32_t threads, std::string* facts, uint64_t* steps) {
+void Reference(std::string* facts, uint64_t* steps) {
   LoadedUnit l = Load(kChain);
   EvalStats stats;
   auto out = EvaluateProgram(l.u.get(), l.unit->schema, &l.unit->program,
-                             *l.input, NaiveOptions(threads), &stats);
+                             *l.input, NaiveOptions(), &stats);
   ASSERT_TRUE(out.ok()) << out.status();
   *facts = WriteFacts(*out);
   *steps = stats.steps;
@@ -125,7 +124,7 @@ void Reference(uint32_t threads, std::string* facts, uint64_t* steps) {
 // Crash once after `crash_at` committed frames, then recover and resume to
 // completion; the output must match `reference` byte-for-byte and the
 // resumed attempt must execute exactly the steps the crash skipped.
-void CrashResumeOnce(uint32_t threads, uint64_t crash_at,
+void CrashResumeOnce(uint64_t crash_at,
                      const std::string& reference, uint64_t full_steps,
                      const std::string& dir) {
   {
@@ -134,7 +133,7 @@ void CrashResumeOnce(uint32_t threads, uint64_t crash_at,
     ASSERT_TRUE(d.active()) << d.warning();
     ASSERT_TRUE(d.BeginRun(*l.input).ok());
     CrashAfter sink(&d, crash_at);
-    EvalOptions options = NaiveOptions(threads);
+    EvalOptions options = NaiveOptions();
     options.durability.sink = &sink;
     auto out = EvaluateProgram(l.u.get(), l.unit->schema, &l.unit->program,
                                *l.input, options);
@@ -150,7 +149,7 @@ void CrashResumeOnce(uint32_t threads, uint64_t crash_at,
   EXPECT_EQ((*rec)->frames_replayed, crash_at);
 
   EvalStats stats;
-  EvalOptions options = NaiveOptions(threads);
+  EvalOptions options = NaiveOptions();
   options.durability.sink = &d;
   options.durability.resume = true;
   options.durability.resume_stage = (*rec)->resume_stage;
@@ -158,36 +157,25 @@ void CrashResumeOnce(uint32_t threads, uint64_t crash_at,
   auto out = EvaluateProgram(l.u.get(), l.unit->schema, &l.unit->program,
                              (*rec)->instance, options, &stats);
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(WriteFacts(*out), reference)
-      << "threads=" << threads << " crash_at=" << crash_at;
+  EXPECT_EQ(WriteFacts(*out), reference) << "crash_at=" << crash_at;
   // Never re-derives: committed steps + resumed steps == uninterrupted
   // steps, exactly.
-  EXPECT_EQ(crash_at + stats.steps, full_steps)
-      << "threads=" << threads << " crash_at=" << crash_at;
+  EXPECT_EQ(crash_at + stats.steps, full_steps) << "crash_at=" << crash_at;
 }
 
-void SoakAtThreads(uint32_t threads) {
+TEST(CrashRecoverySoak, KillAtRandomCommittedStepsSerial) {
   std::string reference;
   uint64_t full_steps = 0;
-  Reference(threads, &reference, &full_steps);
+  Reference(&reference, &full_steps);
   ASSERT_GT(full_steps, 2u);
 
-  std::mt19937_64 rng(0x9E3779B97F4A7C15ull ^ threads);
+  std::mt19937_64 rng(0x9E3779B97F4A7C14ull);
   for (int round = 0; round < 6; ++round) {
     uint64_t crash_at = 1 + rng() % (full_steps - 1);
-    CrashResumeOnce(threads, crash_at, reference, full_steps,
-                    TestDir("soak_t" + std::to_string(threads) + "_r" +
-                            std::to_string(round)));
+    CrashResumeOnce(crash_at, reference, full_steps,
+                    TestDir("soak_r" + std::to_string(round)));
     if (::testing::Test::HasFatalFailure()) return;
   }
-}
-
-TEST(CrashRecoverySoak, KillAtRandomCommittedStepsSerial) { SoakAtThreads(1); }
-TEST(CrashRecoverySoak, KillAtRandomCommittedStepsTwoThreads) {
-  SoakAtThreads(2);
-}
-TEST(CrashRecoverySoak, KillAtRandomCommittedStepsEightThreads) {
-  SoakAtThreads(8);
 }
 
 TEST(CrashRecoverySoak, CrashOnEveryAttemptStillConverges) {
@@ -196,7 +184,7 @@ TEST(CrashRecoverySoak, CrashOnEveryAttemptStillConverges) {
   // must still be byte-identical to the uninterrupted run.
   std::string reference;
   uint64_t full_steps = 0;
-  Reference(1, &reference, &full_steps);
+  Reference(&reference, &full_steps);
   std::string dir = TestDir("every_attempt");
 
   {
@@ -211,7 +199,7 @@ TEST(CrashRecoverySoak, CrashOnEveryAttemptStillConverges) {
     QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
     auto rec = d.Recover(l.schema(), l.schema(), l.u.get());
     ASSERT_TRUE(rec.ok()) << rec.status();
-    EvalOptions options = NaiveOptions(1);
+    EvalOptions options = NaiveOptions();
     options.durability.resume = rec->has_value();
     CrashAfter sink(&d, 1);
     options.durability.sink = &sink;
@@ -251,7 +239,6 @@ std::string SerialFacts(const char* source, uint64_t* steps = nullptr) {
   LoadedUnit l = Load(source);
   EvalStats stats;
   EvalOptions options;
-  options.num_threads = 1;
   auto result = RunUnit(l.u.get(), l.unit.get(), *l.input, options, &stats);
   EXPECT_TRUE(result.ok()) << result.status();
   if (steps != nullptr) *steps = stats.steps;

@@ -96,52 +96,6 @@ TEST_F(DatalogTest, NaiveAndSemiNaiveAgreeOnRandomGraphs) {
   }
 }
 
-TEST_F(DatalogTest, ParallelMatchesSerialBitForBit) {
-  // Every mode, with 2 and 8 workers, must reproduce the serial engine's
-  // facts_ vectors exactly -- same tuples in the same insertion order --
-  // since the parallel merge concatenates worker buffers in slice order.
-  std::mt19937 rng(7);
-  for (EvalMode mode : {EvalMode::kNaive, EvalMode::kSemiNaive,
-                        EvalMode::kSemiNaiveIndexed}) {
-    for (int trial = 0; trial < 5; ++trial) {
-      std::vector<std::pair<int, int>> edges;
-      std::uniform_int_distribution<int> node(0, 19);
-      for (int k = 0; k < 40; ++k) edges.emplace_back(node(rng), node(rng));
-      auto run = [&](uint32_t threads, Database* db, Stats* stats) {
-        Program prog;
-        int e = *db->AddRelation("E", 2);
-        int tc = *db->AddRelation("TC", 2);
-        prog.rules.push_back(Rule{Atom{tc, {Term::Var(0), Term::Var(1)}},
-                                  {Atom{e, {Term::Var(0), Term::Var(1)}}},
-                                  {}});
-        prog.rules.push_back(
-            Rule{Atom{tc, {Term::Var(0), Term::Var(2)}},
-                 {Atom{tc, {Term::Var(0), Term::Var(1)}},
-                  Atom{e, {Term::Var(1), Term::Var(2)}}},
-                 {}});
-        for (auto [a, b] : edges) {
-          db->AddFact(e, {db->InternConstant(a), db->InternConstant(b)});
-        }
-        EXPECT_TRUE(Evaluate(prog, db, mode, stats, threads).ok());
-        return tc;
-      };
-      Database serial_db;
-      Stats serial_stats;
-      int tc = run(1, &serial_db, &serial_stats);
-      for (uint32_t threads : {2u, 8u}) {
-        Database db;
-        Stats stats;
-        run(threads, &db, &stats);
-        EXPECT_EQ(db.Facts(tc), serial_db.Facts(tc))
-            << "mode " << static_cast<int>(mode) << ", threads " << threads
-            << ", trial " << trial;
-        EXPECT_EQ(stats.derivations, serial_stats.derivations);
-        EXPECT_EQ(stats.rule_derivations, serial_stats.rule_derivations);
-      }
-    }
-  }
-}
-
 TEST_F(DatalogTest, ConstantsInAtoms) {
   int r = *db_.AddRelation("R", 2);
   int out = *db_.AddRelation("Out", 1);

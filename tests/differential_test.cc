@@ -1,11 +1,19 @@
 // Differential and parameterized property tests: the IQL evaluator checked
 // against the independent flat Datalog engine on the shared relational
-// fragment, determinacy/genericity sweeps, and phi/psi round trips on
-// random cyclic instances.
+// fragment, the register VM against the tree-walker on the example corpus,
+// determinacy/genericity sweeps, and phi/psi round trips on random cyclic
+// instances.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <memory>
 #include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "datalog/datalog.h"
 #include "iql/eval.h"
@@ -257,6 +265,213 @@ TEST_P(PsiPhiSweepTest, PsiOfPhiIsIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PsiPhiSweepTest,
                          ::testing::Range<uint32_t>(0, 16));
+
+// ---- register VM vs tree-walker, naive vs semi-naive ----------------------
+//
+// Every example program and a few inline invention / choose / deletion
+// programs must serialize to byte-identical facts -- not merely
+// O-isomorphic ones -- on the register VM as on the all-tree-walk oracle,
+// under both the naive operator (scans only) and the semi-naive one
+// (indexing and scheduling on). Each run uses a fresh universe, so invented
+// oids only coincide if both executors fire every derivation in the same
+// order.
+
+namespace fs = std::filesystem;
+
+std::string ReadFile(const fs::path& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+std::vector<fs::path> ExamplePaths() {
+  std::vector<fs::path> out;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(IQLKIT_SOURCE_DIR) / "examples" /
+                              "iql")) {
+    if (entry.path().extension() == ".iql") out.push_back(entry.path());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Parses `source` into a fresh universe, applies its embedded instance
+// block over the declared input projection, evaluates, and serializes the
+// result. Everything oid-related restarts from zero, so two calls agree
+// byte-for-byte only if evaluation is fully deterministic.
+std::string RunToFacts(const std::string& source, const EvalOptions& options) {
+  Universe u;
+  auto unit = ParseUnit(&u, source);
+  EXPECT_TRUE(unit.ok()) << unit.status();
+  if (!unit.ok()) return "<parse error>";
+  std::shared_ptr<const Schema> input_schema;
+  if (unit->input_names.empty()) {
+    input_schema = std::make_shared<const Schema>(unit->schema);
+  } else {
+    auto projected = unit->schema.Project(unit->input_names);
+    EXPECT_TRUE(projected.ok()) << projected.status();
+    if (!projected.ok()) return "<projection error>";
+    input_schema = std::make_shared<const Schema>(std::move(*projected));
+  }
+  Instance input(input_schema, &u);
+  EXPECT_TRUE(ApplyFacts(*unit, &input).ok());
+  auto out = RunUnit(&u, &*unit, input, options);
+  EXPECT_TRUE(out.ok()) << out.status();
+  if (!out.ok()) return "<eval error>";
+  return WriteFacts(*out);
+}
+
+// `options` with the all-tree-walk oracle on (`oracle`) or off.
+EvalOptions OnExecutor(EvalOptions options, bool oracle) {
+  options.tree_walk_oracle = oracle;
+  return options;
+}
+
+void ExpectExecutorsAgree(const std::string& source) {
+  for (bool seminaive : {false, true}) {
+    EvalOptions options;
+    options.enable_seminaive = seminaive;
+    options.enable_indexing = seminaive;
+    options.enable_scheduling = seminaive;
+    options.allow_deletions = true;
+    std::string oracle = RunToFacts(source, OnExecutor(options, true));
+    EXPECT_EQ(RunToFacts(source, OnExecutor(options, false)), oracle)
+        << (seminaive ? "semi-naive" : "naive");
+  }
+}
+
+class ExampleExecutorTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExampleExecutorTest, VmMatchesTheTreeWalkOracle) {
+  std::vector<fs::path> paths = ExamplePaths();
+  ASSERT_LT(static_cast<size_t>(GetParam()), paths.size());
+  const fs::path& path = paths[GetParam()];
+  SCOPED_TRACE(path.filename().string());
+  ExpectExecutorsAgree(ReadFile(path));
+}
+
+// One instantiation per examples/iql/*.iql (sorted): genesis,
+// graph_encoding (invention + weak assignment), powerset (set-type
+// extents), tc, updates (IQL* deletions).
+INSTANTIATE_TEST_SUITE_P(Examples, ExampleExecutorTest,
+                         ::testing::Range(0, 5));
+
+TEST(ExecutorDifferentialTest, ExampleCorpusIsWhatWeExpect) {
+  // If examples are added, widen the Range above so they are covered.
+  EXPECT_EQ(ExamplePaths().size(), 5u);
+}
+
+// A relational workload with wide candidate lists every round.
+TEST(ExecutorDifferentialTest, WideTransitiveClosure) {
+  std::ostringstream source;
+  source << "schema { relation E : [D, D]; relation TC : [D, D]; }\n"
+            "input E;\noutput TC;\ninstance {\n";
+  uint64_t x = 7;
+  for (int i = 0; i < 120; ++i) {
+    x = x * 6364136223846793005u + 1442695040888963407u;
+    source << "  E(" << (x >> 33) % 40 << ", " << (x >> 13) % 40 << ");\n";
+  }
+  source << "}\nprogram {\n"
+            "  TC(x, y) :- E(x, y).\n"
+            "  TC(x, z) :- TC(x, y), E(y, z).\n"
+            "}\n";
+  ExpectExecutorsAgree(source.str());
+}
+
+// Invention after a VM stage: one oid minted per satisfying valuation, in
+// canonical order, plus weak assignment of its nu-value.
+TEST(ExecutorDifferentialTest, InventionOrderIsCanonical) {
+  std::ostringstream source;
+  source << "schema {\n"
+            "  relation E : [D, D];\n"
+            "  class P : [D, D];\n"
+            "  relation Tag : [D, P];\n"
+            "}\n"
+            "input E;\noutput Tag, P;\ninstance {\n";
+  uint64_t x = 3;
+  for (int i = 0; i < 60; ++i) {
+    x = x * 6364136223846793005u + 1442695040888963407u;
+    source << "  E(" << (x >> 33) % 24 << ", " << (x >> 13) % 24 << ");\n";
+  }
+  source << "}\nprogram {\n"
+            "  Tag(a, p) :- E(a, b).\n"
+            "  ;\n"
+            "  p^ = [a, a] :- Tag(a, p).\n"
+            "}\n";
+  ExpectExecutorsAgree(source.str());
+}
+
+// Choose (IQL+) after a VM stage: the choose rule itself runs on the
+// tree-walker (its pick is enumeration-order sensitive), and the
+// composition must match the all-tree-walk oracle under every policy,
+// including the seeded kRandom one.
+TEST(ExecutorDifferentialTest, ChooseSeesCanonicalOrder) {
+  std::string source = R"(
+    schema {
+      relation R : D;
+      class M : D;
+      relation Mark : [D, M];
+      relation Picked : M;
+    }
+    input R;
+    output Picked, M;
+    instance {
+      R("a"); R("b"); R("c"); R("d"); R("e"); R("f"); R("g"); R("h");
+    }
+    program {
+      Mark(x, m) :- R(x).
+      ;
+      Picked(m) :- choose.
+    }
+  )";
+  for (auto policy : {EvalOptions::ChoosePolicy::kMinOid,
+                      EvalOptions::ChoosePolicy::kMaxOid,
+                      EvalOptions::ChoosePolicy::kRandom}) {
+    EvalOptions options;
+    options.choose_policy = policy;
+    options.choose_seed = 42;
+    EXPECT_EQ(RunToFacts(source, OnExecutor(options, false)),
+              RunToFacts(source, OnExecutor(options, true)))
+        << "policy " << static_cast<int>(policy);
+  }
+}
+
+// Deletions (IQL*) mixed with inserts: the derivation order must also
+// drive the deletion application order.
+TEST(ExecutorDifferentialTest, DeletionsStayDeterministic) {
+  std::ostringstream source;
+  source << "schema {\n"
+            "  relation Active : D;\n"
+            "  relation Flagged : D;\n"
+            "  relation Alumni : D;\n"
+            "}\ninstance {\n";
+  for (int i = 0; i < 30; ++i) {
+    source << "  Active(" << i << ");\n";
+    if (i % 3 == 0) source << "  Flagged(" << i << ");\n";
+  }
+  source << "}\nprogram {\n"
+            "  Alumni(x)  :- Active(x), Flagged(x).\n"
+            "  !Active(x) :- Flagged(x).\n"
+            "}\n";
+  ExpectExecutorsAgree(source.str());
+}
+
+// A rule whose enumeration never branches over a candidate list still
+// derives its fact on both executors.
+TEST(ExecutorDifferentialTest, NonBranchingRuleDerivesItsFact) {
+  std::string source =
+      "schema { relation S : D; relation R : D; }\n"
+      "input S;\noutput R;\ninstance { S(\"b\"); }\n"
+      "program {\n  R(x) :- x = \"a\".\n}\n";
+  for (bool oracle : {false, true}) {
+    EXPECT_NE(RunToFacts(source, OnExecutor(EvalOptions{}, oracle))
+                  .find("R(\"a\");"),
+              std::string::npos)
+        << (oracle ? "tree-walk oracle" : "vm");
+  }
+}
 
 // ---- naive vs semi-naive Datalog sweep -------------------------------------
 

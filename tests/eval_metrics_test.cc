@@ -67,7 +67,7 @@ struct ChainRun {
 
 // The run-wide index counters and each rule's probe/derivation/fact counts.
 struct PinnedCounters {
-  uint64_t index_builds = 0;  // 0: not pinned (see ExpectCounters)
+  uint64_t index_builds = 0;
   uint64_t index_probes = 0;
   uint64_t index_hits = 0;
   std::vector<uint64_t> rule_probes;
@@ -87,9 +87,7 @@ PinnedCounters CountersOf(const EvalMetrics& m) {
 
 void ExpectCounters(const EvalMetrics& m, const PinnedCounters& want) {
   PinnedCounters got = CountersOf(m);
-  if (want.index_builds != 0) {
-    EXPECT_EQ(got.index_builds, want.index_builds);
-  }
+  EXPECT_EQ(got.index_builds, want.index_builds);
   EXPECT_EQ(got.index_probes, want.index_probes);
   EXPECT_EQ(got.index_hits, want.index_hits);
   EXPECT_EQ(got.rule_probes, want.rule_probes);
@@ -97,60 +95,43 @@ void ExpectCounters(const EvalMetrics& m, const PinnedCounters& want) {
   EXPECT_EQ(got.rule_facts, want.rule_facts);
 }
 
-// Exact counters for examples/iql/tc.iql at one and two threads. The index
-// is an optimization, so these numbers are what tells a change to its
-// lookup path (resolve a (container, attrs) index once, then look keys up)
-// from a change to what is looked up: the former must keep every count.
+// Exact counters for examples/iql/tc.iql. The index is an optimization, so
+// these numbers are what tells a change to its lookup path (resolve a
+// (container, attrs) index once, then look keys up) from a change to what
+// is looked up: the former must keep every count.
 TEST(EvalMetricsTest, TcExampleCountersArePinned) {
   std::ifstream in(std::string(IQLKIT_SOURCE_DIR) + "/examples/iql/tc.iql");
   ASSERT_TRUE(in.good());
   std::stringstream source;
   source << in.rdbuf();
-  for (uint32_t threads : {1u, 2u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Universe universe;
-    auto unit = ParseUnit(&universe, source.str());
-    ASSERT_TRUE(unit.ok()) << unit.status();
-    auto in_schema = unit->schema.Project(unit->input_names);
-    ASSERT_TRUE(in_schema.ok());
-    Instance input(std::make_shared<const Schema>(std::move(*in_schema)),
-                   &universe);
-    ASSERT_TRUE(ApplyFacts(*unit, &input).ok());
-    EvalMetrics metrics;
-    EvalOptions options;
-    options.metrics = &metrics;
-    options.num_threads = threads;
-    auto out = RunUnit(&universe, &*unit, input, options);
-    ASSERT_TRUE(out.ok()) << out.status();
-    ExpectCounters(metrics, {1, 6, 3, {0, 6}, {3, 3}, {3, 3}});
-  }
+  Universe universe;
+  auto unit = ParseUnit(&universe, source.str());
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  auto in_schema = unit->schema.Project(unit->input_names);
+  ASSERT_TRUE(in_schema.ok());
+  Instance input(std::make_shared<const Schema>(std::move(*in_schema)),
+                 &universe);
+  ASSERT_TRUE(ApplyFacts(*unit, &input).ok());
+  EvalMetrics metrics;
+  EvalOptions options;
+  options.metrics = &metrics;
+  auto out = RunUnit(&universe, &*unit, input, options);
+  ASSERT_TRUE(out.ok()) << out.status();
+  ExpectCounters(metrics, {1, 6, 3, {0, 6}, {3, 3}, {3, 3}});
 }
 
-// The same pin on a 24-node cycle split into partitions of one candidate.
-// At two threads each worker that claims a chunk of a solve builds its own
-// index, so the build count depends on scheduling and is only bounded;
-// probes, hits and per-rule counts match the serial run exactly.
+// The same pin on a 24-node cycle, whose recursive rule is solved once per
+// round over 24 rounds: the semi-naive stage keeps one index across its
+// rounds, so it is built exactly once.
 TEST(EvalMetricsTest, PartitionedCycleCountersArePinned) {
-  for (uint32_t threads : {1u, 2u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ChainRun run(/*nodes=*/24, /*cycle=*/true);
-    EvalMetrics metrics;
-    EvalOptions options;
-    options.metrics = &metrics;
-    options.num_threads = threads;
-    options.parallel_min_candidates = 1;
-    auto out = RunUnit(&run.universe, run.unit.get(), *run.input, options);
-    ASSERT_TRUE(out.ok()) << out.status();
-    EXPECT_EQ(out->Relation(run.universe.Intern("TC")).size(), 576u);
-    ExpectCounters(metrics, {threads == 1 ? 1u : 0u, 576, 576, {0, 576},
-                             {24, 576}, {24, 552}});
-    if (threads == 2) {
-      // 24 partitioned solves of the recursive rule, one or two workers
-      // each.
-      EXPECT_GE(metrics.index_builds, 24u);
-      EXPECT_LE(metrics.index_builds, 48u);
-    }
-  }
+  ChainRun run(/*nodes=*/24, /*cycle=*/true);
+  EvalMetrics metrics;
+  EvalOptions options;
+  options.metrics = &metrics;
+  auto out = RunUnit(&run.universe, run.unit.get(), *run.input, options);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(out->Relation(run.universe.Intern("TC")).size(), 576u);
+  ExpectCounters(metrics, {1, 576, 576, {0, 576}, {24, 576}, {24, 552}});
 }
 
 TEST(EvalMetricsTest, SemiNaiveRoundsAndPerRuleCounts) {
@@ -243,41 +224,68 @@ TEST(EvalMetricsTest, NaiveRoundsWhenSemiNaiveDisabled) {
 }
 
 // A derivation-budget trip leaves the counters as consistent as a
-// completed run, naive and semi-naive, at every thread count: the run's
-// index probes equal the rules' summed probes, exactly the budget's worth
-// of derivations is attributed to rules, and the run's derivation count
-// shows the overrun that tripped it.
+// completed run, naive and semi-naive: the run's index probes equal the
+// rules' summed probes, exactly the budget's worth of derivations is
+// attributed to rules, and the run's derivation count shows the overrun
+// that tripped it.
 TEST(EvalMetricsTest, CountersStayConsistentOnADerivationTrip) {
   constexpr uint64_t kBudget = 500;
   for (bool seminaive : {false, true}) {
-    for (uint32_t threads : {1u, 4u}) {
-      SCOPED_TRACE(std::string(seminaive ? "semi-naive" : "naive") +
-                   " threads=" + std::to_string(threads));
-      ChainRun run(/*nodes=*/40, /*cycle=*/true);
-      EvalMetrics metrics;
-      EvalOptions options;
-      options.metrics = &metrics;
-      options.enable_seminaive = seminaive;
-      options.num_threads = threads;
-      options.parallel_min_candidates = 1;
-      options.limits.max_derivations = kBudget;
-      EvalStats stats;
-      auto out = RunUnit(&run.universe, run.unit.get(), *run.input, options,
-                         &stats);
-      ASSERT_FALSE(out.ok());
-      EXPECT_EQ(stats.trip, TripReason::kDerivations);
-      uint64_t rule_probes = 0;
-      uint64_t rule_derivations = 0;
-      for (const RuleMetrics& rule : metrics.rules) {
-        rule_probes += rule.index_probes;
-        rule_derivations += rule.derivations;
-      }
-      EXPECT_GT(rule_probes, 0u);
-      EXPECT_EQ(metrics.index_probes, rule_probes);
-      EXPECT_EQ(rule_derivations, kBudget);
-      EXPECT_GT(stats.derivations, kBudget);
+    SCOPED_TRACE(seminaive ? "semi-naive" : "naive");
+    ChainRun run(/*nodes=*/40, /*cycle=*/true);
+    EvalMetrics metrics;
+    EvalOptions options;
+    options.metrics = &metrics;
+    options.enable_seminaive = seminaive;
+    options.limits.max_derivations = kBudget;
+    EvalStats stats;
+    auto out = RunUnit(&run.universe, run.unit.get(), *run.input, options,
+                       &stats);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(stats.trip, TripReason::kDerivations);
+    uint64_t rule_probes = 0;
+    uint64_t rule_derivations = 0;
+    for (const RuleMetrics& rule : metrics.rules) {
+      rule_probes += rule.index_probes;
+      rule_derivations += rule.derivations;
     }
+    EXPECT_GT(rule_probes, 0u);
+    EXPECT_EQ(metrics.index_probes, rule_probes);
+    EXPECT_EQ(rule_derivations, kBudget);
+    EXPECT_GT(stats.derivations, kBudget);
   }
+}
+
+// The trace streams one line per step, in step order: naive steps with
+// their val-dom, semi-naive rounds from round 0 (the full evaluation of
+// every rule) on. `needle` is "step " or "round ".
+void ExpectTracedInOrder(bool seminaive, const std::string& needle) {
+  ChainRun run(/*nodes=*/7);
+  std::ostringstream trace;
+  EvalOptions options;
+  options.enable_seminaive = seminaive;
+  options.trace = &trace;
+  auto out = RunUnit(&run.universe, run.unit.get(), *run.input, options);
+  ASSERT_TRUE(out.ok()) << out.status();
+  std::string text = trace.str();
+  size_t last_pos = 0;
+  for (int step = 0;; ++step) {
+    size_t pos = text.find(needle + std::to_string(step) + ":");
+    if (pos == std::string::npos) {
+      EXPECT_GE(step, 2) << "expected at least two traced steps:\n" << text;
+      break;
+    }
+    EXPECT_GE(pos, last_pos) << text;
+    last_pos = pos;
+  }
+}
+
+TEST(EvalTraceTest, TraceStaysInStepOrder) {
+  ExpectTracedInOrder(/*seminaive=*/false, "step ");
+}
+
+TEST(EvalTraceTest, SemiNaiveTraceIncludesRoundZero) {
+  ExpectTracedInOrder(/*seminaive=*/true, "(semi-naive) round ");
 }
 
 TEST(EvalMetricsTest, TogglesDoNotChangeResults) {

@@ -13,8 +13,8 @@
 #include "model/universe.h"
 
 // The fault-injection harness: spec parsing, per-site determinism, and a
-// randomized soak across thread counts asserting that every injected
-// failure still leaves the instance on a completed-step boundary.
+// randomized soak across seeds asserting that every injected failure still
+// leaves the instance on a completed-step boundary.
 namespace iqlkit {
 namespace {
 
@@ -26,11 +26,10 @@ class FaultInjectionTest : public ::testing::Test {
 
 TEST_F(FaultInjectionTest, ParseSpecFull) {
   auto config =
-      FaultInjector::ParseSpec("seed=42,alloc=0.25,task=0.5,trip=0.125");
+      FaultInjector::ParseSpec("seed=42,alloc=0.25,trip=0.125");
   ASSERT_TRUE(config.ok()) << config.status();
   EXPECT_EQ(config->seed, 42u);
   EXPECT_DOUBLE_EQ(config->p_alloc, 0.25);
-  EXPECT_DOUBLE_EQ(config->p_task, 0.5);
   EXPECT_DOUBLE_EQ(config->p_trip, 0.125);
   EXPECT_TRUE(config->enabled());
 }
@@ -53,9 +52,19 @@ TEST_F(FaultInjectionTest, ParseSpecRejectsGarbage) {
   EXPECT_FALSE(FaultInjector::ParseSpec("seed").ok());
 }
 
+TEST_F(FaultInjectionTest, ParseSpecRejectsTheRetiredTaskKey) {
+  // Evaluation has no worker tasks, so a spec naming the retired task=
+  // site is an unknown key, not a silently ignored one.
+  auto config = FaultInjector::ParseSpec("seed=3,task=0.01");
+  ASSERT_FALSE(config.ok());
+  EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(config.status().message().find("unknown key 'task'"),
+            std::string::npos)
+      << config.status();
+}
+
 TEST_F(FaultInjectionTest, SiteNamesAreStable) {
   EXPECT_STREQ(FaultSiteName(FaultSite::kAllocation), "allocation");
-  EXPECT_STREQ(FaultSiteName(FaultSite::kWorkerTask), "worker-task");
   EXPECT_STREQ(FaultSiteName(FaultSite::kGovernorTrip), "governor-trip");
   EXPECT_STREQ(FaultSiteName(FaultSite::kScheduler), "scheduler");
   EXPECT_STREQ(FaultSiteName(FaultSite::kStorage), "storage");
@@ -144,7 +153,7 @@ TEST_F(FaultInjectionTest, DisabledInjectorNeverFails) {
   injector.Reset();
   for (int i = 0; i < 1000; ++i) {
     EXPECT_FALSE(injector.ShouldFail(FaultSite::kAllocation));
-    EXPECT_FALSE(injector.ShouldFail(FaultSite::kWorkerTask));
+    EXPECT_FALSE(injector.ShouldFail(FaultSite::kScheduler));
     EXPECT_FALSE(injector.ShouldFail(FaultSite::kGovernorTrip));
   }
   EXPECT_EQ(injector.injected(FaultSite::kAllocation), 0u);
@@ -179,16 +188,16 @@ TEST_F(FaultInjectionTest, InjectionRateTracksProbability) {
   FaultInjector& injector = FaultInjector::Global();
   FaultInjector::Config config;
   config.seed = 7;
-  config.p_task = 0.2;
+  config.p_sched = 0.2;
   injector.Configure(config);
   int failures = 0;
   constexpr int kDraws = 5000;
   for (int i = 0; i < kDraws; ++i) {
-    if (injector.ShouldFail(FaultSite::kWorkerTask)) ++failures;
+    if (injector.ShouldFail(FaultSite::kScheduler)) ++failures;
   }
-  EXPECT_EQ(injector.hits(FaultSite::kWorkerTask),
+  EXPECT_EQ(injector.hits(FaultSite::kScheduler),
             static_cast<uint64_t>(kDraws));
-  EXPECT_EQ(injector.injected(FaultSite::kWorkerTask),
+  EXPECT_EQ(injector.injected(FaultSite::kScheduler),
             static_cast<uint64_t>(failures));
   // Loose 5-sigma-ish band around 1000 expected failures.
   EXPECT_GT(failures, 800);
@@ -213,7 +222,6 @@ std::vector<FaultInjector::Config> SoakConfigs() {
     FaultInjector::Config config;
     config.seed = seed;
     config.p_alloc = 0.002;
-    config.p_task = 0.02;
     config.p_trip = 0.001;
     configs.push_back(config);
   }
@@ -237,7 +245,7 @@ struct SoakOutcome {
   std::string partial_facts;
 };
 
-SoakOutcome RunDivergent(uint32_t threads, uint64_t max_steps) {
+SoakOutcome RunDivergent(uint64_t max_steps) {
   SoakOutcome out;
   Universe u;
   auto unit = ParseUnit(&u, kDivergent);
@@ -246,7 +254,6 @@ SoakOutcome RunDivergent(uint32_t threads, uint64_t max_steps) {
   out.status = ApplyFacts(*unit, &input);
   if (!out.status.ok()) return out;
   EvalOptions options;
-  options.num_threads = threads;
   options.limits.max_steps_per_stage = max_steps;
   std::optional<Instance> partial;
   options.partial = &partial;
@@ -256,35 +263,32 @@ SoakOutcome RunDivergent(uint32_t threads, uint64_t max_steps) {
   return out;
 }
 
-TEST_F(FaultInjectionTest, SoakRollbackInvariantAcrossSeedsAndThreads) {
-  // Inject allocation failures, worker-task faults, and forced governor
-  // trips at assorted rates; whatever fires, the run must end in a
-  // structured trip whose rolled-back instance byte-compares equal to a
-  // clean (fault-free) run truncated at the same completed-step count.
+TEST_F(FaultInjectionTest, SoakRollbackInvariantAcrossSeeds) {
+  // Inject allocation failures and forced governor trips at assorted
+  // rates; whatever fires, the run must end in a structured trip whose
+  // rolled-back instance byte-compares equal to a clean (fault-free) run
+  // truncated at the same completed-step count.
   FaultInjector& injector = FaultInjector::Global();
   for (const FaultInjector::Config& config : SoakConfigs()) {
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      injector.Configure(config);
-      SoakOutcome faulty = RunDivergent(threads, 50);
-      injector.Reset();
+    injector.Configure(config);
+    SoakOutcome faulty = RunDivergent(50);
+    injector.Reset();
 
-      ASSERT_FALSE(faulty.status.ok())
-          << "seed " << config.seed << " threads " << threads;
-      EXPECT_NE(faulty.stats.trip, TripReason::kNone);
-      EXPECT_NE(faulty.status.message().find("resource report"),
-                std::string::npos)
-          << faulty.status;
-      ASSERT_FALSE(faulty.partial_facts.empty());
+    ASSERT_FALSE(faulty.status.ok()) << "seed " << config.seed;
+    EXPECT_NE(faulty.stats.trip, TripReason::kNone);
+    EXPECT_NE(faulty.status.message().find("resource report"),
+              std::string::npos)
+        << faulty.status;
+    ASSERT_FALSE(faulty.partial_facts.empty());
 
-      // Fault-free reference at the same completed-step count. The soak
-      // run's step budget (50) also serves as the no-fault backstop: if no
-      // fault fires, the run trips on STEPS and compares against itself.
-      SoakOutcome reference = RunDivergent(1, faulty.stats.steps);
-      EXPECT_EQ(faulty.partial_facts, reference.partial_facts)
-          << "seed " << config.seed << " threads " << threads << " trip "
-          << TripReasonName(faulty.stats.trip) << " at step "
-          << faulty.stats.steps;
-    }
+    // Fault-free reference at the same completed-step count. The soak
+    // run's step budget (50) also serves as the no-fault backstop: if no
+    // fault fires, the run trips on STEPS and compares against itself.
+    SoakOutcome reference = RunDivergent(faulty.stats.steps);
+    EXPECT_EQ(faulty.partial_facts, reference.partial_facts)
+        << "seed " << config.seed << " trip "
+        << TripReasonName(faulty.stats.trip) << " at step "
+        << faulty.stats.steps;
   }
 }
 
@@ -303,7 +307,7 @@ TEST_F(FaultInjectionTest, SoakConvergingWorkloadTripsOrMatchesCleanRun) {
       TC(x, z) :- TC(x, y), E(y, z).
     }
   )";
-  auto run_tc = [&](uint32_t threads) {
+  auto run_tc = [&]() {
     SoakOutcome out;
     Universe u;
     auto unit = ParseUnit(&u, kTC);
@@ -312,7 +316,6 @@ TEST_F(FaultInjectionTest, SoakConvergingWorkloadTripsOrMatchesCleanRun) {
     out.status = ApplyFacts(*unit, &input);
     if (!out.status.ok()) return out;
     EvalOptions options;
-    options.num_threads = threads;
     std::optional<Instance> partial;
     options.partial = &partial;
     auto result = RunUnit(&u, &*unit, input, options, &out.stats);
@@ -326,39 +329,36 @@ TEST_F(FaultInjectionTest, SoakConvergingWorkloadTripsOrMatchesCleanRun) {
   };
   FaultInjector& injector = FaultInjector::Global();
   injector.Reset();
-  SoakOutcome clean = run_tc(1);
+  SoakOutcome clean = run_tc();
   ASSERT_TRUE(clean.status.ok()) << clean.status;
   for (const FaultInjector::Config& config : SoakConfigs()) {
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      injector.Configure(config);
-      SoakOutcome faulty = run_tc(threads);
-      injector.Reset();
-      if (faulty.status.ok()) {
-        EXPECT_EQ(faulty.partial_facts, clean.partial_facts)
-            << "seed " << config.seed << " threads " << threads;
-      } else {
-        EXPECT_NE(faulty.stats.trip, TripReason::kNone) << faulty.status;
-        // Rolled back: the partial equals a clean run truncated at the
-        // same completed-step count.
-        FaultInjector::Global().Reset();
-        Universe u;
-        auto unit = ParseUnit(&u, kTC);
-        ASSERT_TRUE(unit.ok());
-        Instance input(&unit->schema, &u);
-        ASSERT_TRUE(ApplyFacts(*unit, &input).ok());
-        EvalOptions options;
-        options.limits.max_steps_per_stage = faulty.stats.steps;
-        std::optional<Instance> partial;
-        options.partial = &partial;
-        EvalStats stats;
-        auto reference = RunUnit(&u, &*unit, input, options, &stats);
-        ASSERT_FALSE(reference.ok());
-        ASSERT_TRUE(partial.has_value());
-        EXPECT_EQ(faulty.partial_facts, WriteFacts(*partial))
-            << "seed " << config.seed << " threads " << threads << " trip "
-            << TripReasonName(faulty.stats.trip);
-      }
+    injector.Configure(config);
+    SoakOutcome faulty = run_tc();
+    injector.Reset();
+    if (faulty.status.ok()) {
+      EXPECT_EQ(faulty.partial_facts, clean.partial_facts)
+          << "seed " << config.seed;
+      continue;
     }
+    EXPECT_NE(faulty.stats.trip, TripReason::kNone) << faulty.status;
+    // Rolled back: the partial equals a clean run truncated at the same
+    // completed-step count.
+    Universe u;
+    auto unit = ParseUnit(&u, kTC);
+    ASSERT_TRUE(unit.ok());
+    Instance input(&unit->schema, &u);
+    ASSERT_TRUE(ApplyFacts(*unit, &input).ok());
+    EvalOptions options;
+    options.limits.max_steps_per_stage = faulty.stats.steps;
+    std::optional<Instance> partial;
+    options.partial = &partial;
+    EvalStats stats;
+    auto reference = RunUnit(&u, &*unit, input, options, &stats);
+    ASSERT_FALSE(reference.ok());
+    ASSERT_TRUE(partial.has_value());
+    EXPECT_EQ(faulty.partial_facts, WriteFacts(*partial))
+        << "seed " << config.seed << " trip "
+        << TripReasonName(faulty.stats.trip);
   }
 }
 
@@ -396,9 +396,9 @@ SoakOutcome RunVmChain(EvalOptions options) {
 }
 
 TEST_F(FaultInjectionTest, SoakVmEngineRollsBackLikeTheTreeWalker) {
-  // The register VM under IQLKIT_FAULTS seeds: every (seed, threads) cell
-  // either completes byte-identical to the clean tree-walk result or trips
-  // and rolls back to a completed-step boundary -- the same two-state
+  // The register VM under IQLKIT_FAULTS seeds: every seed either completes
+  // byte-identical to the clean tree-walk result or trips and rolls back
+  // to a completed-step boundary -- the same two-state
   // contract the tree-walker satisfies, checked by budget-matching the
   // observed step count on a clean tree-walk run.
   FaultInjector& injector = FaultInjector::Global();
@@ -408,45 +408,24 @@ TEST_F(FaultInjectionTest, SoakVmEngineRollsBackLikeTheTreeWalker) {
   SoakOutcome clean = RunVmChain(oracle);
   ASSERT_TRUE(clean.status.ok()) << clean.status;
   for (const FaultInjector::Config& config : SoakConfigs()) {
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      injector.Configure(config);
-      EvalOptions options;
-      options.num_threads = threads;
-      options.parallel_min_candidates = 1;  // let worker-task faults fire
-      SoakOutcome faulty = RunVmChain(options);
-      injector.Reset();
-      if (faulty.status.ok()) {
-        EXPECT_EQ(faulty.partial_facts, clean.partial_facts)
-            << "vm seed " << config.seed << " threads " << threads;
-        continue;
-      }
-      EXPECT_NE(faulty.stats.trip, TripReason::kNone) << faulty.status;
-      EvalOptions ref = oracle;
-      ref.limits.max_steps_per_stage = faulty.stats.steps;
-      SoakOutcome reference = RunVmChain(ref);
-      ASSERT_FALSE(reference.status.ok());
-      EXPECT_EQ(faulty.partial_facts, reference.partial_facts)
-          << "vm seed " << config.seed << " threads " << threads << " trip "
-          << TripReasonName(faulty.stats.trip) << " at step "
-          << faulty.stats.steps;
+    injector.Configure(config);
+    SoakOutcome faulty = RunVmChain(EvalOptions{});
+    injector.Reset();
+    if (faulty.status.ok()) {
+      EXPECT_EQ(faulty.partial_facts, clean.partial_facts)
+          << "vm seed " << config.seed;
+      continue;
     }
+    EXPECT_NE(faulty.stats.trip, TripReason::kNone) << faulty.status;
+    EvalOptions ref = oracle;
+    ref.limits.max_steps_per_stage = faulty.stats.steps;
+    SoakOutcome reference = RunVmChain(ref);
+    ASSERT_FALSE(reference.status.ok());
+    EXPECT_EQ(faulty.partial_facts, reference.partial_facts)
+        << "vm seed " << config.seed << " trip "
+        << TripReasonName(faulty.stats.trip) << " at step "
+        << faulty.stats.steps;
   }
-}
-
-TEST_F(FaultInjectionTest, CertainWorkerTaskFaultTripsTheVmEngine) {
-  // p_task = 1.0 with a parallel VM run: the first partitioned step's
-  // worker task fault-trips the governor before the step commits.
-  FaultInjector::Config config;
-  config.seed = 1;
-  config.p_task = 1.0;
-  FaultInjector::Global().Configure(config);
-  EvalOptions options;
-  options.num_threads = 8;
-  options.parallel_min_candidates = 1;
-  SoakOutcome out = RunVmChain(options);
-  ASSERT_FALSE(out.status.ok());
-  EXPECT_EQ(out.stats.trip, TripReason::kFault);
-  EXPECT_EQ(out.stats.steps, 0u);
 }
 
 TEST_F(FaultInjectionTest, CertainGovernorTripFaultsImmediately) {
@@ -454,7 +433,7 @@ TEST_F(FaultInjectionTest, CertainGovernorTripFaultsImmediately) {
   config.seed = 1;
   config.p_trip = 1.0;
   FaultInjector::Global().Configure(config);
-  SoakOutcome out = RunDivergent(1, 50);
+  SoakOutcome out = RunDivergent(50);
   ASSERT_FALSE(out.status.ok());
   EXPECT_EQ(out.stats.trip, TripReason::kFault);
   EXPECT_EQ(out.stats.steps, 0u);  // tripped before the first step committed
@@ -465,7 +444,7 @@ TEST_F(FaultInjectionTest, CertainAllocationFaultSurfacesAsMemoryTrip) {
   config.seed = 1;
   config.p_alloc = 1.0;
   FaultInjector::Global().Configure(config);
-  SoakOutcome out = RunDivergent(1, 50);
+  SoakOutcome out = RunDivergent(50);
   ASSERT_FALSE(out.status.ok());
   EXPECT_EQ(out.stats.trip, TripReason::kMemory);
 }

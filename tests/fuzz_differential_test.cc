@@ -239,24 +239,6 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
         << source;
   }
 
-  // Worker-pool parallel enumeration must be invisible: a randomized
-  // thread count (2..8) with fan-out forced on even tiny candidate lists
-  // yields the same facts as the serial default run. Relational facts are
-  // rehomed into the shared store at merge time, so id-level set equality
-  // is the right comparison.
-  EvalOptions parallel;
-  parallel.num_threads = 2 + rng() % 7;
-  parallel.parallel_min_candidates = 1;
-  auto out_parallel = RunUnit(&u, &*unit, input, parallel);
-  ASSERT_TRUE(out_parallel.ok()) << out_parallel.status() << "\n" << source;
-  for (int r = 3; r < GenProgram::kRelations; ++r) {
-    EXPECT_EQ(out->Relation(u.Intern(GenProgram::Name(r))),
-              out_parallel->Relation(u.Intern(GenProgram::Name(r))))
-        << "parallel (" << parallel.num_threads
-        << " threads) vs serial divergence, seed " << GetParam() << "\n"
-        << source;
-  }
-
   // Every rule this fuzzer generates must compile to verifier-clean IL in
   // each lowering the evaluator can request (full and delta variants). A
   // fresh universe keeps the front end here independent of the evaluation
@@ -289,26 +271,16 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
     }
   }
 
-  // The register VM must be byte-equivalent to the tree-walker: serial and
-  // inside the worker-pool fan-out with a randomized thread count (the
-  // VM's own naive run is `out_naive` above).
+  // The register VM must be byte-equivalent to the tree-walker (the VM's
+  // own naive run is `out_naive` above).
   {
-    EvalOptions vm;
-    auto out_vm = RunUnit(&u, &*unit, input, vm);
+    auto out_vm = RunUnit(&u, &*unit, input, EvalOptions{});
     ASSERT_TRUE(out_vm.ok()) << out_vm.status() << "\n" << source;
-    vm.num_threads = 2 + rng() % 7;
-    vm.parallel_min_candidates = 1;
-    auto out_vm_par = RunUnit(&u, &*unit, input, vm);
-    ASSERT_TRUE(out_vm_par.ok()) << out_vm_par.status() << "\n" << source;
     for (int r = 3; r < GenProgram::kRelations; ++r) {
       Symbol name = u.Intern(GenProgram::Name(r));
       EXPECT_EQ(out->Relation(name), out_vm->Relation(name))
           << "vm vs tree-walk divergence, seed " << GetParam() << "\n"
           << source;
-      EXPECT_EQ(out->Relation(name), out_vm_par->Relation(name))
-          << "vm (" << vm.num_threads
-          << " threads) vs tree-walk divergence, seed " << GetParam()
-          << "\n" << source;
     }
   }
 
@@ -337,35 +309,6 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
         EXPECT_TRUE(db.Contains(rel_ids[r], t))
             << "indexed datalog divergence, seed " << GetParam() << "\n"
             << source;
-      }
-    }
-
-    // The worker-pool fan-out at a randomized thread count concatenates
-    // per-worker buffers in slice order, so its fact *insertion order* --
-    // not just the fact set -- must match the serial indexed run exactly.
-    {
-      uint32_t threads = 2 + static_cast<uint32_t>(rng() % 7);
-      datalog::Database db3;
-      for (int r = 0; r < GenProgram::kRelations; ++r) {
-        ASSERT_TRUE(
-            db3.AddRelation(GenProgram::Name(r), GenProgram::Arity(r)).ok());
-      }
-      for (int r = 0; r < 3; ++r) {
-        for (const auto& t : edb[r]) {
-          datalog::Tuple tuple;
-          for (int c : t) tuple.push_back(db3.InternConstant(c));
-          db3.AddFact(rel_ids[r], std::move(tuple));
-        }
-      }
-      ASSERT_TRUE(datalog::Evaluate(dprog, &db3,
-                                    datalog::EvalMode::kSemiNaiveIndexed,
-                                    nullptr, threads)
-                      .ok());
-      for (int r = 3; r < GenProgram::kRelations; ++r) {
-        EXPECT_EQ(db3.Facts(rel_ids[r]), db2.Facts(rel_ids[r]))
-            << "indexed datalog (" << threads
-            << " threads) vs serial insertion-order divergence, seed "
-            << GetParam() << "\n" << source;
       }
     }
   }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -14,7 +14,7 @@
 #include "model/universe.h"
 
 // Exercises the evaluation governor end to end: every trip reason, across
-// the naive, semi-naive, and parallel pipelines, asserting the
+// the naive and semi-naive pipelines, asserting the
 // transactional-rollback contract -- a tripped run's instance byte-compares
 // (via WriteFacts) equal to the last completed fixpoint step, reproducible
 // by re-running with the observed step count as the budget.
@@ -85,25 +85,21 @@ RunOutcome RunSource(const char* source, EvalOptions options) {
   return out;
 }
 
-EvalOptions ModeOptions(bool seminaive, uint32_t threads) {
+EvalOptions ModeOptions(bool seminaive) {
   EvalOptions options;
   options.enable_seminaive = seminaive;
-  options.num_threads = threads;
   return options;
 }
 
-// The three pipelines the rollback contract must hold for, per the
-// acceptance criteria: naive, semi-naive serial, and parallel.
+// The two pipelines the rollback contract must hold for: naive and
+// semi-naive.
 struct Mode {
   const char* name;
   bool seminaive;
-  uint32_t threads;
 };
 const Mode kModes[] = {
-    {"naive", false, 1},
-    {"seminaive", true, 1},
-    {"parallel2", true, 2},
-    {"parallel8", true, 8},
+    {"naive", false},
+    {"seminaive", true},
 };
 
 TEST(GovernorTest, StepTripRollsBackToLastCompletedStep) {
@@ -113,7 +109,7 @@ TEST(GovernorTest, StepTripRollsBackToLastCompletedStep) {
   // exactly the last completed step, not some mid-step state.
   std::string reference;
   for (const Mode& mode : kModes) {
-    EvalOptions options = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions options = ModeOptions(mode.seminaive);
     options.limits.max_steps_per_stage = 4;
     RunOutcome out = RunSource(kDivergent, options);
     ASSERT_FALSE(out.status.ok()) << mode.name;
@@ -134,7 +130,7 @@ TEST(GovernorTest, StepTripRollsBackToLastCompletedStep) {
 
 TEST(GovernorTest, DerivationTripIsTransactional) {
   for (const Mode& mode : kModes) {
-    EvalOptions options = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions options = ModeOptions(mode.seminaive);
     options.limits.max_derivations = 5;
     RunOutcome out = RunSource(kDivergent, options);
     ASSERT_FALSE(out.status.ok()) << mode.name;
@@ -142,7 +138,7 @@ TEST(GovernorTest, DerivationTripIsTransactional) {
     EXPECT_EQ(out.stats.trip, TripReason::kDerivations) << mode.name;
     // Reproduce the tripped state in the same mode by step budget: the
     // partial must equal the last completed step.
-    EvalOptions ref = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions ref = ModeOptions(mode.seminaive);
     ref.limits.max_steps_per_stage = out.stats.steps;
     RunOutcome reference = RunSource(kDivergent, ref);
     EXPECT_EQ(reference.stats.trip, TripReason::kSteps) << mode.name;
@@ -152,12 +148,12 @@ TEST(GovernorTest, DerivationTripIsTransactional) {
 
 TEST(GovernorTest, InventedOidTripIsTransactional) {
   for (const Mode& mode : kModes) {
-    EvalOptions options = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions options = ModeOptions(mode.seminaive);
     options.limits.max_invented_oids = 6;
     RunOutcome out = RunSource(kDivergent, options);
     ASSERT_FALSE(out.status.ok()) << mode.name;
     EXPECT_EQ(out.stats.trip, TripReason::kInventedOids) << mode.name;
-    EvalOptions ref = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions ref = ModeOptions(mode.seminaive);
     ref.limits.max_steps_per_stage = out.stats.steps;
     RunOutcome reference = RunSource(kDivergent, ref);
     EXPECT_EQ(out.facts, reference.facts) << mode.name;
@@ -166,14 +162,14 @@ TEST(GovernorTest, InventedOidTripIsTransactional) {
 
 TEST(GovernorTest, MemoryTripIsTransactional) {
   for (const Mode& mode : kModes) {
-    EvalOptions options = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions options = ModeOptions(mode.seminaive);
     options.limits.max_memory_bytes = 4096;
     RunOutcome out = RunSource(kDivergent, options);
     ASSERT_FALSE(out.status.ok()) << mode.name;
     EXPECT_EQ(out.status.code(), StatusCode::kResourceExhausted) << mode.name;
     EXPECT_EQ(out.stats.trip, TripReason::kMemory) << mode.name;
     EXPECT_GT(out.stats.peak_memory_bytes, 4096u) << mode.name;
-    EvalOptions ref = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions ref = ModeOptions(mode.seminaive);
     ref.limits.max_steps_per_stage = out.stats.steps;
     RunOutcome reference = RunSource(kDivergent, ref);
     EXPECT_EQ(out.facts, reference.facts) << mode.name;
@@ -182,7 +178,7 @@ TEST(GovernorTest, MemoryTripIsTransactional) {
 
 TEST(GovernorTest, DeadlineTripIsTransactional) {
   for (const Mode& mode : kModes) {
-    EvalOptions options = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions options = ModeOptions(mode.seminaive);
     options.limits.deadline_seconds = 0.02;
     RunOutcome out = RunSource(kDivergent, options);
     ASSERT_FALSE(out.status.ok()) << mode.name;
@@ -191,7 +187,7 @@ TEST(GovernorTest, DeadlineTripIsTransactional) {
     EXPECT_GE(out.stats.elapsed_seconds, 0.02) << mode.name;
     // The step count at which the deadline fired is nondeterministic, but
     // the committed state is not: re-run with that count as the budget.
-    EvalOptions ref = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions ref = ModeOptions(mode.seminaive);
     ref.limits.max_steps_per_stage = out.stats.steps;
     RunOutcome reference = RunSource(kDivergent, ref);
     EXPECT_EQ(out.facts, reference.facts) << mode.name;
@@ -205,7 +201,7 @@ TEST(GovernorTest, CancellationTripIsTransactional) {
     // at step 0 for the round-0 check.
     CancellationToken token;
     token.Cancel();
-    EvalOptions options = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions options = ModeOptions(mode.seminaive);
     options.cancel = &token;
     RunOutcome out = RunSource(kDivergent, options);
     ASSERT_FALSE(out.status.ok()) << mode.name;
@@ -229,7 +225,7 @@ TEST(GovernorTest, ExtentTripCarriesReason) {
     }
   )";
   for (const Mode& mode : kModes) {
-    EvalOptions options = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions options = ModeOptions(mode.seminaive);
     options.limits.extent_budget = 8;
     RunOutcome out = RunSource(kPowerset, options);
     ASSERT_FALSE(out.status.ok()) << mode.name;
@@ -240,7 +236,7 @@ TEST(GovernorTest, ExtentTripCarriesReason) {
 }
 
 TEST(GovernorTest, CleanRunReportsMetricsAndNoTrip) {
-  RunOutcome out = RunSource(kTransitiveClosure, ModeOptions(true, 1));
+  RunOutcome out = RunSource(kTransitiveClosure, ModeOptions(true));
   ASSERT_TRUE(out.status.ok()) << out.status;
   EXPECT_EQ(out.stats.trip, TripReason::kNone);
   EXPECT_GT(out.stats.elapsed_seconds, 0.0);
@@ -252,7 +248,7 @@ TEST(GovernorTest, CleanRunReportsMetricsAndNoTrip) {
 }
 
 TEST(GovernorTest, TrippedMetricsNameTheReason) {
-  EvalOptions options = ModeOptions(true, 1);
+  EvalOptions options = ModeOptions(true);
   options.limits.max_steps_per_stage = 2;
   RunOutcome out = RunSource(kDivergent, options);
   ASSERT_FALSE(out.status.ok());
@@ -429,8 +425,8 @@ std::string ChainTc(int n) {
 }
 
 // The tree-walker oracle the VM runs below are compared against.
-EvalOptions TreeWalkOptions(bool seminaive, uint32_t threads) {
-  EvalOptions options = ModeOptions(seminaive, threads);
+EvalOptions TreeWalkOptions(bool seminaive) {
+  EvalOptions options = ModeOptions(seminaive);
   options.tree_walk_oracle = true;
   return options;
 }
@@ -441,14 +437,14 @@ TEST(GovernorTest, VmStepTripMatchesTreeWalkerPartial) {
   // the tree-walker's, in every pipeline.
   std::string source = ChainTc(24);
   for (const Mode& mode : kModes) {
-    EvalOptions tree = TreeWalkOptions(mode.seminaive, mode.threads);
+    EvalOptions tree = TreeWalkOptions(mode.seminaive);
     tree.limits.max_steps_per_stage = 3;
     RunOutcome tw = RunSource(source.c_str(), tree);
     ASSERT_FALSE(tw.status.ok()) << mode.name;
     EXPECT_EQ(tw.stats.trip, TripReason::kSteps) << mode.name;
     ASSERT_FALSE(tw.facts.empty()) << mode.name;
 
-    EvalOptions vm = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions vm = ModeOptions(mode.seminaive);
     vm.limits.max_steps_per_stage = 3;
     RunOutcome vo = RunSource(source.c_str(), vm);
     ASSERT_FALSE(vo.status.ok()) << mode.name;
@@ -465,13 +461,13 @@ TEST(GovernorTest, VmDerivationTripFiresAtTheSameStep) {
   // both engines: equal committed-step counts, byte-equal partials.
   std::string source = ChainTc(24);
   for (const Mode& mode : kModes) {
-    EvalOptions tree = TreeWalkOptions(mode.seminaive, mode.threads);
+    EvalOptions tree = TreeWalkOptions(mode.seminaive);
     tree.limits.max_derivations = 40;
     RunOutcome tw = RunSource(source.c_str(), tree);
     ASSERT_FALSE(tw.status.ok()) << mode.name;
     EXPECT_EQ(tw.stats.trip, TripReason::kDerivations) << mode.name;
 
-    EvalOptions vm = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions vm = ModeOptions(mode.seminaive);
     vm.limits.max_derivations = 40;
     RunOutcome vo = RunSource(source.c_str(), vm);
     ASSERT_FALSE(vo.status.ok()) << mode.name;
@@ -488,13 +484,13 @@ TEST(GovernorTest, VmMemoryTripRollsBackToAStepBoundary) {
   // checked by budget-matching the observed step count on the tree-walker.
   std::string source = ChainTc(32);
   for (const Mode& mode : kModes) {
-    EvalOptions vm = ModeOptions(mode.seminaive, mode.threads);
+    EvalOptions vm = ModeOptions(mode.seminaive);
     vm.limits.max_memory_bytes = 8192;
     RunOutcome vo = RunSource(source.c_str(), vm);
     ASSERT_FALSE(vo.status.ok()) << mode.name;
     EXPECT_EQ(vo.stats.trip, TripReason::kMemory) << mode.name;
 
-    EvalOptions ref = TreeWalkOptions(mode.seminaive, mode.threads);
+    EvalOptions ref = TreeWalkOptions(mode.seminaive);
     ref.limits.max_steps_per_stage = vo.stats.steps;
     RunOutcome reference = RunSource(source.c_str(), ref);
     EXPECT_EQ(reference.stats.trip, TripReason::kSteps) << mode.name;
@@ -504,13 +500,13 @@ TEST(GovernorTest, VmMemoryTripRollsBackToAStepBoundary) {
 
 TEST(GovernorTest, VmDeadlineTripRollsBackToAStepBoundary) {
   std::string source = ChainTc(220);
-  EvalOptions vm = ModeOptions(true, 1);
+  EvalOptions vm = ModeOptions(true);
   vm.limits.deadline_seconds = 0.005;
   RunOutcome vo = RunSource(source.c_str(), vm);
   if (vo.status.ok()) GTEST_SKIP() << "machine finished under the deadline";
   EXPECT_EQ(vo.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(vo.stats.trip, TripReason::kDeadline);
-  EvalOptions ref = TreeWalkOptions(true, 1);
+  EvalOptions ref = TreeWalkOptions(true);
   ref.limits.max_steps_per_stage = vo.stats.steps;
   RunOutcome reference = RunSource(source.c_str(), ref);
   EXPECT_EQ(vo.facts, reference.facts);
@@ -524,8 +520,7 @@ TEST(GovernorTest, VmPreemptionRollsBackToAStepBoundary) {
   ResourceLimits limits;
   limits.poll_stride = 1;
   Governor governor(limits);
-  // Atomic: with the default thread count the hook also runs on workers.
-  std::atomic<int> calls{0};
+  int calls = 0;
   governor.set_pressure_hook([&] {
     if (++calls == 400) governor.Preempt();
   });
@@ -537,7 +532,7 @@ TEST(GovernorTest, VmPreemptionRollsBackToAStepBoundary) {
   EXPECT_EQ(out.stats.trip, TripReason::kPreempted);
   EXPECT_GT(out.stats.steps, 0u);
 
-  EvalOptions ref = TreeWalkOptions(true, 1);
+  EvalOptions ref = TreeWalkOptions(true);
   ref.limits.max_steps_per_stage = out.stats.steps;
   RunOutcome reference = RunSource(source.c_str(), ref);
   EXPECT_EQ(out.facts, reference.facts);
@@ -566,43 +561,46 @@ datalog::Program TcProgram(datalog::Database* db, int chain) {
   return program;
 }
 
-TEST(GovernorTest, DatalogStepTripRollsBackAcrossModesAndThreads) {
-  // Reference: a clean full run, then per-(mode, threads) tripped runs
-  // whose database must equal a budget-matched clean truncation.
+TEST(GovernorTest, DatalogStepTripRollsBackAcrossModes) {
+  // Facts are append-only and a trip aborts before the round's pending
+  // facts are applied, so a tripped run's database is the state after its
+  // last completed round: a proper prefix of a clean full run's facts.
   for (auto mode : {datalog::EvalMode::kNaive, datalog::EvalMode::kSemiNaive,
                     datalog::EvalMode::kSemiNaiveIndexed}) {
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      datalog::Database tripped_db;
-      datalog::Program program = TcProgram(&tripped_db, 64);
-      ResourceLimits limits;
-      limits.max_steps_per_stage = 3;
-      Governor governor(limits);
-      datalog::Stats stats;
-      Status status = datalog::Evaluate(program, &tripped_db, mode, &stats,
-                                        threads, &governor);
-      ASSERT_FALSE(status.ok());
-      EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-      EXPECT_EQ(governor.trip_reason(), TripReason::kSteps);
-      EXPECT_EQ(stats.iterations, 3u);
-      EXPECT_NE(status.message().find("resource report"), std::string::npos);
+    datalog::Database clean_db;
+    datalog::Program clean_program = TcProgram(&clean_db, 64);
+    ASSERT_TRUE(datalog::Evaluate(clean_program, &clean_db, mode).ok());
 
-      // The serial engine with the same budget is the reference state.
-      datalog::Database reference_db;
-      datalog::Program ref_program = TcProgram(&reference_db, 64);
-      Governor ref_governor(limits);
-      Status ref_status = datalog::Evaluate(ref_program, &reference_db, mode,
-                                            nullptr, 1, &ref_governor);
-      ASSERT_FALSE(ref_status.ok());
-      ASSERT_EQ(tripped_db.relation_count(), reference_db.relation_count());
-      for (int r = 0; r < tripped_db.relation_count(); ++r) {
-        EXPECT_EQ(tripped_db.Facts(r), reference_db.Facts(r))
-            << "relation " << r << " threads " << threads;
-      }
+    datalog::Database tripped_db;
+    datalog::Program program = TcProgram(&tripped_db, 64);
+    ResourceLimits limits;
+    limits.max_steps_per_stage = 3;
+    Governor governor(limits);
+    datalog::Stats stats;
+    Status status =
+        datalog::Evaluate(program, &tripped_db, mode, &stats, &governor);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(governor.trip_reason(), TripReason::kSteps);
+    EXPECT_EQ(stats.iterations, 3u);
+    EXPECT_NE(status.message().find("resource report"), std::string::npos);
+
+    ASSERT_EQ(tripped_db.relation_count(), clean_db.relation_count());
+    for (int r = 0; r < tripped_db.relation_count(); ++r) {
+      const std::vector<datalog::Tuple>& got = tripped_db.Facts(r);
+      const std::vector<datalog::Tuple>& full = clean_db.Facts(r);
+      ASSERT_LE(got.size(), full.size()) << "relation " << r;
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), full.begin()))
+          << "relation " << r;
     }
+    auto tc = tripped_db.FindRelation("tc");
+    ASSERT_TRUE(tc.ok());
+    EXPECT_GT(tripped_db.FactCount(*tc), 0u);
+    EXPECT_LT(tripped_db.FactCount(*tc), clean_db.FactCount(*tc));
   }
 }
 
-TEST(GovernorTest, DatalogCancellationDrainsWorkers) {
+TEST(GovernorTest, DatalogCancellationStopsBeforeDeriving) {
   datalog::Database db;
   datalog::Program program = TcProgram(&db, 256);
   CancellationToken token;
@@ -610,7 +608,7 @@ TEST(GovernorTest, DatalogCancellationDrainsWorkers) {
   ResourceLimits limits;
   Governor governor(limits, &token);
   Status status = datalog::Evaluate(program, &db, datalog::EvalMode::kSemiNaive,
-                                    nullptr, 8, &governor);
+                                    nullptr, &governor);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kCancelled);
   // Round-0 check fires before anything derives: only the EDB remains.

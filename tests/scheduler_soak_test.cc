@@ -67,7 +67,6 @@ std::string SerialFacts(const char* source) {
   Status applied = ApplyFacts(*unit, &input);
   EXPECT_TRUE(applied.ok()) << applied;
   EvalOptions options;
-  options.num_threads = 1;
   auto result = RunUnit(&u, &*unit, input, options);
   EXPECT_TRUE(result.ok()) << result.status();
   return result.ok() ? WriteFacts(*result) : std::string();

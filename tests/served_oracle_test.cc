@@ -5,8 +5,7 @@
 // oracle (EvalOptions::tree_walk_oracle). Inputs are seeded and spread over
 // each shape's served size range. Every run must give byte-identical
 // WriteFacts and the same step, derivation and invented-oid counts:
-// standalone at one and two threads, and through the Scheduler with and
-// without durable storage.
+// standalone, and through the Scheduler with and without durable storage.
 
 #include <gtest/gtest.h>
 
@@ -198,10 +197,9 @@ Outcome Evaluate(const std::string& source, const EvalOptions& options) {
   return run;
 }
 
-Outcome Oracle(const std::string& source, uint32_t threads) {
+Outcome Oracle(const std::string& source) {
   EvalOptions options;
   options.tree_walk_oracle = true;
-  options.num_threads = threads;
   return Evaluate(source, options);
 }
 
@@ -224,7 +222,7 @@ TEST(ServedOracleTest, DefaultRunsTheVmAndTheOracleDoesNot) {
   for (const Unit& unit : ServedUnits()) {
     EXPECT_GT(Evaluate(unit.source, EvalOptions{}).vm_instructions, 0u)
         << unit.name;
-    Outcome oracle = Oracle(unit.source, 1);
+    Outcome oracle = Oracle(unit.source);
     EXPECT_EQ(oracle.vm_instructions, 0u) << unit.name;
     (oracle.stats.invented_oids > 0 ? invented : invention_free) += 1;
   }
@@ -232,15 +230,10 @@ TEST(ServedOracleTest, DefaultRunsTheVmAndTheOracleDoesNot) {
   EXPECT_EQ(invention_free, 9u);
 }
 
-TEST(ServedOracleTest, DefaultMatchesTheTreeWalkOracleAtOneAndTwoThreads) {
+TEST(ServedOracleTest, DefaultMatchesTheTreeWalkOracle) {
   for (const Unit& unit : ServedUnits()) {
-    for (uint32_t threads : {1u, 2u}) {
-      EvalOptions options;
-      options.num_threads = threads;
-      ExpectSameRun(Evaluate(unit.source, options),
-                    Oracle(unit.source, threads),
-                    unit.name + ", threads " + std::to_string(threads));
-    }
+    ExpectSameRun(Evaluate(unit.source, EvalOptions{}), Oracle(unit.source),
+                  unit.name);
   }
 }
 
@@ -265,7 +258,7 @@ void ExpectSchedulerMatchesOracle(const SchedulerOptions& options) {
     EXPECT_EQ(result.attempts, 1) << units[i].name;
     EXPECT_FALSE(result.resumed) << units[i].name;
     EXPECT_EQ(result.storage_warning, "") << units[i].name;
-    ExpectSameRun({result.facts, result.stats}, Oracle(units[i].source, 1),
+    ExpectSameRun({result.facts, result.stats}, Oracle(units[i].source),
                   units[i].name + ", scheduler");
   }
 }

@@ -122,7 +122,6 @@ std::string SnapshotBytes(const char* source, bool evaluate) {
   options.canonical_oids = true;
   if (!evaluate) return EncodeSnapshot(input, options);
   EvalOptions eval;
-  eval.num_threads = 1;
   auto out = EvaluateProgram(&u, unit->schema, &unit->program, input, eval);
   EXPECT_TRUE(out.ok()) << out.status();
   if (!out.ok()) return {};
@@ -190,7 +189,6 @@ TEST(StorageGoldenTest, WalLog) {
   ASSERT_TRUE(durable.active()) << durable.warning();
   ASSERT_TRUE(durable.BeginRun(input).ok());
   EvalOptions eval;
-  eval.num_threads = 1;
   eval.durability.sink = &durable;
   eval.limits.max_steps_per_stage = 2;  // trip after two committed steps
   auto out = EvaluateProgram(&u, unit->schema, &unit->program, input, eval);

@@ -130,12 +130,6 @@ Result<Instance> Evaluate(LoadedUnit* l, const EvalOptions& options,
                          *l->input, options, stats);
 }
 
-EvalOptions SerialOptions() {
-  EvalOptions options;
-  options.num_threads = 1;
-  return options;
-}
-
 // Fresh (pre-wiped) per-test scratch directory.
 std::string TestDir(const std::string& name) {
   std::string dir = ::testing::TempDir() + "/iqlkit_storage_" + name;
@@ -192,7 +186,7 @@ TEST_F(StorageTest, SchemaFingerprintIsUniverseIndependent) {
 
 TEST_F(StorageTest, ExactSnapshotRoundTripsEvaluatedOutputByteForByte) {
   LoadedUnit l = Load(kChain);
-  auto out = Evaluate(&l, SerialOptions());
+  auto out = Evaluate(&l, EvalOptions{});
   ASSERT_TRUE(out.ok()) << out.status();
 
   std::string bytes = EncodeSnapshot(*out, SnapshotOptions());
@@ -211,7 +205,7 @@ TEST_F(StorageTest, SnapshotCoversEveryValueShape) {
   // Named oids, cyclic nu tuples, oid sets, undefined nu, set-typed
   // relation attributes, and a deletion applied by the program.
   LoadedUnit l = Load(kShapes);
-  EvalOptions options = SerialOptions();
+  EvalOptions options;
   options.allow_deletions = true;
   auto out = Evaluate(&l, options);
   ASSERT_TRUE(out.ok()) << out.status();
@@ -228,7 +222,7 @@ TEST_F(StorageTest, SnapshotCoversEveryValueShape) {
 
 TEST_F(StorageTest, SnapshotRoundTripsChooseResults) {
   LoadedUnit l = Load(kChoose);
-  EvalOptions options = SerialOptions();
+  EvalOptions options;
   options.choose_policy = EvalOptions::ChoosePolicy::kMaxOid;
   auto out = Evaluate(&l, options);
   ASSERT_TRUE(out.ok()) << out.status();
@@ -242,7 +236,7 @@ TEST_F(StorageTest, SnapshotRoundTripsChooseResults) {
 
 TEST_F(StorageTest, CanonicalSnapshotIsStableUnderMonotoneRenaming) {
   LoadedUnit l = Load(kChain);
-  auto out = Evaluate(&l, SerialOptions());
+  auto out = Evaluate(&l, EvalOptions{});
   ASSERT_TRUE(out.ok()) << out.status();
 
   SnapshotOptions canonical;
@@ -331,7 +325,7 @@ class CrashAfter : public StepCommitSink {
 std::string ReferenceFacts(uint64_t* steps = nullptr) {
   LoadedUnit l = Load(kChain);
   EvalStats stats;
-  auto out = Evaluate(&l, SerialOptions(), &stats);
+  auto out = Evaluate(&l, EvalOptions{}, &stats);
   EXPECT_TRUE(out.ok()) << out.status();
   if (steps != nullptr) *steps = stats.steps;
   return out.ok() ? WriteFacts(*out) : std::string();
@@ -352,7 +346,7 @@ TEST_F(StorageTest, CrashedRunResumesFromWalByteIdentical) {
       ASSERT_TRUE(d.active()) << d.warning();
       ASSERT_TRUE(d.BeginRun(*l.input).ok());
       CrashAfter sink(&d, crash_at);
-      EvalOptions options = SerialOptions();
+      EvalOptions options;
       options.durability.sink = &sink;
       auto out = Evaluate(&l, options);
       ASSERT_FALSE(out.ok());
@@ -370,7 +364,7 @@ TEST_F(StorageTest, CrashedRunResumesFromWalByteIdentical) {
       EXPECT_FALSE((*rec)->tail_truncated);
 
       EvalStats stats;
-      EvalOptions options = SerialOptions();
+      EvalOptions options;
       options.durability.sink = &d;
       options.durability.resume = true;
       options.durability.resume_stage = (*rec)->resume_stage;
@@ -394,7 +388,7 @@ TEST_F(StorageTest, TornWalTailIsTruncatedAndResumeStillMatches) {
     QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
     ASSERT_TRUE(d.BeginRun(*l.input).ok());
     CrashAfter sink(&d, 2);
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.durability.sink = &sink;
     ASSERT_FALSE(Evaluate(&l, options).ok());
   }
@@ -419,7 +413,7 @@ TEST_F(StorageTest, TornWalTailIsTruncatedAndResumeStillMatches) {
     // The torn tail is gone from disk.
     EXPECT_EQ(std::filesystem::file_size(wal_path), intact_size);
 
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.durability.sink = &d;
     options.durability.resume = true;
     options.durability.resume_stage = (*rec)->resume_stage;
@@ -443,7 +437,7 @@ TEST_F(StorageTest, CheckpointFoldsWalIntoSnapshotAndResumes) {
     QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
     ASSERT_TRUE(d.BeginRun(*l.input).ok());
     std::optional<Instance> partial;
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.durability.sink = &d;
     options.partial = &partial;
     options.limits.max_steps_per_stage = 2;
@@ -466,7 +460,7 @@ TEST_F(StorageTest, CheckpointFoldsWalIntoSnapshotAndResumes) {
     EXPECT_EQ((*rec)->resume_stage, resume_stage);
     EXPECT_EQ((*rec)->resume_step, resume_step);
 
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.durability.sink = &d;
     options.durability.resume = true;
     options.durability.resume_stage = (*rec)->resume_stage;
@@ -485,7 +479,7 @@ TEST_F(StorageTest, FinalizeServesCompleteRunWithoutReEvaluating) {
     LoadedUnit l = Load(kChain);
     QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
     ASSERT_TRUE(d.BeginRun(*l.input).ok());
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.durability.sink = &d;
     auto out = Evaluate(&l, options);
     ASSERT_TRUE(out.ok()) << out.status();
@@ -520,7 +514,7 @@ TEST_F(StorageTest, UnwritableDirDegradesToInMemoryWithWarning) {
   auto rec = d.Recover(l.schema(), l.schema(), l.u.get());
   ASSERT_TRUE(rec.ok());
   EXPECT_FALSE(rec->has_value());
-  EvalOptions options = SerialOptions();
+  EvalOptions options;
   options.durability.sink = &d;
   auto out = Evaluate(&l, options);
   EXPECT_TRUE(out.ok()) << out.status();
@@ -731,7 +725,7 @@ TEST_F(StorageTest, QueryDirectoryHoldsOnlyTheLogAtEveryPoint) {
     EXPECT_EQ(DirEntries(dir), kOnlyLog);
     OneFileSink sink(&d, dir);
     std::optional<Instance> partial;
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.durability.sink = &sink;
     options.partial = &partial;
     options.limits.max_steps_per_stage = 2;
@@ -748,7 +742,7 @@ TEST_F(StorageTest, QueryDirectoryHoldsOnlyTheLogAtEveryPoint) {
     ASSERT_TRUE(rec.ok()) << rec.status();
     ASSERT_TRUE(rec->has_value());
     OneFileSink sink(&d, dir);
-    EvalOptions options = SerialOptions();
+    EvalOptions options;
     options.durability.sink = &sink;
     options.durability.resume = true;
     options.durability.resume_stage = (*rec)->resume_stage;
@@ -839,7 +833,7 @@ Status PrepareAndWrite(LogWrite write, const std::string& dir,
   if (!begun.ok()) return begun;
   CrashAfter crash(&d, 2);
   std::optional<Instance> partial;
-  EvalOptions options = SerialOptions();
+  EvalOptions options;
   options.partial = &partial;
   options.durability.sink = &d;
   if (write == LogWrite::kBeginRun) options.durability.sink = &crash;

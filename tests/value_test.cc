@@ -5,7 +5,6 @@
 #include <random>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/interner.h"
@@ -251,90 +250,6 @@ TEST(InternTableTest, GrowthKeepsIdsStableAndDedupExact) {
                     store.ToString(id));
   }
   EXPECT_EQ(rendered.size(), store.size());
-}
-
-// A snapshot arena resolves values already in its frozen base to their
-// base ids, interns new ones into its side store once each, and RehomeInto
-// lands each side value on the id the base store gives that structure.
-TEST(InternTableTest, SnapshotResolvesBaseIdsAndRehomesSideValues) {
-  SymbolTable syms;
-  ValueStore store(&syms);
-  Symbol a = syms.Intern("a");
-  std::vector<ValueId> base_tuples;
-  for (int i = 0; i < 300; ++i) {
-    base_tuples.push_back(store.Tuple({{a, store.ConstInt(i)}}));
-  }
-  size_t frozen = store.size();
-  ValueArena arena = ValueArena::Snapshot(&store);
-  for (int i = 0; i < 300; ++i) {
-    ValueId c = arena.ConstSymbol(syms.Intern(std::to_string(i)));
-    EXPECT_LT(c, frozen);
-    EXPECT_EQ(arena.Tuple({{a, c}}), base_tuples[i]);
-  }
-  EXPECT_EQ(arena.side_size(), 0u);
-  std::vector<ValueId> side;
-  for (int i = 300; i < 600; ++i) {
-    ValueId c = arena.ConstSymbol(syms.Intern(std::to_string(i)));
-    ValueId t = arena.Tuple({{a, c}});
-    ValueId s = arena.Set({t, base_tuples[i % 300]});
-    EXPECT_GE(t, frozen);
-    EXPECT_GE(s, frozen);
-    EXPECT_EQ(arena.Set({base_tuples[i % 300], t}), s);  // side dedup
-    side.push_back(s);
-  }
-  EXPECT_EQ(store.size(), frozen);  // the base was never written
-  EXPECT_EQ(arena.side_size(), 900u);
-  for (int i = 300; i < 600; ++i) {
-    ValueId home = arena.RehomeInto(&store, side[i - 300]);
-    EXPECT_EQ(arena.RehomeInto(&store, side[i - 300]), home);  // memoized
-    ValueId direct = store.Set(
-        {store.Tuple({{a, store.ConstInt(i)}}), base_tuples[i % 300]});
-    EXPECT_EQ(home, direct) << i;
-  }
-  EXPECT_EQ(store.size(), frozen + 900);
-  EXPECT_EQ(arena.RehomeInto(&store, base_tuples[5]), base_tuples[5]);
-}
-
-// Several threads read one frozen base through their own snapshot arenas
-// at once, each interning base and side values; the base's intern table is
-// only read. (Run under ThreadSanitizer in CI.)
-TEST(InternTableConcurrencyTest, SnapshotArenasShareAFrozenBase) {
-  SymbolTable syms;
-  ValueStore store(&syms);
-  Symbol a = syms.Intern("a");
-  std::vector<ValueId> base_tuples;
-  for (int i = 0; i < 2000; ++i) {
-    base_tuples.push_back(store.Tuple({{a, store.ConstInt(i)}}));
-  }
-  // Pre-intern every symbol the threads use: the symbol table is not
-  // written concurrently either.
-  std::vector<Symbol> atoms;
-  for (int i = 0; i < 3000; ++i) {
-    atoms.push_back(syms.Intern(std::to_string(i)));
-  }
-  size_t frozen = store.size();
-  constexpr int kThreads = 4;
-  std::vector<int> mismatches(kThreads, 0);
-  std::vector<size_t> side_sizes(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&, w] {
-      ValueArena arena = ValueArena::Snapshot(&store);
-      for (int i = 0; i < 3000; ++i) {
-        int n = (i * 7 + w * 13) % 3000;
-        ValueId t = arena.Tuple({{a, arena.ConstSymbol(atoms[n])}});
-        bool in_base = n < 2000;
-        if (in_base ? t != base_tuples[n] : t < frozen) ++mismatches[w];
-      }
-      side_sizes[w] = arena.side_size();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (int w = 0; w < kThreads; ++w) {
-    EXPECT_EQ(mismatches[w], 0) << "thread " << w;
-    EXPECT_EQ(side_sizes[w], 2000u) << "thread " << w;  // 1000 consts+tuples
-  }
-  EXPECT_EQ(store.size(), frozen);
 }
 
 }  // namespace

@@ -34,11 +34,6 @@
 //   --no-seminaive       force the paper's naive operator on every stage
 //   --no-index           disable hash-indexed generators
 //   --no-schedule        disable selectivity-aware literal scheduling
-//   --threads=N          worker-pool parallel evaluation: 0 = hardware
-//                        concurrency (the default), 1 = serial. Results
-//                        are bit-for-bit identical for every N; :metrics
-//                        reports the resolved count and per-rule
-//                        partition totals
 //   --timeout=SECONDS    wall-clock deadline for evaluation (fractional
 //                        seconds allowed); on expiry the run stops with
 //                        DEADLINE_EXCEEDED and a partial-evaluation report
@@ -139,8 +134,6 @@ int main(int argc, char** argv) {
   uint64_t max_steps = 0;
   double timeout_seconds = 0;
   uint64_t max_memory = 0;
-  uint32_t num_threads = 1;
-  bool threads_set = false;
   std::string data_dir;
   bool no_fsync = false;
   std::string path;
@@ -190,9 +183,6 @@ int main(int argc, char** argv) {
       bad = SetNumericFlag(arg, &timeout_seconds, 0.0);
     } else if (arg.rfind("--max-memory=", 0) == 0) {
       bad = SetNumericFlag(arg, &max_memory);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      bad = SetNumericFlag(arg, &num_threads);
-      threads_set = true;
     } else if (arg.rfind("--data-dir=", 0) == 0) {
       data_dir = arg.substr(11);
     } else if (arg == "--no-fsync") {
@@ -357,9 +347,6 @@ int main(int argc, char** argv) {
   options.enable_seminaive = !no_seminaive;
   options.enable_indexing = !no_index;
   options.enable_scheduling = !no_schedule;
-  // Without --threads the library default applies (0 = hardware
-  // concurrency); results are identical either way.
-  if (threads_set) options.num_threads = num_threads;
   EvalMetrics metrics;
   if (metrics_flag) options.metrics = &metrics;
   EvalStats stats;
